@@ -2,7 +2,8 @@
 
 With y fixed, the transfer variables are squeezed between lower bounds
 (CROSS-DOCK pair forcing) and upper bounds (time feasibility, same-dock
-precedence), with capacity checked over the forced set. When that system is
+precedence), with capacity checked over the forced set; every rule is read
+from :func:`crossdock.formulations.compile_rules`. When that system is
 unsatisfiable, a deletion filter reduces the active constraints to an
 irreducible conflict set: dropping any single member makes the rest
 satisfiable, which is re-verified before reporting.
@@ -16,8 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formulations import ConstraintFamily, ConstraintId, Formulation, time_margin
-from .model import EPS, UNASSIGNED, Instance, Solution, compute_xhat, event_times
+from .formulations import (
+    ConstraintFamily,
+    ConstraintId,
+    Formulation,
+    compile_rules,
+    time_margin,
+)
+from .model import EPS, UNASSIGNED, Instance
+from .subproblem import _dock_array
 
 
 @dataclass(frozen=True)
@@ -25,100 +33,6 @@ class ConflictSet:
     constraints: tuple[ConstraintId, ...]
     minimal: bool
     narrative: str
-
-
-def _dock_array(dock) -> tuple[int, ...]:
-    if isinstance(dock, Solution):
-        return dock.dock
-    return tuple(int(x) for x in dock)
-
-
-def _build_candidates(inst: Instance, y, form: Formulation):
-    """Constraint instances that can take part in a fixed-y conflict.
-
-    Vacuous instances (anything whose quantified y's are not all 1, or upper
-    bounds on transfers nothing forces) can never belong to an irreducible
-    set, so they are excluded up front.
-    """
-    xhat = compute_xhat(inst)
-    candidates: list[ConstraintId] = []
-    if form is Formulation.CROSS_DOCK:
-        forced = []
-        for i in inst.trucks():
-            k = y[i - 1]
-            if k == UNASSIGNED:
-                continue
-            for j in inst.trucks():
-                l = y[j - 1]
-                if j == i or l == UNASSIGNED:
-                    continue
-                forced.append((i, j, k, l))
-                candidates.append(
-                    ConstraintId(ConstraintFamily.PAIR_FORCING, (i, j, k, l))
-                )
-        for (i, j, k, l) in forced:
-            if k == l and xhat.get(i, j) + xhat.get(j, i) == 0:
-                candidates.append(
-                    ConstraintId(ConstraintFamily.SAME_DOCK_TW, (i, j, k))
-                )
-            if inst.f(i, j) > EPS and time_margin(inst, i, j, k, l) < -EPS:
-                candidates.append(
-                    ConstraintId(ConstraintFamily.TIME_FEASIBILITY, (i, j, k, l))
-                )
-        if not inst.unbounded_capacity and forced:
-            for r in range(1, 2 * inst.n + 1):
-                candidates.append(ConstraintId(ConstraintFamily.CAPACITY, (r,)))
-    else:
-        for i in inst.trucks():
-            k = y[i - 1]
-            if k == UNASSIGNED:
-                continue
-            for j in range(i + 1, inst.n + 1):
-                if y[j - 1] == k and xhat.get(i, j) + xhat.get(j, i) == 0:
-                    candidates.append(
-                        ConstraintId(ConstraintFamily.DOCK_CONFLICT, (i, j, k))
-                    )
-    candidates.sort(key=lambda c: (c.family, c.indices))
-    return candidates
-
-
-def _satisfiable(inst: Instance, y, form: Formulation, active) -> bool:
-    """Propagation-based satisfiability of the fixed-y transfer system.
-
-    Transfers are forced up by active pair-forcing rows and forced down by
-    active time/same-dock rows; capacity rows are checked last against the
-    minimal forced assignment (occupancy contributions are nonnegative for
-    validated instances, so that assignment minimizes every row).
-    """
-    if form is Formulation.R_CROSS_DOCK:
-        return not any(c.family is ConstraintFamily.DOCK_CONFLICT for c in active)
-
-    forced_up = {
-        c.indices for c in active if c.family is ConstraintFamily.PAIR_FORCING
-    }
-    for c in active:
-        if c.family is ConstraintFamily.TIME_FEASIBILITY and c.indices in forced_up:
-            return False
-        if c.family is ConstraintFamily.SAME_DOCK_TW:
-            i, j, k = c.indices
-            if (i, j, k, k) in forced_up:
-                return False
-    capacity_rows = [
-        c.indices[0] for c in active if c.family is ConstraintFamily.CAPACITY
-    ]
-    if capacity_rows:
-        timeline = event_times(inst)
-        cap = inst.effective_capacity()
-        for r in capacity_rows:
-            t_r = timeline.at(r)
-            occ = sum(
-                inst.f(i, j)
-                * ((inst.a(i) <= t_r + EPS) - (inst.d(j) <= t_r + EPS))
-                for (i, j, _, _) in forced_up
-            )
-            if occ - cap > EPS:
-                return False
-    return True
 
 
 def _narrative(inst: Instance, conflict: tuple[ConstraintId, ...]) -> str:
@@ -167,22 +81,74 @@ def find_conflict(
     unsatisfiable; what remains is irreducible. Minimality is then verified
     by re-checking each single-constraint removal.
     """
+    rules = compile_rules(inst, form, False)
     y = _dock_array(dock)
-    candidates = _build_candidates(inst, y, form)
-    if _satisfiable(inst, y, form, candidates):
+    docked = [(i, k) for i, k in enumerate(y, start=1) if k != UNASSIGNED]
+    # only rows on docked trucks can clash: every other row is vacuous
+    if form is Formulation.R_CROSS_DOCK:
+        candidates = [
+            ConstraintId(ConstraintFamily.DOCK_CONFLICT, (i, j, k))
+            for i, k in docked
+            for j, l in docked
+            if i < j and k == l and rules.overlap[i - 1][j - 1]
+        ]
+
+        def clash(active) -> bool:
+            return bool(active)  # each dock-conflict row fails on its own
+
+    else:
+        forced = [(i, j, k, l) for i, k in docked for j, l in docked if j != i]
+        candidates = [ConstraintId(ConstraintFamily.PAIR_FORCING, t) for t in forced]
+        for (i, j, k, l) in forced:
+            if k == l and rules.same_dock_bound[i - 1][j - 1] < 1:
+                candidates.append(
+                    ConstraintId(ConstraintFamily.SAME_DOCK_TW, (i, j, k))
+                )
+            if not rules.time_ok[i - 1][j - 1][k - 1][l - 1]:
+                candidates.append(
+                    ConstraintId(ConstraintFamily.TIME_FEASIBILITY, (i, j, k, l))
+                )
+        if not inst.unbounded_capacity and forced:
+            candidates += [
+                ConstraintId(ConstraintFamily.CAPACITY, (r,))
+                for r in range(1, 2 * inst.n + 1)
+            ]
+
+        def clash(active) -> bool:
+            # active pair-forcing rows push transfers up, active time and
+            # same-dock rows push them down; capacity is checked on the least
+            # forced set, since occupancy contributions are nonnegative for
+            # validated instances
+            up = {
+                c.indices for c in active if c.family is ConstraintFamily.PAIR_FORCING
+            }
+            for c in active:
+                if c.family is ConstraintFamily.TIME_FEASIBILITY and c.indices in up:
+                    return True
+                if c.family is ConstraintFamily.SAME_DOCK_TW:
+                    i, j, k = c.indices
+                    if (i, j, k, k) in up:
+                        return True
+            for c in active:
+                if c.family is ConstraintFamily.CAPACITY:
+                    r = c.indices[0] - 1
+                    occ = sum(rules.occupancy[i - 1][j - 1][r] for (i, j, _, _) in up)
+                    if occ - rules.capacity > EPS:
+                        return True
+            return False
+
+    candidates.sort(key=lambda c: (c.family, c.indices))
+    if not clash(candidates):
         return None
 
     active = list(candidates)
-    for c in sorted(candidates, key=lambda c: (c.family, c.indices), reverse=True):
+    for c in reversed(candidates):
         trial = [x for x in active if x != c]
-        if not _satisfiable(inst, y, form, trial):
+        if clash(trial):
             active = trial
 
-    active.sort(key=lambda c: (c.family, c.indices))
-    assert not _satisfiable(inst, y, form, active)  # the set itself must clash
-    minimal = all(
-        _satisfiable(inst, y, form, [x for x in active if x != c]) for c in active
-    )
+    assert clash(active)  # the set itself must clash
+    minimal = not any(clash([x for x in active if x != c]) for c in active)
     return ConflictSet(
         constraints=tuple(active),
         minimal=minimal,

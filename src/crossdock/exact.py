@@ -4,7 +4,9 @@ Branching follows arrival order (early trucks constrain precedence most),
 docks ascending with "unassigned" last. Nodes are pruned by an admissible
 bound: the all-penalties constant, plus the exact net contribution of every
 fully decided truck pair, plus an optimistic (capacity-ignoring) contribution
-for every undecided pair. Leaf transfer sets come from the subproblem module.
+for every undecided pair. Pair feasibility and contributions come from the
+compiled rules (:func:`crossdock.formulations.compile_rules`); leaf transfer
+sets come from the subproblem module.
 
 The brute-force oracle enumerates every assignment and always evaluates
 transfers through exhaustive subset enumeration, never the per-pair shortcut,
@@ -23,9 +25,10 @@ from .formulations import (
     ObjectiveBreakdown,
     ViolationReport,
     check_solution,
+    compile_rules,
     objective_value,
 )
-from .model import EPS, Instance, Solution, compute_xhat, total_penalty_constant
+from .model import EPS, Instance, Solution, total_penalty_constant
 
 BRUTE_FORCE_LIMIT = 10**6
 
@@ -69,78 +72,45 @@ class ModelComparison:
 
 
 class _Tables:
-    """Per-instance lookup tables, 0-based throughout."""
+    """Branch-and-bound data derived from the compiled rules, 0-based throughout."""
 
     def __init__(self, inst: Instance, form: Formulation, include_diagonal: bool):
         n, m = inst.n, inst.m
+        rules = compile_rules(inst, form, include_diagonal)
         self.inst = inst
         self.form = form
         self.diag = include_diagonal
         self.cd = form is Formulation.CROSS_DOCK
         self.n, self.m = n, m
-        a, d = inst.arrival, inst.departure
-        t = inst.transfer_time
-        f, p = inst.flow, inst.penalty
-        xh = compute_xhat(inst).xhat
+        ct, pf, allowed = rules.ct, rules.pf, rules.allowed
+        # read on every branch: kept as attributes of their own
+        self.allowed, self.overlap = allowed, rules.overlap
 
-        self.order = sorted(range(n), key=lambda i: (a[i], i))
+        self.order = sorted(range(n), key=lambda i: (inst.arrival[i], i))
         self.base = total_penalty_constant(inst, include_diagonal)
 
-        ct = [
-            [inst.transfer_cost[k][l] * t[k][l] for l in range(m)] for k in range(m)
-        ]
-        self.ct = ct
-
-        # ok[i][j][k][l]: a forced CROSS-DOCK transfer is acceptable
         # contrib[i][j][k][l]: net objective delta of the (i,j) pair when both
-        # docked at (k,l), relative to the all-penalties baseline
-        ok = [[[[True] * m for _ in range(m)] for _ in range(n)] for _ in range(n)]
+        # docked at (k,l), relative to the all-penalties baseline; opt[i][j]:
+        # its optimistic value over the dock pairs (0 = not both docked)
         contrib = [
             [[[0.0] * m for _ in range(m)] for _ in range(n)] for _ in range(n)
         ]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                pf = p[i][j] * f[i][j]
-                for k in range(m):
-                    for l in range(m):
-                        margin = d[j] - a[i] - t[k][l]
-                        if self.cd:
-                            fine = (k != l or xh[i][j] + xh[j][i] >= 1) and (
-                                f[i][j] <= EPS or margin >= -EPS
-                            )
-                            ok[i][j][k][l] = fine
-                            contrib[i][j][k][l] = ct[k][l] - pf
-                        else:
-                            allowed = margin > EPS and (k != l or xh[i][j] == 1)
-                            contrib[i][j][k][l] = (
-                                min(0.0, ct[k][l] - pf) if allowed else 0.0
-                            )
-        self.ok = ok
-        self.contrib = contrib
-
-        # window overlap, for R-CROSS-DOCK dock conflicts
-        self.overlap = [
-            [xh[i][j] + xh[j][i] == 0 if i != j else False for j in range(n)]
-            for i in range(n)
-        ]
-
-        # optimistic per ordered pair (0 = not both docked)
         opt = [[0.0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
-                best = 0.0
                 for k in range(m):
                     for l in range(m):
-                        if self.cd:
-                            if ok[i][j][k][l] and ok[j][i][l][k]:
-                                best = min(best, contrib[i][j][k][l])
-                        else:
-                            best = min(best, contrib[i][j][k][l])
-                opt[i][j] = best
+                        delta = ct[k][l] - pf[i][j]
+                        if self.cd:  # every docked pair ships
+                            contrib[i][j][k][l] = delta
+                            if allowed[i][j][k][l] and allowed[j][i][l][k]:
+                                opt[i][j] = min(opt[i][j], delta)
+                        elif allowed[i][j][k][l]:  # ships only if worthwhile
+                            contrib[i][j][k][l] = min(0.0, delta)
+                            opt[i][j] = min(opt[i][j], contrib[i][j][k][l])
+        self.contrib = contrib
         self.opt = opt
 
         # strict-literal diagonal terms
@@ -150,13 +120,12 @@ class _Tables:
         if include_diagonal:
             if self.cd:
                 min_ct = min(ct[k][l] for k in range(m) for l in range(m))
-                self.diag_const = sum(
-                    min(0.0, min_ct - p[i][i] * f[i][i]) for i in range(n)
-                )
+                self.diag_const = sum(min(0.0, min_ct - pf[i][i]) for i in range(n))
             else:
                 for i in range(n):
-                    pf = p[i][i] * f[i][i]
-                    self.diag_delta[i] = [min(0.0, ct[k][k] - pf) for k in range(m)]
+                    self.diag_delta[i] = [
+                        min(0.0, ct[k][k] - pf[i][i]) for k in range(m)
+                    ]
                     self.diag_opt[i] = min(self.diag_delta[i])
 
     def root_opt_rest(self) -> float:
@@ -171,16 +140,17 @@ class _Tables:
     def pair_feasible(self, i: int, ki: int, j: int, kj: int) -> bool:
         """Can trucks i@ki and j@kj (0-based docks) coexist?"""
         if self.cd:
-            return self.ok[i][j][ki][kj] and self.ok[j][i][kj][ki]
+            return self.allowed[i][j][ki][kj] and self.allowed[j][i][kj][ki]
         return not (ki == kj and self.overlap[i][j])
 
-    def assignment_feasible(self, y0) -> bool:
+    def first_clash(self, y0) -> tuple[int, int] | None:
+        """The first two docked trucks that cannot coexist, if any."""
         docked = [(i, y0[i]) for i in range(self.n) if y0[i] != _UNDOCKED]
         for idx, (i, ki) in enumerate(docked):
             for (j, kj) in docked[idx + 1 :]:
                 if not self.pair_feasible(i, ki, j, kj):
-                    return False
-        return True
+                    return i, j
+        return None
 
     def to_public(self, y0) -> tuple[int, ...]:
         return tuple(0 if k == _UNDOCKED else k + 1 for k in y0)
@@ -206,7 +176,7 @@ class _Tables:
         inst = self.inst
         y1 = self.to_public(y0)
         if self.cd:
-            induced = subproblem.induced_transfers_crossdock(inst, y1)
+            induced = subproblem.induced_transfers_crossdock(inst, y1, self.diag)
             if isinstance(induced, subproblem.InfeasibilityWitness):
                 return None
             if not self.diag:
@@ -243,7 +213,7 @@ class _Tables:
         whenever capacity cannot bind; force_enumeration always routes through
         the subproblem's exhaustive selection (the oracle path).
         """
-        if not self.assignment_feasible(y0):
+        if self.first_clash(y0) is not None:
             return None
         if self.inst.unbounded_capacity and not force_enumeration:
             return self.fast_value(y0), True

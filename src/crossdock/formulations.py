@@ -1,4 +1,4 @@
-"""The CROSS-DOCK and R-CROSS-DOCK models as evaluators and residual checkers.
+"""The CROSS-DOCK and R-CROSS-DOCK models: compiled rules, evaluator and checker.
 
 CROSS-DOCK couples transfers to dock assignments in both directions: docking
 trucks i and j at (k, l) *forces* z_ijkl = 1, and a transfer is only allowed
@@ -13,12 +13,19 @@ y_ik + y_jk <= 1 + xhat_ij + xhat_ji.
 
 Both share the objective: transfer cost c_kl * t_kl per selected transfer plus
 penalty p_ij * f_ij for every unserved pair.
+
+:func:`compile_rules` decides these rules once per (instance, formulation,
+diagonal mode) into the :class:`Rules` tables that the subproblem, the
+solvers, the conflict finder and the LP writer read. :func:`check_solution`
+and the ``residual_*`` functions restate every constraint literally; they are
+the reference the compiled tables are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import lru_cache
 
 from .model import (
     EPS,
@@ -27,7 +34,6 @@ from .model import (
     Solution,
     compute_xhat,
     event_times,
-    total_penalty_constant,
 )
 
 
@@ -135,7 +141,6 @@ def objective_value(
     that check: nothing in the model links z_iikl to y. Feasibility is *not*
     checked here; use check_solution.
     """
-    _check_shapes(inst, sol)
     _check_shapes(inst, sol)
     _check_diagonal_use(sol, include_diagonal)
     cost = 0.0
@@ -290,26 +295,9 @@ def check_solution(
         )
 
     for (i, j, k, l) in sol.transfers:
-        if i == j:
-            # strict-literal diagonal: CROSS-DOCK leaves z_iikl unconstrained;
-            # R-CROSS-DOCK keeps only the linking rows z <= y_ik, z <= y_il.
-            if form is Formulation.R_CROSS_DOCK:
-                if sol.dock_of(i) != k:
-                    add(
-                        ConstraintFamily.LINK_ZY_I,
-                        (i, j, k, l),
-                        1,
-                        0,
-                        f"z_{i}{j}{k}{l} = 1 but truck {i} is not at dock {k}",
-                    )
-                if sol.dock_of(j) != l:
-                    add(
-                        ConstraintFamily.LINK_ZY_J,
-                        (i, j, k, l),
-                        1,
-                        0,
-                        f"z_{i}{j}{k}{l} = 1 but truck {j} is not at dock {l}",
-                    )
+        # strict-literal diagonal: CROSS-DOCK leaves z_iikl unconstrained;
+        # R-CROSS-DOCK keeps only the linking rows z <= y_ik, z <= y_il.
+        if i == j and form is Formulation.CROSS_DOCK:
             continue
         if sol.dock_of(i) != k:
             add(
@@ -418,9 +406,114 @@ def check_solution(
     return ViolationReport(violations=tuple(violations))
 
 
-def objective_constant(inst: Instance, include_diagonal: bool = False) -> float:
-    """Alias of the all-penalties objective floor used by exporters/solvers."""
-    return total_penalty_constant(inst, include_diagonal)
+@dataclass(frozen=True, eq=False)
+class Rules:
+    """The model rules of one instance, formulation and diagonal mode.
+
+    Every table is 0-based:
+
+    * ``margin[i][j][k][l]`` is d_j - a_i - t_kl; ``time_ok`` is true where
+      z_ijkl = 1 passes time feasibility. CROSS-DOCK fails it iff f_ij > 0
+      and the margin is < 0, R-CROSS-DOCK iff the margin is <= 0.
+    * ``same_dock_bound[i][j]`` bounds z_ijkk: xhat_ij + xhat_ji in
+      CROSS-DOCK, xhat_ij in R-CROSS-DOCK. ``overlap[i][j]`` is true iff the
+      windows intersect (xhat_ij + xhat_ji = 0): no shared dock in R-CROSS-DOCK.
+    * ``allowed`` is true where z_ijkl = 1 passes both the time and the
+      same-dock rule. Self-transfers (i = j) face neither rule.
+    * ``occupancy[i][j][r]`` is f_ij * ([a_i <= t_r] - [d_j <= t_r]) at the
+      r-th of the sorted ``events``.
+    * ``ct[k][l]`` is c_kl * t_kl, ``pf[i][j]`` is p_ij * f_ij and
+      ``capacity`` is the effective capacity.
+    """
+
+    events: tuple[float, ...]
+    margin: tuple
+    time_ok: tuple
+    same_dock_bound: tuple
+    overlap: tuple
+    allowed: tuple
+    occupancy: tuple
+    ct: tuple
+    pf: tuple
+    capacity: float
+
+
+@lru_cache(maxsize=64)
+def compile_rules(
+    inst: Instance, form: Formulation, include_diagonal: bool, /
+) -> Rules:
+    """The :class:`Rules` of an instance, cached per (instance, formulation,
+    diagonal mode). The arguments are positional so that equal calls share
+    one cache entry."""
+    n, m = inst.n, inst.m
+    a, d, t, f = inst.arrival, inst.departure, inst.transfer_time, inst.flow
+    cd = form is Formulation.CROSS_DOCK
+    xh = compute_xhat(inst).xhat
+    events = event_times(inst).events
+    trucks, docks = range(n), range(m)
+
+    bound = tuple(
+        tuple(xh[i][j] + xh[j][i] if cd else xh[i][j] for j in trucks) for i in trucks
+    )
+    overlap = tuple(
+        tuple(i != j and xh[i][j] + xh[j][i] == 0 for j in trucks) for i in trucks
+    )
+    every = tuple((True,) * m for _ in docks)
+    margin, time_ok, allowed = [], [], []
+    for i in trucks:
+        margin_i, time_i, allowed_i = [], [], []
+        for j in trucks:
+            slack = d[j] - a[i]
+            mg = tuple([tuple([slack - x for x in row]) for row in t])
+            if i == j:
+                ok = allow = every
+            else:
+                if not cd:
+                    ok = tuple([tuple([x > EPS for x in row]) for row in mg])
+                elif f[i][j] > EPS:
+                    ok = tuple([tuple([x >= -EPS for x in row]) for row in mg])
+                else:
+                    ok = every
+                allow = ok
+                if bound[i][j] < 1:  # a shared dock breaks the same-dock rule
+                    allow = tuple(
+                        [row[:k] + (False,) + row[k + 1 :] for k, row in enumerate(ok)]
+                    )
+            margin_i.append(mg)
+            time_i.append(ok)
+            allowed_i.append(allow)
+        margin.append(tuple(margin_i))
+        time_ok.append(tuple(time_i))
+        allowed.append(tuple(allowed_i))
+
+    # the events ascend, so [a_i <= t_r] and [d_j <= t_r] switch on for good
+    # at the first event where they hold: each profile is one interval
+    zeros = (0.0,) * len(events)
+    arrive = [sum(a[i] > e + EPS for e in events) for i in trucks]
+    depart = [sum(d[j] > e + EPS for e in events) for j in trucks]
+    occupancy = []
+    for i in trucks:
+        row = []
+        for j in trucks:
+            lo, hi, units = arrive[i], depart[j], f[i][j]
+            if lo > hi:
+                lo, hi, units = hi, lo, -units
+            row.append(zeros[:lo] + (units,) * (hi - lo) + zeros[hi:])
+        occupancy.append(tuple(row))
+    return Rules(
+        events=events,
+        margin=tuple(margin),
+        time_ok=tuple(time_ok),
+        same_dock_bound=bound,
+        overlap=overlap,
+        allowed=tuple(allowed),
+        occupancy=tuple(occupancy),
+        ct=tuple(
+            tuple(inst.transfer_cost[k][l] * t[k][l] for l in docks) for k in docks
+        ),
+        pf=tuple(tuple(inst.penalty[i][j] * f[i][j] for j in trucks) for i in trucks),
+        capacity=inst.effective_capacity(include_diagonal),
+    )
 
 
 __all__ = [
@@ -440,5 +533,6 @@ __all__ = [
     "residual_capacity",
     "occupancy_at",
     "time_margin",
-    "objective_constant",
+    "Rules",
+    "compile_rules",
 ]

@@ -7,18 +7,18 @@ emission is byte-deterministic. The objective's constant part (the
 all-penalties floor) cannot ride along in every LP dialect, so it is reported
 in a header comment and must be added to the solver's optimum.
 
-The nonlinear time-feasibility constraint is preprocessed into variable
-fixings in the Bounds section: under CROSS-DOCK z_i_j_k_l = 0 exactly when
-f_ij > 0 and d_j - a_i - t_kl < 0; under R-CROSS-DOCK whenever
-d_j - a_i - t_kl <= 0.
+Every row and coefficient is read from the compiled rules
+(:func:`crossdock.formulations.compile_rules`). The nonlinear
+time-feasibility constraint is preprocessed into z_i_j_k_l = 0 fixings in the
+Bounds section, one for each transfer the rules mark time-infeasible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formulations import Formulation, time_margin
-from .model import EPS, Instance, compute_xhat, event_times, total_penalty_constant
+from .formulations import Formulation, compile_rules
+from .model import EPS, Instance, total_penalty_constant
 
 _WRAP = 78
 
@@ -61,8 +61,8 @@ def _wrap_terms(label: str, terms: list[str], tail: str) -> list[str]:
 
 def emit_lp(inst: Instance, form: Formulation) -> LpDocument:
     """Emit the default-mode model (self-flows excluded) as an LP document."""
-    n, m = inst.n, inst.m
-    xhat = compute_xhat(inst)
+    n = inst.n
+    rules = compile_rules(inst, form, False)
     cd = form is Formulation.CROSS_DOCK
 
     def yname(i, k):
@@ -87,7 +87,7 @@ def emit_lp(inst: Instance, form: Formulation) -> LpDocument:
 
     obj_terms = []
     for (i, j, k, l) in z_index:
-        coef = inst.c(k, l) * inst.t(k, l) - inst.p(i, j) * inst.f(i, j)
+        coef = rules.ct[k - 1][l - 1] - rules.pf[i - 1][j - 1]
         obj_terms.append(f"{'+' if coef >= 0 else '-'} {_num(abs(coef))} {zname(i, j, k, l)}")
     if not obj_terms:
         obj_terms = [f"+ 0 {y_vars[0]}"]  # n = 1: no transfer variables exist
@@ -127,36 +127,31 @@ def emit_lp(inst: Instance, form: Formulation) -> LpDocument:
         for j in inst.trucks():
             if j == i:
                 continue
+            bound = rules.same_dock_bound[i - 1][j - 1]
             for k in inst.docks():
-                bound = (
-                    xhat.get(i, j) + xhat.get(j, i) if cd else xhat.get(i, j)
-                )
                 body.append(f" sd_{i}_{j}_{k}: {zname(i, j, k, k)} <= {bound}")
                 rows += 1
     # capacity at every event time (no rows without transfer variables)
-    timeline = event_times(inst)
-    cap = inst.effective_capacity()
+    cap = rules.capacity
     if z_index:
-        for r in range(1, 2 * n + 1):
-            t_r = timeline.at(r)
+        for r in range(2 * n):
             terms = []
             for (i, j, k, l) in z_index:
-                coef = inst.f(i, j) * (
-                    (inst.a(i) <= t_r + EPS) - (inst.d(j) <= t_r + EPS)
-                )
+                coef = rules.occupancy[i - 1][j - 1][r]
                 if coef > EPS:
                     terms.append(f"+ {_num(coef)} {zname(i, j, k, l)}")
                 elif coef < -EPS:
                     terms.append(f"- {_num(-coef)} {zname(i, j, k, l)}")
             if not terms:
                 terms = ["+ 0 " + zname(*z_index[0])]
-            body.extend(_wrap_terms(f"cap_{r}", terms, f"<= {_num(cap)}"))
+            body.extend(_wrap_terms(f"cap_{r + 1}", terms, f"<= {_num(cap)}"))
             rows += 1
     if not cd:
         for i in inst.trucks():
             for j in range(i + 1, n + 1):
+                # 1 + xhat_ij + xhat_ji: 2 unless the two windows overlap
+                rhs = 1 if rules.overlap[i - 1][j - 1] else 2
                 for k in inst.docks():
-                    rhs = 1 + xhat.get(i, j) + xhat.get(j, i)
                     body.append(
                         f" dc_{i}_{j}_{k}: {yname(i, k)} + {yname(j, k)} <= {rhs}"
                     )
@@ -164,12 +159,7 @@ def emit_lp(inst: Instance, form: Formulation) -> LpDocument:
 
     body.append("Bounds")
     for (i, j, k, l) in z_index:
-        margin = time_margin(inst, i, j, k, l)
-        if cd:
-            fixed = inst.f(i, j) > EPS and margin < -EPS
-        else:
-            fixed = margin <= EPS
-        if fixed:
+        if not rules.time_ok[i - 1][j - 1][k - 1][l - 1]:
             body.append(f" {zname(i, j, k, l)} = 0")
 
     body.append("Binaries")

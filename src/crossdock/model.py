@@ -15,7 +15,6 @@ Conventions used across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 EPS = 1e-9
 
@@ -334,26 +333,20 @@ def validate_instance(inst: Instance) -> Instance:
     return inst
 
 
-@lru_cache(maxsize=256)
 def compute_xhat(inst: Instance) -> Precedence:
     """Precedence matrix: xhat[i][j] = 1 iff d_i <= a_j.
 
     The comparison is non-strict with tolerance EPS; boundary equality
     (a truck arriving exactly when another departs) counts as precedence.
-    Cached per instance value (instances are immutable).
     """
-    n = inst.n
+    n, a, d = inst.n, inst.arrival, inst.departure
     xhat = tuple(
-        tuple(
-            1 if (i != j and inst.departure[i] <= inst.arrival[j] + EPS) else 0
-            for j in range(n)
-        )
+        tuple([1 if (i != j and d[i] <= a[j] + EPS) else 0 for j in range(n)])
         for i in range(n)
     )
     return Precedence(xhat=xhat)
 
 
-@lru_cache(maxsize=256)
 def event_times(inst: Instance) -> EventTimeline:
     """The sorted multiset of all arrivals and departures (length exactly 2n)."""
     return EventTimeline(events=tuple(sorted(inst.arrival + inst.departure)))

@@ -94,17 +94,7 @@ def reproduce_note(
     budget = exact.Budget(time_limit=time_limit)
     modes = []
     for include_diagonal in (False, True):
-        cd = exact.branch_and_bound(
-            inst, Formulation.CROSS_DOCK, budget, include_diagonal
-        )
-        rcd = exact.branch_and_bound(
-            inst, Formulation.R_CROSS_DOCK, budget, include_diagonal
-        )
-        gap = cd.objective.total - rcd.objective.total
-        rel = 100.0 * gap / cd.objective.total if cd.objective.total else 0.0
-        rcd_under_cd = check_solution(
-            inst, rcd.best, Formulation.CROSS_DOCK, include_diagonal
-        )
+        comparison = exact.compare_models(inst, budget, include_diagonal)
         modes.append(
             ModeFigures(
                 include_diagonal=include_diagonal,
@@ -114,10 +104,10 @@ def reproduce_note(
                 s_prime_objective=objective_value(
                     inst, s_prime, Formulation.R_CROSS_DOCK, include_diagonal
                 ),
-                cross_dock=cd,
-                r_cross_dock=rcd,
-                relative_gap_percent=rel,
-                rcd_best_under_cd_feasible=rcd_under_cd.feasible,
+                cross_dock=comparison.cross_dock,
+                r_cross_dock=comparison.r_cross_dock,
+                relative_gap_percent=comparison.relative_gap_percent,
+                rcd_best_under_cd_feasible=comparison.rcd_best_under_cd.feasible,
             )
         )
 

@@ -4,17 +4,17 @@ Under CROSS-DOCK, docking both trucks of a pair forces the transfer, so the
 transfer set is a *function* of the assignment (or the assignment is
 infeasible, with a witness naming the clash). Under R-CROSS-DOCK transfers
 are optional, so the best set maximizes total gain p_ij*f_ij - c_kl*t_kl
-subject to time feasibility, the same-dock precedence rule and capacity.
+subject to the model's rules and capacity. Every rule is read from the
+compiled tables of :func:`crossdock.formulations.compile_rules`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
-from .formulations import ConstraintFamily, ConstraintId, time_margin
-from .model import EPS, UNASSIGNED, Instance, Solution, compute_xhat, event_times
+from .formulations import ConstraintFamily, ConstraintId, Formulation, compile_rules
+from .model import EPS, UNASSIGNED, Instance, Solution
 
 #: Largest candidate count for which capacity-constrained selection is exact.
 EXACT_SELECTION_LIMIT = 20
@@ -71,9 +71,8 @@ def induced_transfers_crossdock(
     strict-literal model they stay free and are handled by the caller's
     selection step.
     """
-    del include_diagonal
+    rules = compile_rules(inst, Formulation.CROSS_DOCK, include_diagonal)
     y = _dock_array(dock)
-    xhat = compute_xhat(inst)
     transfers = []
     for i in inst.trucks():
         k = y[i - 1]
@@ -86,7 +85,7 @@ def induced_transfers_crossdock(
             if l == UNASSIGNED:
                 continue
             forcing = ConstraintId(ConstraintFamily.PAIR_FORCING, (i, j, k, l))
-            if k == l and xhat.get(i, j) + xhat.get(j, i) == 0:
+            if k == l and rules.same_dock_bound[i - 1][j - 1] < 1:
                 return InfeasibilityWitness(
                     blocking=ConstraintId(ConstraintFamily.SAME_DOCK_TW, (i, j, k)),
                     forcing=forcing,
@@ -95,8 +94,8 @@ def induced_transfers_crossdock(
                         f"z_{i}{j}{k}{k} = 1, but their time windows overlap"
                     ),
                 )
-            margin = time_margin(inst, i, j, k, l)
-            if inst.f(i, j) > EPS and margin < -EPS:
+            if not rules.time_ok[i - 1][j - 1][k - 1][l - 1]:
+                margin = rules.margin[i - 1][j - 1][k - 1][l - 1]
                 return InfeasibilityWitness(
                     blocking=ConstraintId(
                         ConstraintFamily.TIME_FEASIBILITY, (i, j, k, l)
@@ -112,12 +111,9 @@ def induced_transfers_crossdock(
 
     solution = Solution(dock=y, transfers=tuple(transfers))
     if not inst.unbounded_capacity:
-        timeline = event_times(inst)
         for r in range(1, 2 * inst.n + 1):
             occ = sum(
-                inst.f(i, j)
-                * ((inst.a(i) <= timeline.at(r) + EPS) - (inst.d(j) <= timeline.at(r) + EPS))
-                for (i, j, _, _) in transfers
+                rules.occupancy[i - 1][j - 1][r - 1] for (i, j, _, _) in transfers
             )
             if occ - inst.capacity > EPS:
                 return InfeasibilityWitness(
@@ -136,58 +132,48 @@ def candidate_pairs(
 ) -> list[CandidatePair]:
     """R-CROSS-DOCK candidates: docked ordered pairs with gain and feasibility.
 
-    Feasibility is the revised rule: strictly positive time margin and, on a
-    shared dock, xhat_ij = 1. Diagonal candidates (strict-literal mode) sit at
-    the truck's own dock and have no time or precedence condition.
+    A candidate is feasible when the R-CROSS-DOCK rules allow its transfer.
+    Diagonal candidates (strict-literal mode) sit at the truck's own dock and
+    face no time or precedence rule.
     """
+    rules = compile_rules(inst, Formulation.R_CROSS_DOCK, include_diagonal)
     y = _dock_array(dock)
-    xhat = compute_xhat(inst)
+    ct, pf = rules.ct, rules.pf
     out: list[CandidatePair] = []
     for i in inst.trucks():
         k = y[i - 1]
         if k == UNASSIGNED:
             continue
         if include_diagonal:
-            gain = inst.p(i, i) * inst.f(i, i) - inst.c(k, k) * inst.t(k, k)
+            gain = pf[i - 1][i - 1] - ct[k - 1][k - 1]
             out.append(CandidatePair(i, i, k, k, gain, True))
+        allowed = rules.allowed[i - 1]
         for j in inst.trucks():
             if j == i:
                 continue
             l = y[j - 1]
             if l == UNASSIGNED:
                 continue
-            feasible = time_margin(inst, i, j, k, l) > EPS and (
-                k != l or xhat.get(i, j) == 1
+            gain = pf[i - 1][j - 1] - ct[k - 1][l - 1]
+            out.append(
+                CandidatePair(i, j, k, l, gain, allowed[j - 1][k - 1][l - 1])
             )
-            gain = inst.p(i, j) * inst.f(i, j) - inst.c(k, l) * inst.t(k, l)
-            out.append(CandidatePair(i, j, k, l, gain, feasible))
     out.sort(key=lambda cp: (cp.i, cp.j))
     return out
 
 
 def check_dock_conflicts(inst: Instance, dock) -> ConstraintId | None:
     """First violated dock-conflict constraint for an assignment, if any."""
+    overlap = compile_rules(inst, Formulation.R_CROSS_DOCK, False).overlap
     y = _dock_array(dock)
-    xhat = compute_xhat(inst)
     for i in inst.trucks():
         k = y[i - 1]
         if k == UNASSIGNED:
             continue
         for j in range(i + 1, inst.n + 1):
-            if y[j - 1] == k and xhat.get(i, j) + xhat.get(j, i) == 0:
+            if y[j - 1] == k and overlap[i - 1][j - 1]:
                 return ConstraintId(ConstraintFamily.DOCK_CONFLICT, (i, j, k))
     return None
-
-
-@lru_cache(maxsize=65536)
-def _occupancy_profile(inst: Instance, i: int, j: int) -> tuple[float, ...]:
-    """Buffer units the (i, j) transfer holds at each of the 2n event times."""
-    timeline = event_times(inst)
-    fij = inst.f(i, j)
-    return tuple(
-        fij * ((inst.a(i) <= t + EPS) - (inst.d(j) <= t + EPS))
-        for t in timeline.events
-    )
 
 
 def select_transfers(
@@ -209,20 +195,23 @@ def select_transfers(
     oracle callers never share the fast path. Gains of exactly zero are never
     selected.
     """
+    # the capacity rows are the same in both models; the strict-literal
+    # CROSS-DOCK self-transfers are selected exactly like R-CROSS-DOCK's
+    rules = compile_rules(inst, Formulation.R_CROSS_DOCK, include_diagonal)
     viable = [
         cp for cp in candidates if cp.feasible and cp.gain > EPS
     ]
     viable.sort(key=lambda cp: (cp.i, cp.j, cp.k, cp.l))
-    cap = inst.effective_capacity(include_diagonal)
+    cap = rules.capacity
     n_events = 2 * inst.n
 
     base = [0.0] * n_events
     for (i, j, _, _) in forced:
-        prof = _occupancy_profile(inst, i, j)
+        prof = rules.occupancy[i - 1][j - 1]
         for r in range(n_events):
             base[r] += prof[r]
 
-    profiles = [_occupancy_profile(inst, cp.i, cp.j) for cp in viable]
+    profiles = [rules.occupancy[cp.i - 1][cp.j - 1] for cp in viable]
 
     def fits(occ, prof):
         return all(occ[r] + prof[r] <= cap + EPS for r in range(n_events))

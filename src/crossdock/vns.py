@@ -72,20 +72,11 @@ def greedy_initial(tables: _Tables) -> list[int]:
     return y0
 
 
-def _first_infeasible_pair(tables: _Tables, y0) -> tuple[int, int] | None:
-    docked = [(i, y0[i]) for i in range(tables.n) if y0[i] != _UNDOCKED]
-    for idx, (i, ki) in enumerate(docked):
-        for (j, kj) in docked[idx + 1 :]:
-            if not tables.pair_feasible(i, ki, j, kj):
-                return i, j
-    return None
-
-
 def _repair(tables: _Tables, y0) -> list[int]:
     """Undock the later-arriving truck of each clashing pair until feasible."""
     inst = tables.inst
     while True:
-        pair = _first_infeasible_pair(tables, y0)
+        pair = tables.first_clash(y0)
         if pair is None:
             break
         i, j = pair

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,13 @@ def test_emission_is_byte_identical(nine_truck):
         b = emit_lp(nine_truck, form)
         assert a.text == b.text
         assert a == b
+
+
+@pytest.mark.parametrize("form", [CD, RCD])
+def test_bundled_exports_match_the_writer(nine_truck, form):
+    data = Path(__file__).resolve().parents[1] / "data"
+    shipped = (data / lp_filename(nine_truck.name, form)).read_text()
+    assert emit_lp(nine_truck, form).text == shipped
 
 
 def test_sections_present(nine_truck):

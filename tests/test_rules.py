@@ -1,0 +1,162 @@
+"""The compiled rules against the literal constraint-by-constraint checker."""
+
+import itertools
+
+import pytest
+
+from crossdock.formulations import (
+    ConstraintFamily,
+    Formulation,
+    check_solution,
+    compile_rules,
+    occupancy_at,
+    residual_same_dock,
+    time_margin,
+)
+from crossdock.instance_io import generate, load_fixture_instance
+from crossdock.model import Instance, Solution, event_times
+
+from conftest import tiny_two_truck
+
+MODES = [
+    (form, include_diagonal)
+    for form in (Formulation.CROSS_DOCK, Formulation.R_CROSS_DOCK)
+    for include_diagonal in (False, True)
+]
+
+
+def _touching_windows() -> Instance:
+    """Truck 1 departs exactly when truck 2 arrives; truck 3 overlaps both.
+
+    d_2 - a_1 = 4, so the dock pairs give the pair (1, 2) margins of exactly
+    0, +0.01 and -0.01. Every off-diagonal flow is positive.
+    """
+    return Instance(
+        n=3,
+        m=2,
+        arrival=(0.0, 2.0, 1.0),
+        departure=(2.0, 4.0, 3.0),
+        transfer_time=((4.0, 3.99), (4.01, 0.5)),
+        transfer_cost=((1.0, 2.0), (2.0, 1.0)),
+        flow=((0.0, 5.0, 3.0), (4.0, 0.0, 2.0), (6.0, 1.0, 0.0)),
+        penalty=((0.0, 2.0, 2.0), (2.0, 0.0, 2.0), (2.0, 2.0, 0.0)),
+        capacity=None,
+        name="touching",
+    )
+
+
+def _within_eps() -> Instance:
+    """Events apart by less than EPS: truck 2 arrives 5e-10 before truck 1
+    departs, truck 3 arrives 5e-10 after truck 2 departs. The tolerance alone
+    decides precedence and occupancy at those events."""
+    return Instance(
+        n=3,
+        m=1,
+        arrival=(0.0, 1.0 - 5e-10, 3.0 + 5e-10),
+        departure=(1.0, 3.0, 4.0),
+        transfer_time=((0.5,),),
+        transfer_cost=((1.0,),),
+        flow=((0.0, 5.0, 3.0), (4.0, 0.0, 2.0), (0.0, 1.0, 0.0)),
+        penalty=((0.0, 2.0, 2.0), (2.0, 0.0, 2.0), (2.0, 2.0, 0.0)),
+        capacity=None,
+        name="within-eps",
+    )
+
+
+def _everything(inst: Instance, include_diagonal: bool) -> Solution:
+    """Every pair in scope shipped through dock 1."""
+    pairs = itertools.product(inst.trucks(), inst.trucks())
+    return Solution(
+        dock=(1,) * inst.n,
+        transfers=tuple((i, j, 1, 1) for i, j in pairs if include_diagonal or i != j),
+    )
+
+
+def _instances() -> list[Instance]:
+    out = [load_fixture_instance(), _touching_windows(), _within_eps()]
+    # d_2 - a_1 - t_11 = 3 - t11: margins of exactly 0, +0.01 and -0.01,
+    # with and without flow on the pair
+    for t11 in (3.0, 2.99, 3.01):
+        out += [tiny_two_truck(t11=t11), tiny_two_truck(t11=t11, f12=0.0)]
+    out += [generate(seed, n, m) for n in (2, 3, 4) for m in (1, 2) for seed in range(3)]
+    # each again with a capacity at half its peak occupancy, which binds
+    for inst in list(out):
+        everything = _everything(inst, True)
+        peak = max(occupancy_at(inst, everything, t, True) for t in event_times(inst).events)
+        if peak > 0:
+            out.append(inst.with_capacity(peak / 2))
+    return out
+
+
+INSTANCES = _instances()
+
+
+def _families(report) -> set:
+    return {c.family for c in report.constraint_ids()}
+
+
+@pytest.mark.parametrize("form,include_diagonal", MODES)
+def test_transfer_flags_match_the_checker(form, include_diagonal):
+    for inst in INSTANCES:
+        rules = compile_rules(inst, form, include_diagonal)
+        docks = inst.docks()
+        for i, j, k, l in itertools.product(inst.trucks(), inst.trucks(), docks, docks):
+            if i == j and not include_diagonal:
+                continue
+            dock = [0] * inst.n
+            dock[i - 1], dock[j - 1] = k, l
+            one = Solution(dock=dock, transfers=((i, j, k, l),))
+            families = _families(check_solution(inst, one, form, include_diagonal))
+            time_row = ConstraintFamily.TIME_FEASIBILITY in families
+            same_dock_row = ConstraintFamily.SAME_DOCK_TW in families
+            where = (inst.name, inst.capacity, i, j, k, l)
+            assert rules.margin[i - 1][j - 1][k - 1][l - 1] == time_margin(inst, i, j, k, l)
+            assert rules.time_ok[i - 1][j - 1][k - 1][l - 1] == (not time_row), where
+            allowed = rules.allowed[i - 1][j - 1][k - 1][l - 1]
+            assert allowed == (not time_row and not same_dock_row), where
+
+
+@pytest.mark.parametrize("form,include_diagonal", MODES)
+def test_pair_tables_match_the_checker(form, include_diagonal):
+    for inst in INSTANCES:
+        rules = compile_rules(inst, form, include_diagonal)
+        for i, j in itertools.product(inst.trucks(), inst.trucks()):
+            dock = [0] * inst.n
+            dock[i - 1] = dock[j - 1] = 1
+            idle = Solution(dock=dock)
+            report = check_solution(inst, idle, Formulation.R_CROSS_DOCK)
+            conflict = ConstraintFamily.DOCK_CONFLICT in _families(report)
+            assert rules.overlap[i - 1][j - 1] == conflict, (inst.name, i, j)
+            if i != j:
+                bound = -residual_same_dock(inst, idle, i, j, 1, form)
+                assert rules.same_dock_bound[i - 1][j - 1] == bound, (inst.name, i, j)
+
+
+@pytest.mark.parametrize("form,include_diagonal", MODES)
+def test_summed_profiles_match_occupancy_and_capacity_rows(form, include_diagonal):
+    binding = 0
+    for inst in INSTANCES:
+        rules = compile_rules(inst, form, include_diagonal)
+        assert rules.events == event_times(inst).events
+        assert rules.capacity == inst.effective_capacity(include_diagonal)
+        everything = _everything(inst, include_diagonal)
+        report = check_solution(inst, everything, form, include_diagonal)
+        over = {
+            c.indices[0]
+            for c in report.constraint_ids()
+            if c.family is ConstraintFamily.CAPACITY
+        }
+        binding += len(over)
+        for r, t_r in enumerate(rules.events):
+            summed = sum(
+                rules.occupancy[i - 1][j - 1][r] for (i, j, _, _) in everything.transfers
+            )
+            assert summed == occupancy_at(inst, everything, t_r, include_diagonal)
+            assert (summed - rules.capacity > 1e-9) == (r + 1 in over)
+    assert binding > 0, "capacity never binds; the capacity check is vacuous"
+
+
+def test_rules_are_compiled_once_per_instance_and_formulation(nine_truck):
+    first = compile_rules(nine_truck, Formulation.CROSS_DOCK, False)
+    assert compile_rules(nine_truck, Formulation.CROSS_DOCK, False) is first
+    assert compile_rules(nine_truck, Formulation.R_CROSS_DOCK, False) is not first
