@@ -20,7 +20,12 @@ from .instance_io import (
     parse_solution,
     serialize_instance,
 )
-from .model import InvalidInstanceError, instance_flags, validate_instance
+from .model import (
+    InvalidInstanceError,
+    format_number,
+    instance_flags,
+    validate_instance,
+)
 from .reproduce import render_report, reproduce_note
 
 _MODELS = {f.value: f for f in Formulation}
@@ -50,13 +55,13 @@ def _load_instance(path: str, capacity=_KEEP_CAPACITY):
 
 def _print_result(result: exact.OptimizeResult) -> None:
     print(f"status: {result.status}")
-    print(f"objective: {result.objective.total:g}")
-    print(f"  transfer_cost: {result.objective.transfer_cost_total:g}")
-    print(f"  penalty: {result.objective.penalty_total:g}")
+    print(f"objective: {format_number(result.objective.total)}")
+    print(f"  transfer_cost: {format_number(result.objective.transfer_cost_total)}")
+    print(f"  penalty: {format_number(result.objective.penalty_total)}")
     print(f"  fulfilled_pairs: {result.objective.fulfilled_pairs}")
     print(f"proven_optimal: {str(result.proven_optimal).lower()}")
     print(f"nodes_explored: {result.nodes_explored}")
-    print(f"bound_at_root: {result.bound_at_root:g}")
+    print(f"bound_at_root: {format_number(result.bound_at_root)}")
     if result.rng_algorithm:
         print(f"rng_algorithm: {result.rng_algorithm}")
     print("dock: " + " ".join(str(k) for k in result.best.dock))
@@ -115,10 +120,10 @@ def _cmd_compare(args) -> int:
         inst, exact.Budget(time_limit=args.time_limit)
     )
     cd, rcd = comparison.cross_dock, comparison.r_cross_dock
-    print(f"crossdock optimum: {cd.objective.total:g} ({cd.status})")
-    print(f"r-crossdock optimum: {rcd.objective.total:g} ({rcd.status})")
-    print(f"absolute gap: {comparison.absolute_gap:g}")
-    print(f"relative gap percent: {comparison.relative_gap_percent:g}")
+    print(f"crossdock optimum: {format_number(cd.objective.total)} ({cd.status})")
+    print(f"r-crossdock optimum: {format_number(rcd.objective.total)} ({rcd.status})")
+    print(f"absolute gap: {format_number(comparison.absolute_gap)}")
+    print(f"relative gap percent: {format_number(comparison.relative_gap_percent)}")
     print(
         "r-crossdock optimum under crossdock: "
         + ("FEASIBLE" if not comparison.rcd_infeasible_under_cd else "INFEASIBLE")
@@ -153,7 +158,7 @@ def _cmd_export_lp(args) -> int:
     print(f"wrote: {out}")
     print(f"variables: {doc.variable_count}")
     print(f"constraints: {doc.constraint_count}")
-    print(f"objective_constant: {doc.objective_constant:g}")
+    print(f"objective_constant: {format_number(doc.objective_constant)}")
     return 0
 
 
@@ -256,10 +261,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, InvalidInstanceError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except exact.InstanceTooLargeError as exc:
+    except (
+        SchemaError,
+        InvalidInstanceError,
+        FileNotFoundError,
+        exact.InstanceTooLargeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

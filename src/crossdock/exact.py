@@ -4,9 +4,14 @@ Branching follows arrival order (early trucks constrain precedence most),
 docks ascending with "unassigned" last. Nodes are pruned by an admissible
 bound: the all-penalties constant, plus the exact net contribution of every
 fully decided truck pair, plus an optimistic (capacity-ignoring) contribution
-for every undecided pair. Pair feasibility and contributions come from the
-compiled rules (:func:`crossdock.formulations.compile_rules`); leaf transfer
-sets come from the subproblem module.
+for every undecided pair. ``_Tables`` derives from the compiled rules
+(:func:`crossdock.formulations.compile_rules`) one table per decision the
+search makes: which docked trucks may coexist (CROSS-DOCK: both forced
+transfers pass; R-CROSS-DOCK: no shared dock with overlapping windows), what
+each docked pair contributes, and what each truck's strict-literal self-flow
+contributes at its dock (a unary term, or a constant in the base under
+CROSS-DOCK). The search reads these tables and never branches on the model or
+the diagonal mode; leaf transfer sets come from the subproblem module.
 
 The brute-force oracle enumerates every assignment and always evaluates
 transfers through exhaustive subset enumeration, never the per-pair shortcut,
@@ -82,18 +87,19 @@ class _Tables:
         self.diag = include_diagonal
         self.cd = form is Formulation.CROSS_DOCK
         self.n, self.m = n, m
-        ct, pf, allowed = rules.ct, rules.pf, rules.allowed
-        # read on every branch: kept as attributes of their own
-        self.allowed, self.overlap = allowed, rules.overlap
+        ct, pf, allowed, overlap = rules.ct, rules.pf, rules.allowed, rules.overlap
 
         self.order = sorted(range(n), key=lambda i: (inst.arrival[i], i))
-        self.base = total_penalty_constant(inst, include_diagonal)
 
         # contrib[i][j][k][l]: net objective delta of the (i,j) pair when both
         # docked at (k,l), relative to the all-penalties baseline; opt[i][j]:
-        # its optimistic value over the dock pairs (0 = not both docked)
+        # its optimistic value over the dock pairs (0 = not both docked);
+        # coexist[i][j][k][l]: may trucks i@k and j@l both be docked?
         contrib = [
             [[[0.0] * m for _ in range(m)] for _ in range(n)] for _ in range(n)
+        ]
+        coexist = [
+            [[[True] * m for _ in range(m)] for _ in range(n)] for _ in range(n)
         ]
         opt = [[0.0] * n for _ in range(n)]
         for i in range(n):
@@ -104,51 +110,45 @@ class _Tables:
                     for l in range(m):
                         delta = ct[k][l] - pf[i][j]
                         if self.cd:  # every docked pair ships
+                            ok = allowed[i][j][k][l] and allowed[j][i][l][k]
                             contrib[i][j][k][l] = delta
-                            if allowed[i][j][k][l] and allowed[j][i][l][k]:
+                            if ok:
                                 opt[i][j] = min(opt[i][j], delta)
-                        elif allowed[i][j][k][l]:  # ships only if worthwhile
-                            contrib[i][j][k][l] = min(0.0, delta)
-                            opt[i][j] = min(opt[i][j], contrib[i][j][k][l])
+                        else:  # a shared dock needs disjoint windows
+                            ok = k != l or not overlap[i][j]
+                            if allowed[i][j][k][l]:  # ships only if worthwhile
+                                contrib[i][j][k][l] = min(0.0, delta)
+                                opt[i][j] = min(opt[i][j], contrib[i][j][k][l])
+                        coexist[i][j][k][l] = ok
         self.contrib = contrib
+        self.coexist = coexist
         self.opt = opt
 
-        # strict-literal diagonal terms
-        self.diag_const = 0.0
-        self.diag_delta = [[0.0] * m for _ in range(n)]
-        self.diag_opt = [0.0] * n
-        if include_diagonal:
-            if self.cd:
-                min_ct = min(ct[k][l] for k in range(m) for l in range(m))
-                self.diag_const = sum(min(0.0, min_ct - pf[i][i]) for i in range(n))
-            else:
-                for i in range(n):
-                    self.diag_delta[i] = [
-                        min(0.0, ct[k][k] - pf[i][i]) for k in range(m)
-                    ]
-                    self.diag_opt[i] = min(self.diag_delta[i])
+        # strict-literal self-transfers: free in CROSS-DOCK, so a constant in
+        # the base; R-CROSS-DOCK ships truck i's self-flow through its own dock
+        # k, a unary term unary[i][k] with optimistic value unary_opt[i]
+        free_self = 0.0
+        self.unary = [[0.0] * m for _ in range(n)]
+        if include_diagonal and self.cd:
+            min_ct = min(ct[k][l] for k in range(m) for l in range(m))
+            free_self = sum(min(0.0, min_ct - pf[i][i]) for i in range(n))
+        elif include_diagonal:
+            self.unary = [[min(0.0, ct[k][k] - pf[i][i]) for k in range(m)] for i in range(n)]
+        self.unary_opt = [min(row) for row in self.unary]
+        self.base = total_penalty_constant(inst, include_diagonal) + free_self
 
     def root_opt_rest(self) -> float:
         total = sum(
             self.opt[i][j] for i in range(self.n) for j in range(self.n) if i != j
         )
-        return total + sum(self.diag_opt)
-
-    def bound_base(self) -> float:
-        return self.base + self.diag_const
-
-    def pair_feasible(self, i: int, ki: int, j: int, kj: int) -> bool:
-        """Can trucks i@ki and j@kj (0-based docks) coexist?"""
-        if self.cd:
-            return self.allowed[i][j][ki][kj] and self.allowed[j][i][kj][ki]
-        return not (ki == kj and self.overlap[i][j])
+        return total + sum(self.unary_opt)
 
     def first_clash(self, y0) -> tuple[int, int] | None:
         """The first two docked trucks that cannot coexist, if any."""
         docked = [(i, y0[i]) for i in range(self.n) if y0[i] != _UNDOCKED]
         for idx, (i, ki) in enumerate(docked):
             for (j, kj) in docked[idx + 1 :]:
-                if not self.pair_feasible(i, ki, j, kj):
+                if not self.coexist[i][j][ki][kj]:
                     return i, j
         return None
 
@@ -158,13 +158,12 @@ class _Tables:
     def fast_value(self, y0) -> float:
         """Exact objective of a feasible assignment when capacity cannot bind."""
         docked = [(i, y0[i]) for i in range(self.n) if y0[i] != _UNDOCKED]
-        value = self.bound_base()
+        value = self.base
         for idx, (i, ki) in enumerate(docked):
             for (j, kj) in docked[idx + 1 :]:
                 value += self.contrib[i][j][ki][kj] + self.contrib[j][i][kj][ki]
-        if self.diag and not self.cd:
-            for (i, ki) in docked:
-                value += self.diag_delta[i][ki]
+        for (i, ki) in docked:
+            value += self.unary[i][ki]
         return value
 
     def build_solution(self, y0, force_enumeration: bool = False):
@@ -187,7 +186,6 @@ class _Tables:
                 cands,
                 forced=induced.transfers,
                 include_diagonal=True,
-                exact_limit=None if force_enumeration else subproblem.EXACT_SELECTION_LIMIT,
                 force_enumeration=force_enumeration,
             )
             transfers = induced.transfers + tuple(
@@ -199,7 +197,6 @@ class _Tables:
                 inst,
                 y1,
                 include_diagonal=self.diag,
-                exact_limit=None if force_enumeration else subproblem.EXACT_SELECTION_LIMIT,
                 force_enumeration=force_enumeration,
             )
         except subproblem.DockConflictError:
@@ -260,8 +257,8 @@ def branch_and_bound(
     state["best_y"] = tuple(y0)
     state["trace"].append(state["best_value"])
 
-    bound_at_root = tables.bound_base() + tables.root_opt_rest()
-    order = tables.order
+    bound_at_root = tables.base + tables.root_opt_rest()
+    order, contrib = tables.order, tables.contrib
 
     def out_of_budget() -> bool:
         if budget.max_nodes is not None and state["nodes"] >= budget.max_nodes:
@@ -281,7 +278,7 @@ def branch_and_bound(
             decided = tuple(
                 (u + 1, 0 if y0[u] == _UNDOCKED else y0[u] + 1) for u in order[:idx]
             )
-            on_node(decided, tables.bound_base() + committed + opt_rest)
+            on_node(decided, tables.base + committed + opt_rest)
         if idx == n:
             result = tables.evaluate(y0)
             if result is not None:
@@ -295,43 +292,34 @@ def branch_and_bound(
             return
         u = order[idx]
         undecided = order[idx + 1 :]
+        coexist_u, contrib_u, unary_u = tables.coexist[u], contrib[u], tables.unary[u]
 
-        resolved_opt = sum(tables.opt[u][s] + tables.opt[s][u] for s, _ in assigned_docked)
-
+        opt_rest2 = opt_rest - sum(
+            tables.opt[u][s] + tables.opt[s][u] for s, _ in assigned_docked
+        )
+        docked_rest = opt_rest2 - tables.unary_opt[u]
         for k in range(m):
-            feasible = all(
-                tables.pair_feasible(s, ks, u, k) for s, ks in assigned_docked
-            )
-            if not feasible:
-                continue
             committed2 = committed
             for s, ks in assigned_docked:
-                committed2 += tables.contrib[u][s][k][ks] + tables.contrib[s][u][ks][k]
-            opt_rest2 = opt_rest - resolved_opt
-            if tables.diag:
-                if tables.cd:
-                    pass  # diagonal constant already in the base
-                else:
-                    committed2 += tables.diag_delta[u][k]
-                    opt_rest2 -= tables.diag_opt[u]
-            bound = tables.bound_base() + committed2 + opt_rest2
-            if bound < state["best_value"] - EPS:
-                y0[u] = k
-                assigned_docked.append((u, k))
-                recurse(idx + 1, committed2, opt_rest2)
-                assigned_docked.pop()
-                y0[u] = _UNDOCKED
-            if state["stopped"]:
-                return
+                if not coexist_u[s][k][ks]:
+                    break
+                committed2 += contrib_u[s][k][ks] + contrib[s][u][ks][k]
+            else:
+                committed2 += unary_u[k]
+                if tables.base + committed2 + docked_rest < state["best_value"] - EPS:
+                    y0[u] = k
+                    assigned_docked.append((u, k))
+                    recurse(idx + 1, committed2, docked_rest)
+                    assigned_docked.pop()
+                    y0[u] = _UNDOCKED
+                if state["stopped"]:
+                    return
 
         # leave truck u unassigned: its pairs contribute exactly zero
-        opt_rest2 = opt_rest - resolved_opt
         for v in undecided:
             opt_rest2 -= tables.opt[u][v] + tables.opt[v][u]
-        if tables.diag and not tables.cd:
-            opt_rest2 -= tables.diag_opt[u]
-        bound = tables.bound_base() + committed + opt_rest2
-        if bound < state["best_value"] - EPS:
+        opt_rest2 -= tables.unary_opt[u]
+        if tables.base + committed + opt_rest2 < state["best_value"] - EPS:
             recurse(idx + 1, committed, opt_rest2)
 
     recurse(0, 0.0, tables.root_opt_rest())
@@ -400,7 +388,7 @@ def brute_force(
         proven_optimal=True,
         nodes_explored=nodes,
         wall_time=time.perf_counter() - start,
-        bound_at_root=tables.bound_base() + tables.root_opt_rest(),
+        bound_at_root=tables.base + tables.root_opt_rest(),
         status="optimal",
         trace=tuple(trace),
     )

@@ -421,7 +421,7 @@ class Rules:
     * ``allowed`` is true where z_ijkl = 1 passes both the time and the
       same-dock rule. Self-transfers (i = j) face neither rule.
     * ``occupancy[i][j][r]`` is f_ij * ([a_i <= t_r] - [d_j <= t_r]) at the
-      r-th of the sorted ``events``.
+      r-th of the sorted ``events``; :meth:`load` sums it over a transfer set.
     * ``ct[k][l]`` is c_kl * t_kl, ``pf[i][j]`` is p_ij * f_ij and
       ``capacity`` is the effective capacity.
     """
@@ -436,6 +436,14 @@ class Rules:
     ct: tuple
     pf: tuple
     capacity: float
+
+    def load(self, pairs) -> list[float]:
+        """Buffer occupancy at each event when the 1-based (i, j) ``pairs`` ship."""
+        occ = [0.0] * len(self.events)
+        for i, j in pairs:
+            for r, units in enumerate(self.occupancy[i - 1][j - 1]):
+                occ[r] += units
+        return occ
 
 
 @lru_cache(maxsize=64)

@@ -206,12 +206,6 @@ class Solution:
     def docked_trucks(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, k in enumerate(self.dock) if k != UNASSIGNED)
 
-    def transfer_for(self, i: int, j: int) -> tuple[int, int, int, int] | None:
-        for tr in self.transfers:
-            if tr[0] == i and tr[1] == j:
-                return tr
-        return None
-
 
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
@@ -360,3 +354,10 @@ def total_penalty_constant(inst: Instance, include_diagonal: bool = False) -> fl
         for j in range(inst.n)
         if include_diagonal or i != j
     )
+
+
+def format_number(value: float) -> str:
+    """``value`` as printed output that parses back to the same float:
+    integral values without ``.0``, every other value as its ``repr``."""
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)

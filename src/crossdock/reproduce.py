@@ -27,16 +27,19 @@ from .formulations import (
     time_margin,
 )
 from .instance_io import load_fixture_instance, load_fixture_solution
-from .model import Instance, Solution, compute_xhat, instance_flags, validate_instance
+from .model import (
+    Instance,
+    Solution,
+    compute_xhat,
+    format_number,
+    instance_flags,
+    validate_instance,
+)
 
 #: Objective values and gap printed in the source next to s* and s'*.
 PUBLISHED_CROSS_DOCK_OBJECTIVE = 316951.0
 PUBLISHED_R_CROSS_DOCK_OBJECTIVE = 11.0
 PUBLISHED_RELATIVE_GAP_PERCENT = 45.45
-
-#: Oracle-computed fixture constants (direct summation over the matrices).
-FIXTURE_PENALTY_CONSTANT = 1_692_200.0
-FIXTURE_PENALTY_DIAGONAL = 234_800.0
 
 
 @dataclass(frozen=True)
@@ -136,9 +139,11 @@ def _check_line(label: str, form: str, report: ViolationReport) -> str:
 
 
 def _published_line(name: str, published: float, computed: float) -> str:
+    delta = computed - published
     return (
-        f"{name}: published {published:g}, computed {computed:g}, "
-        f"delta {computed - published:+g}"
+        f"{name}: published {format_number(published)}, "
+        f"computed {format_number(computed)}, "
+        f"delta {'+' if delta >= 0 else ''}{format_number(delta)}"
     )
 
 

@@ -111,10 +111,8 @@ def induced_transfers_crossdock(
 
     solution = Solution(dock=y, transfers=tuple(transfers))
     if not inst.unbounded_capacity:
-        for r in range(1, 2 * inst.n + 1):
-            occ = sum(
-                rules.occupancy[i - 1][j - 1][r - 1] for (i, j, _, _) in transfers
-            )
+        load = rules.load((i, j) for (i, j, _, _) in transfers)
+        for r, occ in enumerate(load, 1):
             if occ - inst.capacity > EPS:
                 return InfeasibilityWitness(
                     blocking=ConstraintId(ConstraintFamily.CAPACITY, (r,)),
@@ -181,7 +179,6 @@ def select_transfers(
     candidates: Sequence[CandidatePair],
     forced: Sequence[tuple[int, int, int, int]] = (),
     include_diagonal: bool = False,
-    exact_limit: int | None = EXACT_SELECTION_LIMIT,
     force_enumeration: bool = False,
 ) -> tuple[tuple[CandidatePair, ...], bool, float]:
     """Best subset of positive-gain candidates under the capacity rows.
@@ -189,11 +186,11 @@ def select_transfers(
     Returns (selected, exact, total_gain). ``forced`` transfers contribute
     occupancy but are not selectable. When the all-positive selection fits,
     the per-pair gain rule applies directly; otherwise an exact depth-first
-    search runs up to ``exact_limit`` candidates (None = no limit, for oracle
-    paths), above which a greedy by gain density takes over and the result is
-    flagged non-exact. ``force_enumeration`` skips the per-pair shortcut so
-    oracle callers never share the fast path. Gains of exactly zero are never
-    selected.
+    search runs up to ``EXACT_SELECTION_LIMIT`` candidates, above which a
+    greedy by gain density takes over and the result is flagged non-exact.
+    ``force_enumeration`` skips the per-pair shortcut and lifts the limit, so
+    oracle callers never share the fast path or the greedy. Gains of exactly
+    zero are never selected.
     """
     # the capacity rows are the same in both models; the strict-literal
     # CROSS-DOCK self-transfers are selected exactly like R-CROSS-DOCK's
@@ -203,47 +200,39 @@ def select_transfers(
     ]
     viable.sort(key=lambda cp: (cp.i, cp.j, cp.k, cp.l))
     cap = rules.capacity
-    n_events = 2 * inst.n
-
-    base = [0.0] * n_events
-    for (i, j, _, _) in forced:
-        prof = rules.occupancy[i - 1][j - 1]
-        for r in range(n_events):
-            base[r] += prof[r]
-
-    profiles = [rules.occupancy[cp.i - 1][cp.j - 1] for cp in viable]
-
-    def fits(occ, prof):
-        return all(occ[r] + prof[r] <= cap + EPS for r in range(n_events))
+    forced_pairs = [(i, j) for (i, j, _, _) in forced]
+    base = rules.load(forced_pairs)
 
     # per-pair rule: take everything if capacity never binds
     if not force_enumeration:
-        occ_all = list(base)
-        for prof in profiles:
-            for r in range(n_events):
-                occ_all[r] += prof[r]
+        occ_all = rules.load(forced_pairs + [(cp.i, cp.j) for cp in viable])
         if all(v <= cap + EPS for v in occ_all):
             total = sum(cp.gain for cp in viable)
             return tuple(viable), True, total
 
-    if force_enumeration or exact_limit is None or len(viable) <= exact_limit:
-        sparse = [
-            tuple((r, prof[r]) for r in range(n_events) if prof[r])
-            for prof in profiles
-        ]
+    sparse = [
+        tuple((r, v) for r, v in enumerate(rules.occupancy[cp.i - 1][cp.j - 1]) if v)
+        for cp in viable
+    ]
 
-        # a greedy pass seeds the incumbent bound just below its own gain:
-        # the DFS prunes against a near-optimal value from the start, while
-        # every true optimum still strictly beats the seed, so the
-        # lexicographically first optimal subset is reached and kept
+    def fill(order) -> list[int]:
+        """The candidates of ``order`` taken greedily while they fit."""
         occ = list(base)
-        greedy_gain = 0.0
-        for idx in range(len(viable)):
+        picked = []
+        for idx in order:
             entries = sparse[idx]
             if all(occ[r] + v <= cap + EPS for r, v in entries):
                 for r, v in entries:
                     occ[r] += v
-                greedy_gain += viable[idx].gain
+                picked.append(idx)
+        return picked
+
+    if force_enumeration or len(viable) <= EXACT_SELECTION_LIMIT:
+        # a greedy pass seeds the incumbent bound just below its own gain:
+        # the DFS prunes against a near-optimal value from the start, while
+        # every true optimum still strictly beats the seed, so the
+        # lexicographically first optimal subset is reached and kept
+        greedy_gain = sum(viable[idx].gain for idx in fill(range(len(viable))))
 
         best_gain = greedy_gain - 2 * EPS
         best_pick: list[int] | None = None
@@ -284,22 +273,12 @@ def select_transfers(
         return selected, True, max(best_gain, 0.0)
 
     # greedy by gain density: gain per pallet-hour of buffer use
-    def density(item) -> float:
-        cp = item[0]
+    def rank(idx):
+        cp = viable[idx]
         footprint = max(inst.f(cp.i, cp.j) * (inst.d(cp.j) - inst.a(cp.i)), EPS)
-        return cp.gain / footprint
+        return -(cp.gain / footprint), cp.i, cp.j, cp.k, cp.l
 
-    ranked = sorted(
-        zip(viable, profiles),
-        key=lambda item: (-density(item), item[0].i, item[0].j, item[0].k, item[0].l),
-    )
-    occ = list(base)
-    chosen = []
-    for cp, prof in ranked:
-        if fits(occ, prof):
-            for r in range(n_events):
-                occ[r] += prof[r]
-            chosen.append(cp)
+    chosen = [viable[idx] for idx in fill(sorted(range(len(viable)), key=rank))]
     chosen.sort(key=lambda cp: (cp.i, cp.j))
     return tuple(chosen), False, sum(cp.gain for cp in chosen)
 
@@ -328,7 +307,6 @@ def optimal_transfers_rcrossdock(
     inst: Instance,
     dock,
     include_diagonal: bool = False,
-    exact_limit: int | None = EXACT_SELECTION_LIMIT,
     force_enumeration: bool = False,
 ) -> TransferSelection:
     """Best R-CROSS-DOCK transfer set for an assignment.
@@ -347,7 +325,6 @@ def optimal_transfers_rcrossdock(
         inst,
         cands,
         include_diagonal=include_diagonal,
-        exact_limit=exact_limit,
         force_enumeration=force_enumeration,
     )
     transfers = tuple((cp.i, cp.j, cp.k, cp.l) for cp in selected)

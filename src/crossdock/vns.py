@@ -21,8 +21,6 @@ from .model import EPS, Instance
 
 RNG_ALGORITHM = "PCG64"
 
-_LOCAL_SEARCH_MODES = ("best_improvement", "first_improvement")
-
 
 @dataclass(frozen=True)
 class VnsConfig:
@@ -30,13 +28,10 @@ class VnsConfig:
     iter_max: int = 50
     time_budget: float | None = None
     rng_seed: int = 0
-    local_search: str = "best_improvement"
 
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if self.local_search not in _LOCAL_SEARCH_MODES:
-            raise ValueError(f"local_search must be one of {_LOCAL_SEARCH_MODES}")
 
 
 def greedy_initial(tables: _Tables) -> list[int]:
@@ -150,10 +145,6 @@ def vns_solve(
                         continue
                     if result[0] < best_value - EPS:
                         best_move, best_value = (i, k), result[0]
-                        if cfg.local_search == "first_improvement":
-                            break
-                if best_move and cfg.local_search == "first_improvement":
-                    break
             if best_move:
                 y0[best_move[0]] = best_move[1]
                 value = best_value
@@ -172,10 +163,6 @@ def vns_solve(
                         continue
                     if result[0] < best_value - EPS:
                         best_swap, best_value = (i, j), result[0]
-                        if cfg.local_search == "first_improvement":
-                            break
-                if best_swap and cfg.local_search == "first_improvement":
-                    break
             if best_swap:
                 i, j = best_swap
                 y0[i], y0[j] = y0[j], y0[i]
@@ -213,7 +200,7 @@ def vns_solve(
         proven_optimal=False,
         nodes_explored=evaluations,
         wall_time=time.perf_counter() - start,
-        bound_at_root=tables.bound_base() + tables.root_opt_rest(),
+        bound_at_root=tables.base + tables.root_opt_rest(),
         status="heuristic",
         trace=tuple(trace),
         rng_algorithm=RNG_ALGORITHM,

@@ -167,6 +167,23 @@ def test_compare_reports_gap(fixture_paths, capsys):
     assert "r-crossdock optimum:" in out
     assert "relative gap percent:" in out
     assert "INFEASIBLE" in out
+    printed = dict(line.split(": ", 1) for line in out.splitlines())
+    assert float(printed["crossdock optimum"].split()[0]) == 1_584_704.0
+    assert float(printed["r-crossdock optimum"].split()[0]) == 1_349_910.0
+    assert float(printed["absolute gap"]) == 1_584_704.0 - 1_349_910.0
+
+
+def test_solve_prints_the_objective_exactly(fixture_paths, capsys):
+    code = main([
+        "solve", fixture_paths["miao_example.json"], "--model", "r-crossdock",
+    ])
+    assert code == 0
+    printed = dict(
+        line.strip().split(": ", 1) for line in capsys.readouterr().out.splitlines()
+    )
+    assert printed["objective"] == "1349910"
+    assert float(printed["objective"]) == 1_349_910.0
+    assert float(printed["transfer_cost"]) + float(printed["penalty"]) == 1_349_910.0
 
 
 def test_reproduce_note_smoke(capsys):

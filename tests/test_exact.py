@@ -108,13 +108,40 @@ def test_oracle_equivalence_with_binding_capacity():
 
 def test_strict_literal_mode_oracle_equivalence():
     for seed in range(6):
-        inst = generate(seed, n=3, m=2, flow_density=1.0)
+        unbounded = generate(seed, n=3, m=2, flow_density=1.0)
+        binding = generate(seed, n=3, m=2, capacity_ratio=0.3)
         for form in (CD, RCD):
-            bb = branch_and_bound(inst, form, include_diagonal=True)
-            bf = brute_force(inst, form, include_diagonal=True)
-            assert bb.objective.total == bf.objective.total
-            recomputed = objective_value(inst, bb.best, form, include_diagonal=True)
-            assert recomputed.total == bb.objective.total
+            optima = []
+            for inst in (unbounded, binding):
+                bb = branch_and_bound(inst, form, include_diagonal=True)
+                bf = brute_force(inst, form, include_diagonal=True)
+                assert bb.objective.total == bf.objective.total
+                recomputed = objective_value(inst, bb.best, form, include_diagonal=True)
+                assert recomputed.total == bb.objective.total
+                optima.append(bb.objective.total)
+            # the capacity binds, yet some transfers still ship
+            nothing_ships = total_penalty_constant(binding, True)
+            assert optima[0] < optima[1] < nothing_ships, (seed, form)
+
+
+def test_fast_path_matches_the_built_solution():
+    # with capacity unbounded, the table value of every feasible assignment
+    # equals objective_value of the transfer set the subproblem builds for it,
+    # self-transfer terms included
+    for seed in range(4):
+        inst = generate(seed, n=3, m=2)
+        for form, include_diagonal in itertools.product((CD, RCD), (False, True)):
+            tables = _Tables(inst, form, include_diagonal)
+            options = list(range(inst.m)) + [_UNDOCKED]
+            for y0 in itertools.product(options, repeat=inst.n):
+                if tables.first_clash(y0) is not None:
+                    continue
+                sol, exact = tables.build_solution(list(y0))
+                assert exact
+                built = objective_value(inst, sol, form, include_diagonal).total
+                assert tables.fast_value(y0) == pytest.approx(built, rel=1e-12), (
+                    seed, form, include_diagonal, y0,
+                )
 
 
 def test_search_is_deterministic():

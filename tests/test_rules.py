@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from crossdock.exact import _Tables
 from crossdock.formulations import (
     ConstraintFamily,
     Formulation,
@@ -133,6 +134,31 @@ def test_pair_tables_match_the_checker(form, include_diagonal):
 
 
 @pytest.mark.parametrize("form,include_diagonal", MODES)
+def test_coexistence_table_matches_the_checker(form, include_diagonal):
+    # CROSS-DOCK: docking i@k and j@l forces both transfers, so the pair may
+    # coexist iff the forced pair is feasible (capacity aside); R-CROSS-DOCK:
+    # iff the dock-conflict rule holds
+    for inst in INSTANCES:
+        coexist = _Tables(inst, form, include_diagonal).coexist
+        unbounded = inst.with_capacity(None)
+        docks = inst.docks()
+        for i, j, k, l in itertools.product(inst.trucks(), inst.trucks(), docks, docks):
+            if i == j:
+                continue
+            dock = [0] * inst.n
+            dock[i - 1], dock[j - 1] = k, l
+            if form is Formulation.CROSS_DOCK:
+                forced = Solution(dock=dock, transfers=((i, j, k, l), (j, i, l, k)))
+                report = check_solution(unbounded, forced, form, include_diagonal)
+                expected = report.feasible
+            else:
+                report = check_solution(inst, Solution(dock=dock), form, include_diagonal)
+                expected = ConstraintFamily.DOCK_CONFLICT not in _families(report)
+            where = (inst.name, inst.capacity, i, j, k, l)
+            assert coexist[i - 1][j - 1][k - 1][l - 1] == expected, where
+
+
+@pytest.mark.parametrize("form,include_diagonal", MODES)
 def test_summed_profiles_match_occupancy_and_capacity_rows(form, include_diagonal):
     binding = 0
     for inst in INSTANCES:
@@ -147,11 +173,14 @@ def test_summed_profiles_match_occupancy_and_capacity_rows(form, include_diagona
             if c.family is ConstraintFamily.CAPACITY
         }
         binding += len(over)
+        load = rules.load((i, j) for (i, j, _, _) in everything.transfers)
+        assert len(load) == len(rules.events)
         for r, t_r in enumerate(rules.events):
             summed = sum(
                 rules.occupancy[i - 1][j - 1][r] for (i, j, _, _) in everything.transfers
             )
             assert summed == occupancy_at(inst, everything, t_r, include_diagonal)
+            assert load[r] == occupancy_at(inst, everything, t_r, include_diagonal)
             assert (summed - rules.capacity > 1e-9) == (r + 1 in over)
     assert binding > 0, "capacity never binds; the capacity check is vacuous"
 

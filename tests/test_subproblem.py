@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from crossdock import subproblem
 from crossdock.formulations import (
     ConstraintFamily,
     Formulation,
@@ -186,17 +187,16 @@ class TestCapacityMonotonicity:
 
 
 class TestSelectionMachinery:
-    def test_greedy_path_flags_inexact(self, nine_truck):
+    def test_greedy_path_flags_inexact(self, nine_truck, monkeypatch):
         # 30+ candidates with a binding capacity and a tiny exact limit
+        monkeypatch.setattr(subproblem, "EXACT_SELECTION_LIMIT", 2)
         capped = nine_truck.with_capacity(500.0)
         dock = (1, 2, 3, 4, 5, 6, 2, 0, 0)
         assert check_dock_conflicts(capped, dock) is None
         cands = candidate_pairs(capped, dock)
         viable = [cp for cp in cands if cp.feasible and cp.gain > 0]
         assert len(viable) > 3
-        selected, exact, gain = select_transfers(
-            capped, cands, exact_limit=2
-        )
+        selected, exact, gain = select_transfers(capped, cands)
         assert not exact
         assert gain <= sum(cp.gain for cp in viable)
 

@@ -82,17 +82,9 @@ def test_matches_oracle_on_most_small_instances():
     assert hits / total >= 0.8
 
 
-def test_first_improvement_mode_works(nine_truck):
-    cfg = VnsConfig(iter_max=3, rng_seed=0, local_search="first_improvement")
-    result = vns_solve(nine_truck, RCD, cfg)
-    assert check_solution(nine_truck, result.best, RCD).feasible
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         VnsConfig(k_max=0)
-    with pytest.raises(ValueError):
-        VnsConfig(local_search="random_walk")
 
 
 def test_strict_literal_mode_smoke(nine_truck):
