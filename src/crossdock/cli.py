@@ -110,7 +110,8 @@ def _cmd_check(args) -> int:
         return 0
     print("INFEASIBLE")
     for v in report.violations:
-        print(f"violation: {v.constraint} lhs={v.lhs:g} rhs={v.rhs:g} :: {v.message}")
+        lhs, rhs = format_number(v.lhs), format_number(v.rhs)
+        print(f"violation: {v.constraint} lhs={lhs} rhs={rhs} :: {v.message}")
     return 1
 
 

@@ -24,7 +24,7 @@ from .formulations import (
     compile_rules,
     time_margin,
 )
-from .model import EPS, UNASSIGNED, Instance
+from .model import EPS, UNASSIGNED, Instance, format_number
 from .subproblem import _dock_array
 
 
@@ -47,7 +47,7 @@ def _narrative(inst: Instance, conflict: tuple[ConstraintId, ...]) -> str:
             i, j, k, l = c.indices
             margin = time_margin(inst, i, j, k, l)
             lines.append(
-                f"  {c}: f_{i}_{j} = {inst.f(i, j):g} > 0 and "
+                f"  {c}: f_{i}_{j} = {format_number(inst.f(i, j))} > 0 and "
                 f"d_{j} - a_{i} - t_{k}_{l} = {margin:.6g} < 0 "
                 f"force z_{i}_{j}_{k}_{l} = 0"
             )
@@ -129,13 +129,11 @@ def find_conflict(
                     i, j, k = c.indices
                     if (i, j, k, k) in up:
                         return True
-            for c in active:
-                if c.family is ConstraintFamily.CAPACITY:
-                    r = c.indices[0] - 1
-                    occ = sum(rules.occupancy[i - 1][j - 1][r] for (i, j, _, _) in up)
-                    if occ - rules.capacity > EPS:
-                        return True
-            return False
+            cap_rows = [c for c in active if c.family is ConstraintFamily.CAPACITY]
+            if not cap_rows:
+                return False
+            load = rules.load((i, j) for (i, j, _, _) in up)
+            return any(load[c.indices[0] - 1] - rules.capacity > EPS for c in cap_rows)
 
     candidates.sort(key=lambda c: (c.family, c.indices))
     if not clash(candidates):
@@ -184,7 +182,8 @@ def explain_pair(
                 f"viable reverse transfer z_{j}{i}{l}{k} (margin "
                 f"{reverse_margin:.6g}) forces z_{i}{j}{k}{l} = 1 under "
                 f"CROSS-DOCK, paying c_{k}{l}*t_{k}{l} = "
-                f"{inst.c(k, l) * inst.t(k, l):g} for a zero-size load. {rectified}"
+                f"{format_number(inst.c(k, l) * inst.t(k, l))} for a zero-size load. "
+                f"{rectified}"
             )
         return "no anomaly: the pair carries no flow in this direction."
     if inst.d(j) - inst.a(i) >= -EPS and margin < -EPS:

@@ -5,13 +5,15 @@ docks ascending with "unassigned" last. Nodes are pruned by an admissible
 bound: the all-penalties constant, plus the exact net contribution of every
 fully decided truck pair, plus an optimistic (capacity-ignoring) contribution
 for every undecided pair. ``_Tables`` derives from the compiled rules
-(:func:`crossdock.formulations.compile_rules`) one table per decision the
-search makes: which docked trucks may coexist (CROSS-DOCK: both forced
-transfers pass; R-CROSS-DOCK: no shared dock with overlapping windows), what
-each docked pair contributes, and what each truck's strict-literal self-flow
-contributes at its dock (a unary term, or a constant in the base under
-CROSS-DOCK). The search reads these tables and never branches on the model or
-the diagonal mode; leaf transfer sets come from the subproblem module.
+(:func:`crossdock.formulations.compile_rules`) one entry per decision the
+search makes: one number per pair of docked trucks, what the pair adds in
+both directions, infinite where the two may not both be docked that way
+(CROSS-DOCK: a forced transfer fails; R-CROSS-DOCK: a shared dock with
+overlapping windows), and one per truck for its strict-literal self-flow at
+its dock (a unary term, or a constant in the base under CROSS-DOCK). A clash
+therefore makes a child's bound infinite. The search reads these tables and
+never branches on the model or the diagonal mode; leaf transfer sets come
+from the subproblem module.
 
 The brute-force oracle enumerates every assignment and always evaluates
 transfers through exhaustive subset enumeration, never the per-pair shortcut,
@@ -21,6 +23,7 @@ so the two solvers cross-validate each other.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -91,38 +94,38 @@ class _Tables:
 
         self.order = sorted(range(n), key=lambda i: (inst.arrival[i], i))
 
-        # contrib[i][j][k][l]: net objective delta of the (i,j) pair when both
-        # docked at (k,l), relative to the all-penalties baseline; opt[i][j]:
-        # its optimistic value over the dock pairs (0 = not both docked);
-        # coexist[i][j][k][l]: may trucks i@k and j@l both be docked?
-        contrib = [
-            [[[0.0] * m for _ in range(m)] for _ in range(n)] for _ in range(n)
-        ]
-        coexist = [
-            [[[True] * m for _ in range(m)] for _ in range(n)] for _ in range(n)
-        ]
+        # half[i][j][k][l]: net objective delta of the transfer i -> j when
+        # i@k and j@l, relative to the all-penalties baseline; infinite where
+        # the two trucks may not both be docked that way (CROSS-DOCK: a forced
+        # transfer fails; R-CROSS-DOCK: a shared dock with overlapping
+        # windows). opt[i][j]: its optimistic value (0 = not both docked).
+        half = [[[[0.0] * m for _ in range(m)] for _ in range(n)] for _ in range(n)]
         opt = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for k in range(m):
-                    for l in range(m):
-                        delta = ct[k][l] - pf[i][j]
-                        if self.cd:  # every docked pair ships
-                            ok = allowed[i][j][k][l] and allowed[j][i][l][k]
-                            contrib[i][j][k][l] = delta
-                            if ok:
-                                opt[i][j] = min(opt[i][j], delta)
-                        else:  # a shared dock needs disjoint windows
-                            ok = k != l or not overlap[i][j]
-                            if allowed[i][j][k][l]:  # ships only if worthwhile
-                                contrib[i][j][k][l] = min(0.0, delta)
-                                opt[i][j] = min(opt[i][j], contrib[i][j][k][l])
-                        coexist[i][j][k][l] = ok
-        self.contrib = contrib
-        self.coexist = coexist
-        self.opt = opt
+        for i, j in itertools.permutations(range(n), 2):
+            for k in range(m):
+                for l in range(m):
+                    delta = ct[k][l] - pf[i][j]
+                    if self.cd:  # every docked pair ships
+                        ok = allowed[i][j][k][l] and allowed[j][i][l][k]
+                        value = delta
+                    else:  # ships only if allowed and worthwhile
+                        ok = k != l or not overlap[i][j]
+                        value = min(0.0, delta) if allowed[i][j][k][l] else 0.0
+                    if ok:
+                        opt[i][j] = min(opt[i][j], value)
+                    half[i][j][k][l] = value if ok else math.inf
+
+        # one number per truck pair and dock pair, read by the search from
+        # either truck's side: pair[i][j][k][l] == pair[j][i][l][k]
+        docks = range(m)
+        self.pair = [
+            [
+                [[half[i][j][k][l] + half[j][i][l][k] for l in docks] for k in docks]
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        self.pair_opt = [[opt[i][j] + opt[j][i] for j in range(n)] for i in range(n)]
 
         # strict-literal self-transfers: free in CROSS-DOCK, so a constant in
         # the base; R-CROSS-DOCK ships truck i's self-flow through its own dock
@@ -139,7 +142,7 @@ class _Tables:
 
     def root_opt_rest(self) -> float:
         total = sum(
-            self.opt[i][j] for i in range(self.n) for j in range(self.n) if i != j
+            self.pair_opt[i][j] for i in range(self.n) for j in range(i + 1, self.n)
         )
         return total + sum(self.unary_opt)
 
@@ -148,7 +151,7 @@ class _Tables:
         docked = [(i, y0[i]) for i in range(self.n) if y0[i] != _UNDOCKED]
         for idx, (i, ki) in enumerate(docked):
             for (j, kj) in docked[idx + 1 :]:
-                if not self.coexist[i][j][ki][kj]:
+                if self.pair[i][j][ki][kj] == math.inf:
                     return i, j
         return None
 
@@ -161,16 +164,18 @@ class _Tables:
         value = self.base
         for idx, (i, ki) in enumerate(docked):
             for (j, kj) in docked[idx + 1 :]:
-                value += self.contrib[i][j][ki][kj] + self.contrib[j][i][kj][ki]
+                value += self.pair[i][j][ki][kj]
         for (i, ki) in docked:
             value += self.unary[i][ki]
         return value
 
     def build_solution(self, y0, force_enumeration: bool = False):
-        """Transfers for an assignment via the subproblem; None if infeasible.
+        """Transfers for an assignment via the subproblem.
 
-        Returns (solution, exact) pairs; exact=False marks a heuristic
-        capacity selection.
+        The assignment must pass :meth:`first_clash`; under R-CROSS-DOCK that
+        is the dock-conflict rule, so only a CROSS-DOCK capacity overflow is
+        left to make it infeasible (None). Returns (solution, exact) pairs;
+        exact=False marks a heuristic capacity selection.
         """
         inst = self.inst
         y1 = self.to_public(y0)
@@ -192,15 +197,9 @@ class _Tables:
                 (cp.i, cp.j, cp.k, cp.l) for cp in selected
             )
             return Solution(dock=y1, transfers=transfers), exact
-        try:
-            sel = subproblem.optimal_transfers_rcrossdock(
-                inst,
-                y1,
-                include_diagonal=self.diag,
-                force_enumeration=force_enumeration,
-            )
-        except subproblem.DockConflictError:
-            return None
+        sel = subproblem.optimal_transfers_rcrossdock(
+            inst, y1, include_diagonal=self.diag, force_enumeration=force_enumeration
+        )
         return sel.solution, sel.exact
 
     def evaluate(self, y0, force_enumeration: bool = False):
@@ -258,7 +257,7 @@ def branch_and_bound(
     state["trace"].append(state["best_value"])
 
     bound_at_root = tables.base + tables.root_opt_rest()
-    order, contrib = tables.order, tables.contrib
+    order, pair, pair_opt = tables.order, tables.pair, tables.pair_opt
 
     def out_of_budget() -> bool:
         if budget.max_nodes is not None and state["nodes"] >= budget.max_nodes:
@@ -292,32 +291,28 @@ def branch_and_bound(
             return
         u = order[idx]
         undecided = order[idx + 1 :]
-        coexist_u, contrib_u, unary_u = tables.coexist[u], contrib[u], tables.unary[u]
+        pair_u, opt_u, unary_u = pair[u], pair_opt[u], tables.unary[u]
 
-        opt_rest2 = opt_rest - sum(
-            tables.opt[u][s] + tables.opt[s][u] for s, _ in assigned_docked
-        )
+        opt_rest2 = opt_rest - sum(opt_u[s] for s, _ in assigned_docked)
         docked_rest = opt_rest2 - tables.unary_opt[u]
         for k in range(m):
+            # a clash with a decided truck makes the sum infinite: never entered
             committed2 = committed
             for s, ks in assigned_docked:
-                if not coexist_u[s][k][ks]:
-                    break
-                committed2 += contrib_u[s][k][ks] + contrib[s][u][ks][k]
-            else:
-                committed2 += unary_u[k]
-                if tables.base + committed2 + docked_rest < state["best_value"] - EPS:
-                    y0[u] = k
-                    assigned_docked.append((u, k))
-                    recurse(idx + 1, committed2, docked_rest)
-                    assigned_docked.pop()
-                    y0[u] = _UNDOCKED
+                committed2 += pair_u[s][k][ks]
+            committed2 += unary_u[k]
+            if tables.base + committed2 + docked_rest < state["best_value"] - EPS:
+                y0[u] = k
+                assigned_docked.append((u, k))
+                recurse(idx + 1, committed2, docked_rest)
+                assigned_docked.pop()
+                y0[u] = _UNDOCKED
                 if state["stopped"]:
                     return
 
         # leave truck u unassigned: its pairs contribute exactly zero
         for v in undecided:
-            opt_rest2 -= tables.opt[u][v] + tables.opt[v][u]
+            opt_rest2 -= opt_u[v]
         opt_rest2 -= tables.unary_opt[u]
         if tables.base + committed + opt_rest2 < state["best_value"] - EPS:
             recurse(idx + 1, committed, opt_rest2)

@@ -412,27 +412,30 @@ class Rules:
 
     Every table is 0-based:
 
-    * ``margin[i][j][k][l]`` is d_j - a_i - t_kl; ``time_ok`` is true where
-      z_ijkl = 1 passes time feasibility. CROSS-DOCK fails it iff f_ij > 0
-      and the margin is < 0, R-CROSS-DOCK iff the margin is <= 0.
+    * ``time_ok[i][j][k][l]`` is true where z_ijkl = 1 passes time
+      feasibility. With the margin d_j - a_i - t_kl (:func:`time_margin`),
+      CROSS-DOCK fails it iff f_ij > 0 and the margin is < 0, R-CROSS-DOCK
+      iff the margin is <= 0.
     * ``same_dock_bound[i][j]`` bounds z_ijkk: xhat_ij + xhat_ji in
       CROSS-DOCK, xhat_ij in R-CROSS-DOCK. ``overlap[i][j]`` is true iff the
       windows intersect (xhat_ij + xhat_ji = 0): no shared dock in R-CROSS-DOCK.
     * ``allowed`` is true where z_ijkl = 1 passes both the time and the
       same-dock rule. Self-transfers (i = j) face neither rule.
-    * ``occupancy[i][j][r]`` is f_ij * ([a_i <= t_r] - [d_j <= t_r]) at the
-      r-th of the sorted ``events``; :meth:`load` sums it over a transfer set.
+    * ``hold[i][j] = (lo, hi, units)``: shipping i -> j adds
+      f_ij * ([a_i <= t_r] - [d_j <= t_r]) to the buffer at the r-th of the
+      sorted ``events``, which is ``units`` for lo <= r < hi and 0 elsewhere
+      (units = -f_ij when d_j comes before a_i). :meth:`load` sums it over a
+      transfer set.
     * ``ct[k][l]`` is c_kl * t_kl, ``pf[i][j]`` is p_ij * f_ij and
       ``capacity`` is the effective capacity.
     """
 
     events: tuple[float, ...]
-    margin: tuple
     time_ok: tuple
     same_dock_bound: tuple
     overlap: tuple
     allowed: tuple
-    occupancy: tuple
+    hold: tuple
     ct: tuple
     pf: tuple
     capacity: float
@@ -441,7 +444,8 @@ class Rules:
         """Buffer occupancy at each event when the 1-based (i, j) ``pairs`` ship."""
         occ = [0.0] * len(self.events)
         for i, j in pairs:
-            for r, units in enumerate(self.occupancy[i - 1][j - 1]):
+            lo, hi, units = self.hold[i - 1][j - 1]
+            for r in range(lo, hi):
                 occ[r] += units
         return occ
 
@@ -467,19 +471,18 @@ def compile_rules(
         tuple(i != j and xh[i][j] + xh[j][i] == 0 for j in trucks) for i in trucks
     )
     every = tuple((True,) * m for _ in docks)
-    margin, time_ok, allowed = [], [], []
+    time_ok, allowed = [], []
     for i in trucks:
-        margin_i, time_i, allowed_i = [], [], []
+        time_i, allowed_i = [], []
         for j in trucks:
-            slack = d[j] - a[i]
-            mg = tuple([tuple([slack - x for x in row]) for row in t])
+            slack = d[j] - a[i]  # the time margin is slack - t_kl
             if i == j:
                 ok = allow = every
             else:
                 if not cd:
-                    ok = tuple([tuple([x > EPS for x in row]) for row in mg])
+                    ok = tuple([tuple([slack - x > EPS for x in row]) for row in t])
                 elif f[i][j] > EPS:
-                    ok = tuple([tuple([x >= -EPS for x in row]) for row in mg])
+                    ok = tuple([tuple([slack - x >= -EPS for x in row]) for row in t])
                 else:
                     ok = every
                 allow = ok
@@ -487,35 +490,31 @@ def compile_rules(
                     allow = tuple(
                         [row[:k] + (False,) + row[k + 1 :] for k, row in enumerate(ok)]
                     )
-            margin_i.append(mg)
             time_i.append(ok)
             allowed_i.append(allow)
-        margin.append(tuple(margin_i))
         time_ok.append(tuple(time_i))
         allowed.append(tuple(allowed_i))
 
     # the events ascend, so [a_i <= t_r] and [d_j <= t_r] switch on for good
-    # at the first event where they hold: each profile is one interval
-    zeros = (0.0,) * len(events)
+    # at the first event where they hold: each transfer holds one interval
     arrive = [sum(a[i] > e + EPS for e in events) for i in trucks]
     depart = [sum(d[j] > e + EPS for e in events) for j in trucks]
-    occupancy = []
-    for i in trucks:
-        row = []
-        for j in trucks:
-            lo, hi, units = arrive[i], depart[j], f[i][j]
-            if lo > hi:
-                lo, hi, units = hi, lo, -units
-            row.append(zeros[:lo] + (units,) * (hi - lo) + zeros[hi:])
-        occupancy.append(tuple(row))
+    hold = tuple(
+        tuple(
+            (arrive[i], depart[j], f[i][j])
+            if arrive[i] <= depart[j]
+            else (depart[j], arrive[i], -f[i][j])
+            for j in trucks
+        )
+        for i in trucks
+    )
     return Rules(
         events=events,
-        margin=tuple(margin),
         time_ok=tuple(time_ok),
         same_dock_bound=bound,
         overlap=overlap,
         allowed=tuple(allowed),
-        occupancy=tuple(occupancy),
+        hold=hold,
         ct=tuple(
             tuple(inst.transfer_cost[k][l] * t[k][l] for l in docks) for k in docks
         ),

@@ -72,14 +72,9 @@ def emit_lp(inst: Instance, form: Formulation) -> LpDocument:
         return f"z_{i}_{j}_{k}_{l}"
 
     y_vars = [yname(i, k) for i in inst.trucks() for k in inst.docks()]
-    z_index = [
-        (i, j, k, l)
-        for i in inst.trucks()
-        for j in inst.trucks()
-        if j != i
-        for k in inst.docks()
-        for l in inst.docks()
-    ]
+    truck_pairs = [(i, j) for i in inst.trucks() for j in inst.trucks() if j != i]
+    dock_pairs = [(k, l) for k in inst.docks() for l in inst.docks()]
+    z_index = [(i, j, k, l) for i, j in truck_pairs for k, l in dock_pairs]
 
     constant = total_penalty_constant(inst)
     lines: list[str] = []
@@ -123,25 +118,25 @@ def emit_lp(inst: Instance, form: Formulation) -> LpDocument:
             )
             rows += 1
     # same-dock precedence
-    for i in inst.trucks():
-        for j in inst.trucks():
-            if j == i:
-                continue
-            bound = rules.same_dock_bound[i - 1][j - 1]
-            for k in inst.docks():
-                body.append(f" sd_{i}_{j}_{k}: {zname(i, j, k, k)} <= {bound}")
-                rows += 1
-    # capacity at every event time (no rows without transfer variables)
+    for i, j in truck_pairs:
+        bound = rules.same_dock_bound[i - 1][j - 1]
+        for k in inst.docks():
+            body.append(f" sd_{i}_{j}_{k}: {zname(i, j, k, k)} <= {bound}")
+            rows += 1
+    # capacity at every event time (no rows without transfer variables):
+    # every z_i_j_k_l of the pair (i, j) holds the same buffer interval
     cap = rules.capacity
     if z_index:
+        blocks = [
+            (rules.hold[i - 1][j - 1], [zname(i, j, k, l) for k, l in dock_pairs])
+            for i, j in truck_pairs
+        ]
         for r in range(2 * n):
             terms = []
-            for (i, j, k, l) in z_index:
-                coef = rules.occupancy[i - 1][j - 1][r]
-                if coef > EPS:
-                    terms.append(f"+ {_num(coef)} {zname(i, j, k, l)}")
-                elif coef < -EPS:
-                    terms.append(f"- {_num(-coef)} {zname(i, j, k, l)}")
+            for (lo, hi, units), names in blocks:
+                if lo <= r < hi and abs(units) > EPS:
+                    coef = f"+ {_num(units)}" if units > 0 else f"- {_num(-units)}"
+                    terms += [f"{coef} {name}" for name in names]
             if not terms:
                 terms = ["+ 0 " + zname(*z_index[0])]
             body.extend(_wrap_terms(f"cap_{r + 1}", terms, f"<= {_num(cap)}"))

@@ -149,7 +149,7 @@ def _published_line(name: str, published: float, computed: float) -> str:
 
 def render_report(rep: NoteReproduction) -> str:
     inst = rep.instance
-    cap = "unbounded" if inst.capacity is None else f"{inst.capacity:g}"
+    cap = "unbounded" if inst.capacity is None else format_number(inst.capacity)
     lines = [
         "== instance ==",
         f"name: {inst.name}  trucks: {inst.n}  docks: {inst.m}  capacity: {cap}",

@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .formulations import ConstraintFamily, ConstraintId, Formulation, compile_rules
+from .formulations import (
+    ConstraintFamily,
+    ConstraintId,
+    Formulation,
+    compile_rules,
+    time_margin,
+)
 from .model import EPS, UNASSIGNED, Instance, Solution
 
 #: Largest candidate count for which capacity-constrained selection is exact.
@@ -95,7 +101,7 @@ def induced_transfers_crossdock(
                     ),
                 )
             if not rules.time_ok[i - 1][j - 1][k - 1][l - 1]:
-                margin = rules.margin[i - 1][j - 1][k - 1][l - 1]
+                margin = time_margin(inst, i, j, k, l)
                 return InfeasibilityWitness(
                     blocking=ConstraintId(
                         ConstraintFamily.TIME_FEASIBILITY, (i, j, k, l)
@@ -210,20 +216,20 @@ def select_transfers(
             total = sum(cp.gain for cp in viable)
             return tuple(viable), True, total
 
-    sparse = [
-        tuple((r, v) for r, v in enumerate(rules.occupancy[cp.i - 1][cp.j - 1]) if v)
-        for cp in viable
-    ]
+    # each candidate adds ``units`` to the buffer at the events of ``rows``
+    limit = cap + EPS
+    holds = [rules.hold[cp.i - 1][cp.j - 1] for cp in viable]
+    holds = [(range(lo, hi), units) for lo, hi, units in holds]
 
     def fill(order) -> list[int]:
         """The candidates of ``order`` taken greedily while they fit."""
         occ = list(base)
         picked = []
         for idx in order:
-            entries = sparse[idx]
-            if all(occ[r] + v <= cap + EPS for r, v in entries):
-                for r, v in entries:
-                    occ[r] += v
+            rows, units = holds[idx]
+            if all(occ[r] + units <= limit for r in rows):
+                for r in rows:
+                    occ[r] += units
                 picked.append(idx)
         return picked
 
@@ -251,20 +257,20 @@ def select_transfers(
                     best_gain = gain
                     best_pick = list(pick)
                 return
-            entries = sparse[idx]
+            rows, units = holds[idx]
             ok = True
-            for r, v in entries:
-                if occ[r] + v > cap + EPS:
+            for r in rows:
+                if occ[r] + units > limit:
                     ok = False
                     break
             if ok:
-                for r, v in entries:
-                    occ[r] += v
+                for r in rows:
+                    occ[r] += units
                 pick.append(idx)
                 dfs(idx + 1, gain + viable[idx].gain)
                 pick.pop()
-                for r, v in entries:
-                    occ[r] -= v
+                for r in rows:
+                    occ[r] -= units
             dfs(idx + 1, gain)
 
         dfs(0, 0.0)

@@ -21,17 +21,15 @@ from .model import EPS, Instance
 
 RNG_ALGORITHM = "PCG64"
 
+#: Largest shake: N_k reassigns k random trucks, k = 1..K_MAX.
+K_MAX = 3
+
 
 @dataclass(frozen=True)
 class VnsConfig:
-    k_max: int = 3
     iter_max: int = 50
     time_budget: float | None = None
     rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
 
 
 def greedy_initial(tables: _Tables) -> list[int]:
@@ -91,15 +89,12 @@ def vns_solve(
     form: Formulation,
     cfg: VnsConfig | None = None,
     include_diagonal: bool = False,
-    initial: list[int] | tuple[int, ...] | None = None,
 ) -> OptimizeResult:
-    """Run VNS and return the best incumbent (never proven optimal).
+    """Run VNS from the greedy start and return the best incumbent (never
+    proven optimal).
 
-    ``initial`` optionally restarts from a given public dock array (1-based,
-    0 = unassigned); the incumbent can then only improve on it. The result's
-    trace holds the incumbent objective after the initial solution and after
-    every iteration; ``incumbent_assignments`` in the trace mirror is exposed
-    through the returned solutions of each improvement.
+    The result's trace holds the incumbent objective after the greedy start
+    and after every iteration; ``nodes_explored`` counts the evaluations.
     """
     cfg = cfg or VnsConfig()
     tables = _Tables(inst, form, include_diagonal)
@@ -119,12 +114,7 @@ def vns_solve(
         evaluations += 1
         return tables.evaluate(y0)
 
-    if initial is not None:
-        y0 = [k - 1 if k else _UNDOCKED for k in initial]
-        y0 = _repair(tables, y0)
-    else:
-        y0 = greedy_initial(tables)
-    incumbent = list(y0)
+    incumbent = greedy_initial(tables)
     incumbent_value = evaluate(incumbent)[0]
 
     def local_search(y0, value):
@@ -175,7 +165,7 @@ def vns_solve(
         if timed_out():
             break
         k = 1
-        while k <= cfg.k_max and not timed_out():
+        while k <= K_MAX and not timed_out():
             shaken = list(incumbent)
             for _ in range(k):
                 truck = int(rng.integers(0, n))

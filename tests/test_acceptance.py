@@ -262,7 +262,7 @@ def test_criterion_6v_vns_oracle_match_rate():
         for form in (CD, RCD):
             oracle = brute_force(inst, form).objective.total
             heuristic = vns_solve(
-                inst, form, VnsConfig(iter_max=30, k_max=3, rng_seed=seed)
+                inst, form, VnsConfig(iter_max=30, rng_seed=seed)
             ).objective.total
             total += 1
             if heuristic == pytest.approx(oracle):

@@ -4,7 +4,15 @@ from pathlib import Path
 import pytest
 
 from crossdock.cli import main
-from crossdock.instance_io import fixture_text, parse_instance
+from crossdock.instance_io import (
+    fixture_text,
+    parse_instance,
+    serialize_instance,
+    serialize_solution,
+)
+from crossdock.model import Solution
+
+from conftest import tiny_two_truck
 
 
 @pytest.fixture()
@@ -68,6 +76,23 @@ def test_check_feasible_under_revised_model(fixture_paths, capsys):
     ])
     assert code == 0
     assert capsys.readouterr().out.splitlines()[0] == "FEASIBLE"
+
+
+def test_check_prints_violation_values_exactly(tmp_path, capsys):
+    # 1234567 buffered units against a capacity of 1: a 6-digit format would
+    # print lhs=1.23457e+06
+    inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst_path.write_text(serialize_instance(tiny_two_truck(f12=1234567, capacity=1)))
+    sol_path.write_text(
+        serialize_solution(Solution(dock=(1, 1), transfers=((1, 2, 1, 1),)))
+    )
+    code = main(["check", str(inst_path), str(sol_path), "--model", "r-crossdock"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    capacity = [line for line in lines if line.startswith("violation: Capacity(")]
+    assert capacity
+    for line in capacity:
+        assert float(line.split(" lhs=", 1)[1].split()[0]) == 1234567.0
 
 
 def test_diagnose_prints_conflict(fixture_paths, capsys):

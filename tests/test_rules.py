@@ -1,6 +1,7 @@
 """The compiled rules against the literal constraint-by-constraint checker."""
 
 import itertools
+import math
 
 import pytest
 
@@ -12,7 +13,6 @@ from crossdock.formulations import (
     compile_rules,
     occupancy_at,
     residual_same_dock,
-    time_margin,
 )
 from crossdock.instance_io import generate, load_fixture_instance
 from crossdock.model import Instance, Solution, event_times
@@ -111,7 +111,6 @@ def test_transfer_flags_match_the_checker(form, include_diagonal):
             time_row = ConstraintFamily.TIME_FEASIBILITY in families
             same_dock_row = ConstraintFamily.SAME_DOCK_TW in families
             where = (inst.name, inst.capacity, i, j, k, l)
-            assert rules.margin[i - 1][j - 1][k - 1][l - 1] == time_margin(inst, i, j, k, l)
             assert rules.time_ok[i - 1][j - 1][k - 1][l - 1] == (not time_row), where
             allowed = rules.allowed[i - 1][j - 1][k - 1][l - 1]
             assert allowed == (not time_row and not same_dock_row), where
@@ -137,9 +136,9 @@ def test_pair_tables_match_the_checker(form, include_diagonal):
 def test_coexistence_table_matches_the_checker(form, include_diagonal):
     # CROSS-DOCK: docking i@k and j@l forces both transfers, so the pair may
     # coexist iff the forced pair is feasible (capacity aside); R-CROSS-DOCK:
-    # iff the dock-conflict rule holds
+    # iff the dock-conflict rule holds. Elsewhere the pair entry is infinite.
     for inst in INSTANCES:
-        coexist = _Tables(inst, form, include_diagonal).coexist
+        pair = _Tables(inst, form, include_diagonal).pair
         unbounded = inst.with_capacity(None)
         docks = inst.docks()
         for i, j, k, l in itertools.product(inst.trucks(), inst.trucks(), docks, docks):
@@ -155,7 +154,11 @@ def test_coexistence_table_matches_the_checker(form, include_diagonal):
                 report = check_solution(inst, Solution(dock=dock), form, include_diagonal)
                 expected = ConstraintFamily.DOCK_CONFLICT not in _families(report)
             where = (inst.name, inst.capacity, i, j, k, l)
-            assert coexist[i - 1][j - 1][k - 1][l - 1] == expected, where
+            entry = pair[i - 1][j - 1][k - 1][l - 1]
+            assert (entry != math.inf) == expected, where
+            # B&B reads a pair from the later truck's side, fast_value from
+            # the earlier truck's side
+            assert entry == pair[j - 1][i - 1][l - 1][k - 1], where
 
 
 @pytest.mark.parametrize("form,include_diagonal", MODES)
@@ -176,9 +179,8 @@ def test_summed_profiles_match_occupancy_and_capacity_rows(form, include_diagona
         load = rules.load((i, j) for (i, j, _, _) in everything.transfers)
         assert len(load) == len(rules.events)
         for r, t_r in enumerate(rules.events):
-            summed = sum(
-                rules.occupancy[i - 1][j - 1][r] for (i, j, _, _) in everything.transfers
-            )
+            holds = [rules.hold[i - 1][j - 1] for (i, j, _, _) in everything.transfers]
+            summed = sum(units for lo, hi, units in holds if lo <= r < hi)
             assert summed == occupancy_at(inst, everything, t_r, include_diagonal)
             assert load[r] == occupancy_at(inst, everything, t_r, include_diagonal)
             assert (summed - rules.capacity > 1e-9) == (r + 1 in over)
