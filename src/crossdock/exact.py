@@ -12,8 +12,12 @@ both directions, infinite where the two may not both be docked that way
 overlapping windows), and one per truck for its strict-literal self-flow at
 its dock (a unary term, or a constant in the base under CROSS-DOCK). A clash
 therefore makes a child's bound infinite. The search reads these tables and
-never branches on the model or the diagonal mode; leaf transfer sets come
-from the subproblem module.
+never branches on the model or the diagonal mode. Leaves are priced from the
+tables too: under a finite capacity, the table value plus the gain that the
+buffer forces the assignment to give up, chosen by the selection kernel of
+the subproblem module (:func:`crossdock.subproblem.select_items`). Only the
+returned solution's transfer set is built by the subproblem module and
+priced by ``objective_value``.
 
 The brute-force oracle enumerates every assignment and always evaluates
 transfers through exhaustive subset enumeration, never the per-pair shortcut,
@@ -79,6 +83,12 @@ class ModelComparison:
         return not self.rcd_best_under_cd.feasible
 
 
+def _shipped(delta: float) -> float:
+    """Net delta of an optional transfer: it ships iff it gains more than EPS,
+    the selection threshold of :func:`subproblem.select_transfers`."""
+    return delta if delta < -EPS else 0.0
+
+
 class _Tables:
     """Branch-and-bound data derived from the compiled rules, 0-based throughout."""
 
@@ -108,9 +118,9 @@ class _Tables:
                     if self.cd:  # every docked pair ships
                         ok = allowed[i][j][k][l] and allowed[j][i][l][k]
                         value = delta
-                    else:  # ships only if allowed and worthwhile
+                    else:  # ships only if allowed and worth more than EPS
                         ok = k != l or not overlap[i][j]
-                        value = min(0.0, delta) if allowed[i][j][k][l] else 0.0
+                        value = _shipped(delta) if allowed[i][j][k][l] else 0.0
                     if ok:
                         opt[i][j] = min(opt[i][j], value)
                     half[i][j][k][l] = value if ok else math.inf
@@ -130,15 +140,30 @@ class _Tables:
         # strict-literal self-transfers: free in CROSS-DOCK, so a constant in
         # the base; R-CROSS-DOCK ships truck i's self-flow through its own dock
         # k, a unary term unary[i][k] with optimistic value unary_opt[i]
+        # (under a finite capacity they become free_items: (i, i, gain) for
+        # each self-transfer worth more than EPS)
         free_self = 0.0
+        self.free_items = []
         self.unary = [[0.0] * m for _ in range(n)]
         if include_diagonal and self.cd:
             min_ct = min(ct[k][l] for k in range(m) for l in range(m))
-            free_self = sum(min(0.0, min_ct - pf[i][i]) for i in range(n))
+            free_self = sum(_shipped(min_ct - pf[i][i]) for i in range(n))
+            self.free_items = [
+                (cp.i - 1, cp.i - 1, cp.gain)
+                for cp in subproblem.diagonal_candidates_crossdock(inst)
+                if cp.gain > EPS
+            ]
         elif include_diagonal:
-            self.unary = [[min(0.0, ct[k][k] - pf[i][i]) for k in range(m)] for i in range(n)]
+            self.unary = [[_shipped(ct[k][k] - pf[i][i]) for k in range(m)] for i in range(n)]
         self.unary_opt = [min(row) for row in self.unary]
         self.base = total_penalty_constant(inst, include_diagonal) + free_self
+
+        # finite capacity: the buffer intervals and density-greedy weights
+        # that evaluate() hands to the selection kernel
+        self.rules = rules
+        self.footprint = [
+            [subproblem.footprint(inst, i + 1, j + 1) for j in range(n)] for i in range(n)
+        ]
 
     def root_opt_rest(self) -> float:
         total = sum(
@@ -205,20 +230,58 @@ class _Tables:
     def evaluate(self, y0, force_enumeration: bool = False):
         """(objective value, exact flag) of an assignment, or None if infeasible.
 
-        The fast path prices a feasible assignment straight from the tables
-        whenever capacity cannot bind; force_enumeration always routes through
-        the subproblem's exhaustive selection (the oracle path).
+        Without force_enumeration the value comes from the tables alone:
+        :meth:`fast_value`, which ships every transfer worth more than EPS,
+        plus the gain that a finite capacity forces the assignment to give
+        up. That gain is what :func:`subproblem.select_items` leaves out of
+        the choosable transfers (CROSS-DOCK: the strict-literal self-flows on
+        top of the forced load of every docked pair; R-CROSS-DOCK: every
+        allowed transfer worth more than EPS), listed in the order
+        :func:`subproblem.select_transfers` sorts by, so both pick the same
+        subset. A forced load above capacity makes a CROSS-DOCK assignment
+        infeasible. force_enumeration always routes through the subproblem's
+        exhaustive selection and objective_value (the oracle path).
         """
         if self.first_clash(y0) is not None:
             return None
-        if self.inst.unbounded_capacity and not force_enumeration:
-            return self.fast_value(y0), True
-        built = self.build_solution(y0, force_enumeration)
+        if not force_enumeration:
+            if self.inst.unbounded_capacity:
+                return self.fast_value(y0), True
+            return self._capacity_value(y0)
+        built = self.build_solution(y0, force_enumeration=True)
         if built is None:
             return None
         sol, exact = built
         total = objective_value(self.inst, sol, self.form, self.diag).total
         return total, exact
+
+    def _capacity_value(self, y0):
+        """:meth:`evaluate` under a finite capacity, read from the tables."""
+        rules = self.rules
+        docked = [(i, y0[i]) for i in range(self.n) if y0[i] != _UNDOCKED]
+        if self.cd:
+            base = rules.load((i + 1, j + 1) for i, _ in docked for j, _ in docked if i != j)
+            if any(occ - rules.capacity > EPS for occ in base):
+                return None
+            items = self.free_items
+        else:
+            base = [0.0] * len(rules.events)
+            ct, pf, allowed = rules.ct, rules.pf, rules.allowed
+            items = []
+            for i, ki in docked:
+                for j, kj in docked:
+                    gain = pf[i][j] - ct[ki][kj]
+                    if (i != j or self.diag) and gain > EPS and allowed[i][j][ki][kj]:
+                        items.append((i, j, gain))
+        gains = [gain for _, _, gain in items]
+        _, exact, kept = subproblem.select_items(
+            gains,
+            [rules.hold[i][j] for i, j, _ in items],
+            base,
+            rules.capacity,
+            [self.footprint[i][j] for i, j, _ in items],
+        )
+        return self.fast_value(y0) + (sum(gains) - kept), exact
 
 
 def branch_and_bound(

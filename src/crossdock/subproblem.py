@@ -5,7 +5,10 @@ transfer set is a *function* of the assignment (or the assignment is
 infeasible, with a witness naming the clash). Under R-CROSS-DOCK transfers
 are optional, so the best set maximizes total gain p_ij*f_ij - c_kl*t_kl
 subject to the model's rules and capacity. Every rule is read from the
-compiled tables of :func:`crossdock.formulations.compile_rules`.
+compiled tables of :func:`crossdock.formulations.compile_rules`. The capacity
+choice itself, a knapsack over the transfers' buffer intervals, is made by one
+kernel on plain lists, :func:`select_items`, which :func:`select_transfers`
+and the search's table path in :mod:`crossdock.exact` share.
 """
 
 from __future__ import annotations
@@ -180,6 +183,112 @@ def check_dock_conflicts(inst: Instance, dock) -> ConstraintId | None:
     return None
 
 
+def select_items(
+    gains: Sequence[float],
+    holds: Sequence[tuple[int, int, float]],
+    base: Sequence[float],
+    capacity: float,
+    footprints: Sequence[float],
+    force_enumeration: bool = False,
+) -> tuple[list[int], bool, float]:
+    """Best subset of items under the capacity rows: (picked, exact, gain).
+
+    Item x gains ``gains[x]`` and adds ``units`` to the buffer at the events
+    lo <= r < hi, ``holds[x] = (lo, hi, units)`` (a :attr:`Rules.hold`
+    entry); ``base`` is the load of the forced transfers at each event and
+    ``footprints[x]`` the item's weight in the density greedy. ``picked``
+    lists item indices in ascending order. When every item fits, all are
+    taken; otherwise an exact depth-first search runs up to
+    ``EXACT_SELECTION_LIMIT`` items, above which a greedy by gain density
+    takes over and the result is flagged non-exact. ``force_enumeration``
+    skips the take-everything shortcut and lifts the limit. Ties between
+    optimal subsets go to the lexicographically first, so callers that list
+    items in the same order pick the same subset.
+    """
+    limit = capacity + EPS
+
+    # per-pair rule: take everything if capacity never binds
+    if not force_enumeration:
+        occ_all = list(base)
+        for lo, hi, units in holds:
+            for r in range(lo, hi):
+                occ_all[r] += units
+        if all(v <= limit for v in occ_all):
+            return list(range(len(gains))), True, sum(gains)
+
+    # each item adds ``units`` to the buffer at the events of ``rows``
+    rows_of = [(range(lo, hi), units) for lo, hi, units in holds]
+
+    def fill(order) -> list[int]:
+        """The items of ``order`` taken greedily while they fit."""
+        occ = list(base)
+        picked = []
+        for idx in order:
+            rows, units = rows_of[idx]
+            if all(occ[r] + units <= limit for r in rows):
+                for r in rows:
+                    occ[r] += units
+                picked.append(idx)
+        return picked
+
+    if force_enumeration or len(gains) <= EXACT_SELECTION_LIMIT:
+        # a greedy pass seeds the incumbent bound just below its own gain:
+        # the DFS prunes against a near-optimal value from the start, while
+        # every true optimum still strictly beats the seed, so the
+        # lexicographically first optimal subset is reached and kept
+        greedy_gain = sum(gains[idx] for idx in fill(range(len(gains))))
+
+        best_gain = greedy_gain - 2 * EPS
+        best_pick: list[int] | None = None
+        suffix = [0.0] * (len(gains) + 1)
+        for idx in range(len(gains) - 1, -1, -1):
+            suffix[idx] = suffix[idx + 1] + gains[idx]
+        occ = list(base)
+        pick: list[int] = []
+
+        def dfs(idx, gain):
+            nonlocal best_gain, best_pick
+            if gain + suffix[idx] <= best_gain + EPS:
+                return
+            if idx == len(gains):
+                if gain > best_gain + EPS:
+                    best_gain = gain
+                    best_pick = list(pick)
+                return
+            rows, units = rows_of[idx]
+            ok = True
+            for r in rows:
+                if occ[r] + units > limit:
+                    ok = False
+                    break
+            if ok:
+                for r in rows:
+                    occ[r] += units
+                pick.append(idx)
+                dfs(idx + 1, gain + gains[idx])
+                pick.pop()
+                for r in rows:
+                    occ[r] -= units
+            dfs(idx + 1, gain)
+
+        dfs(0, 0.0)
+        assert best_pick is not None, "an optimum at least matches the greedy seed"
+        return best_pick, True, max(best_gain, 0.0)
+
+    # greedy by gain density: gain per pallet-hour of buffer use
+    def rank(idx):
+        return -(gains[idx] / footprints[idx]), idx
+
+    picked = sorted(fill(sorted(range(len(gains)), key=rank)))
+    return picked, False, sum(gains[idx] for idx in picked)
+
+
+def footprint(inst: Instance, i: int, j: int) -> float:
+    """Buffer use of transfer i -> j in pallet-hours (1-based), the weight of
+    the density greedy in :func:`select_items`; never below EPS."""
+    return max(inst.f(i, j) * (inst.d(j) - inst.a(i)), EPS)
+
+
 def select_transfers(
     inst: Instance,
     candidates: Sequence[CandidatePair],
@@ -190,7 +299,8 @@ def select_transfers(
     """Best subset of positive-gain candidates under the capacity rows.
 
     Returns (selected, exact, total_gain). ``forced`` transfers contribute
-    occupancy but are not selectable. When the all-positive selection fits,
+    occupancy but are not selectable. The feasible candidates with gain above
+    EPS, in (i, j, k, l) order, go to :func:`select_items`: when they all fit,
     the per-pair gain rule applies directly; otherwise an exact depth-first
     search runs up to ``EXACT_SELECTION_LIMIT`` candidates, above which a
     greedy by gain density takes over and the result is flagged non-exact.
@@ -201,92 +311,17 @@ def select_transfers(
     # the capacity rows are the same in both models; the strict-literal
     # CROSS-DOCK self-transfers are selected exactly like R-CROSS-DOCK's
     rules = compile_rules(inst, Formulation.R_CROSS_DOCK, include_diagonal)
-    viable = [
-        cp for cp in candidates if cp.feasible and cp.gain > EPS
-    ]
+    viable = [cp for cp in candidates if cp.feasible and cp.gain > EPS]
     viable.sort(key=lambda cp: (cp.i, cp.j, cp.k, cp.l))
-    cap = rules.capacity
-    forced_pairs = [(i, j) for (i, j, _, _) in forced]
-    base = rules.load(forced_pairs)
-
-    # per-pair rule: take everything if capacity never binds
-    if not force_enumeration:
-        occ_all = rules.load(forced_pairs + [(cp.i, cp.j) for cp in viable])
-        if all(v <= cap + EPS for v in occ_all):
-            total = sum(cp.gain for cp in viable)
-            return tuple(viable), True, total
-
-    # each candidate adds ``units`` to the buffer at the events of ``rows``
-    limit = cap + EPS
-    holds = [rules.hold[cp.i - 1][cp.j - 1] for cp in viable]
-    holds = [(range(lo, hi), units) for lo, hi, units in holds]
-
-    def fill(order) -> list[int]:
-        """The candidates of ``order`` taken greedily while they fit."""
-        occ = list(base)
-        picked = []
-        for idx in order:
-            rows, units = holds[idx]
-            if all(occ[r] + units <= limit for r in rows):
-                for r in rows:
-                    occ[r] += units
-                picked.append(idx)
-        return picked
-
-    if force_enumeration or len(viable) <= EXACT_SELECTION_LIMIT:
-        # a greedy pass seeds the incumbent bound just below its own gain:
-        # the DFS prunes against a near-optimal value from the start, while
-        # every true optimum still strictly beats the seed, so the
-        # lexicographically first optimal subset is reached and kept
-        greedy_gain = sum(viable[idx].gain for idx in fill(range(len(viable))))
-
-        best_gain = greedy_gain - 2 * EPS
-        best_pick: list[int] | None = None
-        suffix = [0.0] * (len(viable) + 1)
-        for idx in range(len(viable) - 1, -1, -1):
-            suffix[idx] = suffix[idx + 1] + viable[idx].gain
-        occ = list(base)
-        pick: list[int] = []
-
-        def dfs(idx, gain):
-            nonlocal best_gain, best_pick
-            if gain + suffix[idx] <= best_gain + EPS:
-                return
-            if idx == len(viable):
-                if gain > best_gain + EPS:
-                    best_gain = gain
-                    best_pick = list(pick)
-                return
-            rows, units = holds[idx]
-            ok = True
-            for r in rows:
-                if occ[r] + units > limit:
-                    ok = False
-                    break
-            if ok:
-                for r in rows:
-                    occ[r] += units
-                pick.append(idx)
-                dfs(idx + 1, gain + viable[idx].gain)
-                pick.pop()
-                for r in rows:
-                    occ[r] -= units
-            dfs(idx + 1, gain)
-
-        dfs(0, 0.0)
-        assert best_pick is not None, "an optimum at least matches the greedy seed"
-        selected = tuple(viable[idx] for idx in best_pick)
-        return selected, True, max(best_gain, 0.0)
-
-    # greedy by gain density: gain per pallet-hour of buffer use
-    def rank(idx):
-        cp = viable[idx]
-        footprint = max(inst.f(cp.i, cp.j) * (inst.d(cp.j) - inst.a(cp.i)), EPS)
-        return -(cp.gain / footprint), cp.i, cp.j, cp.k, cp.l
-
-    chosen = [viable[idx] for idx in fill(sorted(range(len(viable)), key=rank))]
-    chosen.sort(key=lambda cp: (cp.i, cp.j))
-    return tuple(chosen), False, sum(cp.gain for cp in chosen)
+    picked, exact, total = select_items(
+        [cp.gain for cp in viable],
+        [rules.hold[cp.i - 1][cp.j - 1] for cp in viable],
+        rules.load((i, j) for (i, j, _, _) in forced),
+        rules.capacity,
+        [footprint(inst, cp.i, cp.j) for cp in viable],
+        force_enumeration,
+    )
+    return tuple(viable[idx] for idx in picked), exact, total
 
 
 def diagonal_candidates_crossdock(inst: Instance) -> list[CandidatePair]:

@@ -2,8 +2,10 @@
 
 Classic scheme: shake in N_k (k random truck reassignments), descend with
 single-reassignment (N_1) and pairwise-swap (N_2) local search, move and
-reset k on strict improvement, otherwise grow k. Transfers are always
-recomputed through the subproblem, so every evaluated candidate is a feasible
+reset k on strict improvement, otherwise grow k. Candidates are priced by
+``exact._Tables.evaluate``, which B&B shares, and each distinct assignment is
+priced once per run: later visits read a memo. The final incumbent's
+transfers are built through the subproblem, so the result is a feasible
 solution of the chosen formulation. Deterministic for a fixed seed; the RNG
 algorithm identifier is recorded in the result.
 """
@@ -94,7 +96,10 @@ def vns_solve(
     proven optimal).
 
     The result's trace holds the incumbent objective after the greedy start
-    and after every iteration; ``nodes_explored`` counts the evaluations.
+    and after every iteration; ``nodes_explored`` counts the evaluations,
+    repeats included. Each evaluation's result (None for an infeasible
+    assignment) is memoised by assignment for the run, so the memo holds one
+    entry per distinct assignment visited.
     """
     cfg = cfg or VnsConfig()
     tables = _Tables(inst, form, include_diagonal)
@@ -102,6 +107,7 @@ def vns_solve(
     rng = np.random.default_rng(cfg.rng_seed)
     start = time.perf_counter()
     evaluations = 0
+    memo: dict[tuple[int, ...], tuple[float, bool] | None] = {}
 
     def timed_out() -> bool:
         return (
@@ -112,7 +118,10 @@ def vns_solve(
     def evaluate(y0):
         nonlocal evaluations
         evaluations += 1
-        return tables.evaluate(y0)
+        key = tuple(y0)
+        if key not in memo:
+            memo[key] = tables.evaluate(y0)
+        return memo[key]
 
     incumbent = greedy_initial(tables)
     incumbent_value = evaluate(incumbent)[0]

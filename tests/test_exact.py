@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from crossdock import subproblem
 from crossdock.exact import (
     Budget,
     InstanceTooLargeError,
@@ -124,24 +126,94 @@ def test_strict_literal_mode_oracle_equivalence():
             assert optima[0] < optima[1] < nothing_ships, (seed, form)
 
 
+def _gain_within_eps() -> Instance:
+    """Shipping 1 -> 2 from dock 1 to dock 2 gains 5e-10, below EPS: the
+    selection never ships it, so neither may the tables."""
+    return Instance(
+        n=2,
+        m=2,
+        arrival=(0.0, 0.0),
+        departure=(10.0, 10.0),
+        transfer_time=((0.0, 1.0), (1.0, 0.0)),
+        transfer_cost=((0.0, 1.0), (1.0, 0.0)),
+        flow=((0.0, 1.0), (0.0, 0.0)),
+        penalty=((0.0, 1.0000000005), (0.0, 0.0)),
+        capacity=None,
+    )
+
+
+def _check_evaluate_against_built(inst, assignments) -> tuple[int, int]:
+    """Assert that ``evaluate`` agrees with objective_value of the solution
+    ``build_solution`` builds, for every assignment in both models and
+    diagonal modes. Returns how many values capacity changed from the
+    uncapped table value (an overflow included) and how many were inexact."""
+    changed = inexact = 0
+    for form, include_diagonal in itertools.product((CD, RCD), (False, True)):
+        tables = _Tables(inst, form, include_diagonal)
+        for y0 in assignments:
+            y0 = list(y0)
+            result = tables.evaluate(y0)
+            if tables.first_clash(y0) is not None:
+                assert result is None
+                continue
+            built = tables.build_solution(y0)
+            where = (inst.name, inst.capacity, form, include_diagonal, y0)
+            assert (result is None) == (built is None), where
+            if built is None:  # the forced transfers overflow the buffer
+                changed += 1
+                continue
+            sol, exact = built
+            value, fast_exact = result
+            expected = objective_value(inst, sol, form, include_diagonal).total
+            assert value == pytest.approx(expected, rel=1e-12), where
+            assert fast_exact == exact, where
+            changed += value != pytest.approx(tables.fast_value(y0), rel=1e-12)
+            inexact += not exact
+    return changed, inexact
+
+
 def test_fast_path_matches_the_built_solution():
     # with capacity unbounded, the table value of every feasible assignment
     # equals objective_value of the transfer set the subproblem builds for it,
-    # self-transfer terms included
-    for seed in range(4):
-        inst = generate(seed, n=3, m=2)
-        for form, include_diagonal in itertools.product((CD, RCD), (False, True)):
-            tables = _Tables(inst, form, include_diagonal)
-            options = list(range(inst.m)) + [_UNDOCKED]
-            for y0 in itertools.product(options, repeat=inst.n):
-                if tables.first_clash(y0) is not None:
-                    continue
-                sol, exact = tables.build_solution(list(y0))
-                assert exact
-                built = objective_value(inst, sol, form, include_diagonal).total
-                assert tables.fast_value(y0) == pytest.approx(built, rel=1e-12), (
-                    seed, form, include_diagonal, y0,
-                )
+    # self-transfer terms and gains within EPS included
+    instances = [generate(seed, n=3, m=2) for seed in range(4)] + [_gain_within_eps()]
+    for inst in instances:
+        options = list(range(inst.m)) + [_UNDOCKED]
+        assignments = list(itertools.product(options, repeat=inst.n))
+        changed, _ = _check_evaluate_against_built(inst, assignments)
+        assert changed == 0
+    tables = _Tables(_gain_within_eps(), RCD, False)
+    assert tables.evaluate([0, 1]) == (1.0000000005, True)
+
+
+@pytest.mark.parametrize("limit", [None, 2])
+def test_capacity_value_matches_the_built_solution(limit, nine_truck, monkeypatch):
+    # under a binding capacity the table value plus the gain the selection
+    # gives up equals the built solution's objective; a limit of 2 sends
+    # most selections down the greedy path
+    if limit is not None:
+        monkeypatch.setattr(subproblem, "EXACT_SELECTION_LIMIT", limit)
+    changed = inexact = 0
+    for seed, n, ratio in itertools.product(range(3), (3, 4), (0.05, 0.1)):
+        inst = generate(seed, n, 2, capacity_ratio=ratio)
+        options = list(range(inst.m)) + [_UNDOCKED]
+        counts = _check_evaluate_against_built(
+            inst, list(itertools.product(options, repeat=n))
+        )
+        changed, inexact = changed + counts[0], inexact + counts[1]
+    # the fixture has (m+1)^n = 7^9 assignments: a seeded sample, half the
+    # trucks docked on average
+    rng = random.Random(0)
+    fixture = nine_truck.with_capacity(1000)
+    sample = [
+        [rng.randrange(fixture.m) if rng.random() < 0.5 else _UNDOCKED for _ in range(fixture.n)]
+        for _ in range(150)
+    ]
+    counts = _check_evaluate_against_built(fixture, sample)
+    changed, inexact = changed + counts[0], inexact + counts[1]
+    assert changed > 0, "capacity never changes a value; the test is vacuous"
+    if limit is not None:
+        assert inexact > 0, "the greedy path never ran"
 
 
 def test_search_is_deterministic():

@@ -187,6 +187,30 @@ def test_summed_profiles_match_occupancy_and_capacity_rows(form, include_diagona
     assert binding > 0, "capacity never binds; the capacity check is vacuous"
 
 
+def test_reversed_window_holds_negative_units():
+    # truck 2 departs (t=3) before truck 1 arrives (t=5): validation rejects
+    # flow on such a pair and ``generate`` never draws it, so the instance is
+    # built directly. The occupancy term f_12 * ([a_1 <= t] - [d_2 <= t]) is
+    # -f_12 from d_2 until a_1.
+    inst = Instance(
+        n=2,
+        m=2,
+        arrival=(5.0, 0.0),
+        departure=(10.0, 3.0),
+        transfer_time=((0.0, 1.0), (1.0, 0.0)),
+        transfer_cost=((1.0, 1.0), (1.0, 1.0)),
+        flow=((0.0, 7.0), (0.0, 0.0)),
+        penalty=((0.0, 1.0), (0.0, 0.0)),
+        capacity=None,
+    )
+    shipped = Solution(dock=(1, 2), transfers=((1, 2, 1, 2),))
+    for form in (Formulation.CROSS_DOCK, Formulation.R_CROSS_DOCK):
+        rules = compile_rules(inst, form, False)
+        occupancy = [occupancy_at(inst, shipped, t_r) for t_r in rules.events]
+        assert rules.load([(1, 2)]) == occupancy == [0.0, -7.0, 0.0, 0.0]
+        assert not any(itertools.chain.from_iterable(rules.time_ok[0][1]))
+
+
 def test_rules_are_compiled_once_per_instance_and_formulation(nine_truck):
     first = compile_rules(nine_truck, Formulation.CROSS_DOCK, False)
     assert compile_rules(nine_truck, Formulation.CROSS_DOCK, False) is first
