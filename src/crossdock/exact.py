@@ -4,20 +4,24 @@ Branching follows arrival order (early trucks constrain precedence most),
 docks ascending with "unassigned" last. Nodes are pruned by an admissible
 bound: the all-penalties constant, plus the exact net contribution of every
 fully decided truck pair, plus an optimistic (capacity-ignoring) contribution
-for every undecided pair. ``_Tables`` derives from the compiled rules
-(:func:`crossdock.formulations.compile_rules`) one entry per decision the
-search makes: one number per pair of docked trucks, what the pair adds in
-both directions, infinite where the two may not both be docked that way
-(CROSS-DOCK: a forced transfer fails; R-CROSS-DOCK: a shared dock with
-overlapping windows), and one per truck for its strict-literal self-flow at
-its dock (a unary term, or a constant in the base under CROSS-DOCK). A clash
-therefore makes a child's bound infinite. The search reads these tables and
-never branches on the model or the diagonal mode. Leaves are priced from the
-tables too: under a finite capacity, the table value plus the gain that the
-buffer forces the assignment to give up, chosen by the selection kernel of
-the subproblem module (:func:`crossdock.subproblem.select_items`). Only the
-returned solution's transfer set is built by the subproblem module and
-priced by ``objective_value``.
+for every undecided pair. Every undecided truck carries an accumulator of its
+exact pair sum with the docked decided trucks at each dock, so a child is
+priced from one entry and passes on one pair row per later truck: O(m) work
+per undecided truck, not a sum over the decided ones. ``_Tables`` derives
+from the compiled rules (:func:`crossdock.formulations.compile_rules`) one
+entry per decision the search makes: one number per pair of docked trucks,
+what the pair adds in both directions, infinite where the two may not both
+be docked that way (CROSS-DOCK: a forced transfer fails; R-CROSS-DOCK: a
+shared dock with overlapping windows), and one per truck for its
+strict-literal self-flow at its dock (a unary term, or a constant in the base
+under CROSS-DOCK). A clash therefore makes a child's bound infinite. The
+search reads these tables and never branches on the model or the diagonal
+mode. Leaves are priced from the tables too: under a finite capacity, the
+table value plus the gain that the buffer forces the assignment to give up,
+chosen by the selection kernel of the subproblem module
+(:func:`crossdock.subproblem.select_items`). Only the returned solution's
+transfer set is built by the subproblem module and priced by
+``objective_value``.
 
 The brute-force oracle enumerates every assignment and always evaluates
 transfers through exhaustive subset enumeration, never the per-pair shortcut,
@@ -26,8 +30,10 @@ so the two solvers cross-validate each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -293,6 +299,15 @@ def branch_and_bound(
 ) -> OptimizeResult:
     """Depth-first branch and bound over dock assignments.
 
+    Each level keeps one accumulator per undecided truck: its exact ``pair``
+    sum with the docked decided trucks at each dock, and the ``pair_opt`` sum
+    over the same pairs in a last column. A child prices itself from its
+    truck's accumulator and, if entered, adds the truck's precomputed pair
+    row to the accumulators of the later trucks, so each child costs O(m)
+    per undecided truck, whatever the depth. ``nodes_explored`` counts the
+    nodes processed: ``Budget(max_nodes=K)`` processes at most K, and a time
+    limit is checked before every 256th further node.
+
     Deterministic: identical inputs give identical node counts and incumbents.
     Returns proven_optimal=True iff the search completed within budget and no
     heuristic leaf evaluation was needed. With an exhausted budget the best
@@ -302,92 +317,90 @@ def branch_and_bound(
     tables = _Tables(inst, form, include_diagonal)
     n, m = tables.n, tables.m
     start = time.perf_counter()
+    max_nodes = math.inf if budget.max_nodes is None else budget.max_nodes
+    time_limit = budget.time_limit
 
     y0 = [_UNDOCKED] * n
-    state = {
-        "best_value": float("inf"),
-        "best_y": None,
-        "nodes": 0,
-        "stopped": False,
-        "heuristic": False,
-        "trace": [],
-    }
-
     # the empty assignment is always feasible: a guaranteed incumbent
-    empty = tables.evaluate(y0)
-    state["best_value"], _ = empty
-    state["best_y"] = tuple(y0)
-    state["trace"].append(state["best_value"])
+    best_value, _ = tables.evaluate(y0)
+    best_y = tuple(y0)
+    trace = [best_value]
+    nodes = 0
+    stopped = heuristic = False
 
-    bound_at_root = tables.base + tables.root_opt_rest()
+    base = tables.base
+    bound_at_root = base + tables.root_opt_rest()
     order, pair, pair_opt = tables.order, tables.pair, tables.pair_opt
+    unary, unary_opt = tables.unary, tables.unary_opt
+    # push[idx][k]: what docking order[idx] at k adds to each later truck's
+    # accumulator; skip[idx]: the optimistic terms that leaving it
+    # unassigned removes, subtracted left to right
+    push = [
+        [[pair[u][v][k] + [pair_opt[u][v]] for v in order[idx + 1 :]] for k in range(m)]
+        for idx, u in enumerate(order)
+    ]
+    skip = [
+        [pair_opt[u][v] for v in order[idx + 1 :]] + [unary_opt[u]]
+        for idx, u in enumerate(order)
+    ]
 
-    def out_of_budget() -> bool:
-        if budget.max_nodes is not None and state["nodes"] >= budget.max_nodes:
-            return True
-        if budget.time_limit is not None and state["nodes"] % 256 == 0:
-            return time.perf_counter() - start > budget.time_limit
-        return False
-
-    assigned_docked: list[tuple[int, int]] = []
-
-    def recurse(idx: int, committed: float, opt_rest: float):
-        state["nodes"] += 1
-        if out_of_budget():
-            state["stopped"] = True
+    def recurse(idx: int, committed: float, opt_rest: float, accs):
+        nonlocal best_value, best_y, nodes, stopped, heuristic
+        # the clock is read once per 256 nodes processed
+        if nodes >= max_nodes or (
+            time_limit is not None
+            and nodes
+            and nodes % 256 == 0
+            and time.perf_counter() - start > time_limit
+        ):
+            stopped = True
             return
+        nodes += 1
         if on_node is not None:
             decided = tuple(
                 (u + 1, 0 if y0[u] == _UNDOCKED else y0[u] + 1) for u in order[:idx]
             )
-            on_node(decided, tables.base + committed + opt_rest)
+            on_node(decided, base + committed + opt_rest)
         if idx == n:
             result = tables.evaluate(y0)
             if result is not None:
                 value, exact = result
                 if not exact:
-                    state["heuristic"] = True
-                if value < state["best_value"] - EPS:
-                    state["best_value"] = value
-                    state["best_y"] = tuple(y0)
-                    state["trace"].append(value)
+                    heuristic = True
+                if value < best_value - EPS:
+                    best_value = value
+                    best_y = tuple(y0)
+                    trace.append(value)
             return
         u = order[idx]
-        undecided = order[idx + 1 :]
-        pair_u, opt_u, unary_u = pair[u], pair_opt[u], tables.unary[u]
+        acc_u, rest = accs[0], accs[1:]
+        unary_u = unary[u]
 
-        opt_rest2 = opt_rest - sum(opt_u[s] for s, _ in assigned_docked)
-        docked_rest = opt_rest2 - tables.unary_opt[u]
-        for k in range(m):
-            # a clash with a decided truck makes the sum infinite: never entered
-            committed2 = committed
-            for s, ks in assigned_docked:
-                committed2 += pair_u[s][k][ks]
-            committed2 += unary_u[k]
-            if tables.base + committed2 + docked_rest < state["best_value"] - EPS:
+        opt_rest2 = opt_rest - acc_u[m]
+        docked_rest = opt_rest2 - unary_opt[u]
+        for k, push_k in enumerate(push[idx]):
+            # a clash with a decided truck left acc_u[k] infinite: never entered
+            committed2 = committed + acc_u[k] + unary_u[k]
+            if base + committed2 + docked_rest < best_value - EPS:
                 y0[u] = k
-                assigned_docked.append((u, k))
-                recurse(idx + 1, committed2, docked_rest)
-                assigned_docked.pop()
+                accs2 = [list(map(operator.add, a, r)) for a, r in zip(rest, push_k)]
+                recurse(idx + 1, committed2, docked_rest, accs2)
                 y0[u] = _UNDOCKED
-                if state["stopped"]:
+                if stopped:
                     return
 
         # leave truck u unassigned: its pairs contribute exactly zero
-        for v in undecided:
-            opt_rest2 -= opt_u[v]
-        opt_rest2 -= tables.unary_opt[u]
-        if tables.base + committed + opt_rest2 < state["best_value"] - EPS:
-            recurse(idx + 1, committed, opt_rest2)
+        opt_rest2 = functools.reduce(operator.sub, skip[idx], opt_rest2)
+        if base + committed + opt_rest2 < best_value - EPS:
+            recurse(idx + 1, committed, opt_rest2, rest)
 
-    recurse(0, 0.0, tables.root_opt_rest())
+    recurse(0, 0.0, tables.root_opt_rest(), [[0.0] * (m + 1) for _ in range(n)])
 
-    completed = not state["stopped"]
-    best_y0 = list(state["best_y"])
-    built = tables.build_solution(best_y0)
+    completed = not stopped
+    built = tables.build_solution(list(best_y))
     solution, _ = built
     breakdown = objective_value(inst, solution, form, include_diagonal)
-    proven = completed and not state["heuristic"]
+    proven = completed and not heuristic
     if not completed:
         status = "budget_exhausted"
     elif proven:
@@ -398,11 +411,11 @@ def branch_and_bound(
         best=solution,
         objective=breakdown,
         proven_optimal=proven,
-        nodes_explored=state["nodes"],
+        nodes_explored=nodes,
         wall_time=time.perf_counter() - start,
         bound_at_root=bound_at_root,
         status=status,
-        trace=tuple(state["trace"]),
+        trace=tuple(trace),
     )
 
 

@@ -34,9 +34,10 @@ class VnsConfig:
     rng_seed: int = 0
 
 
-def greedy_initial(tables: _Tables) -> list[int]:
+def greedy_initial(tables: _Tables, evaluate) -> list[int]:
     """Greedy start: heaviest-penalty trucks first, each to the feasible dock
-    with the best immediate gain (strictly improving, lowest index on ties)."""
+    with the best immediate gain (strictly improving, lowest index on ties).
+    Candidates are priced by ``evaluate``, as :meth:`_Tables.evaluate`."""
     inst = tables.inst
     n, m = tables.n, tables.m
     weight = [
@@ -48,12 +49,12 @@ def greedy_initial(tables: _Tables) -> list[int]:
         for i in range(n)
     ]
     y0 = [_UNDOCKED] * n
-    value = tables.evaluate(y0)[0]
+    value = evaluate(y0)[0]
     for i in sorted(range(n), key=lambda i: (-weight[i], i)):
         candidates = []
         for k in range(m):
             y0[i] = k
-            result = tables.evaluate(y0)
+            result = evaluate(y0)
             if result is not None:
                 candidates.append((result[0], k))
         y0[i] = _UNDOCKED
@@ -67,8 +68,9 @@ def greedy_initial(tables: _Tables) -> list[int]:
     return y0
 
 
-def _repair(tables: _Tables, y0) -> list[int]:
-    """Undock the later-arriving truck of each clashing pair until feasible."""
+def _repair(tables: _Tables, y0, evaluate):
+    """Undock the later-arriving truck of each clashing pair until feasible;
+    returns the repaired assignment and its ``evaluate`` result."""
     inst = tables.inst
     while True:
         pair = tables.first_clash(y0)
@@ -79,11 +81,11 @@ def _repair(tables: _Tables, y0) -> list[int]:
         y0[later] = _UNDOCKED
     # capacity can still bite under CROSS-DOCK with finite C: the forced
     # transfers may overflow; shed the latest-arriving docked truck
-    while tables.evaluate(y0) is None:
+    while (result := evaluate(y0)) is None:
         docked = [i for i in range(tables.n) if y0[i] != _UNDOCKED]
         later = max(docked, key=lambda u: (inst.arrival[u], u))
         y0[later] = _UNDOCKED
-    return y0
+    return y0, result
 
 
 def vns_solve(
@@ -96,10 +98,11 @@ def vns_solve(
     proven optimal).
 
     The result's trace holds the incumbent objective after the greedy start
-    and after every iteration; ``nodes_explored`` counts the evaluations,
-    repeats included. Each evaluation's result (None for an infeasible
-    assignment) is memoised by assignment for the run, so the memo holds one
-    entry per distinct assignment visited.
+    and after every iteration; ``nodes_explored`` counts the evaluations of
+    the greedy start, the repairs and the search, repeats included. Each
+    evaluation's result (None for an infeasible assignment) is memoised by
+    assignment for the run, so the memo holds one entry per distinct
+    assignment visited.
     """
     cfg = cfg or VnsConfig()
     tables = _Tables(inst, form, include_diagonal)
@@ -123,7 +126,7 @@ def vns_solve(
             memo[key] = tables.evaluate(y0)
         return memo[key]
 
-    incumbent = greedy_initial(tables)
+    incumbent = greedy_initial(tables, evaluate)
     incumbent_value = evaluate(incumbent)[0]
 
     def local_search(y0, value):
@@ -180,8 +183,7 @@ def vns_solve(
                 truck = int(rng.integers(0, n))
                 option = int(rng.integers(0, m + 1))
                 shaken[truck] = _UNDOCKED if option == m else option
-            shaken = _repair(tables, shaken)
-            value = evaluate(shaken)[0]
+            shaken, (value, _) = _repair(tables, shaken, evaluate)
             shaken, value = local_search(shaken, value)
             if value < incumbent_value - EPS:
                 incumbent, incumbent_value = list(shaken), value

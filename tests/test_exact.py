@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -281,6 +282,31 @@ def test_budget_exhaustion_still_returns_incumbent():
     assert result.objective.total >= 0.0
 
 
+def test_max_nodes_counts_the_nodes_processed(nine_truck):
+    # the fixture CROSS-DOCK tree has 243 nodes: a budget below that stops
+    # after exactly that many nodes, a budget of 243 lets the search finish
+    full = branch_and_bound(nine_truck, CD)
+    assert full.status == "optimal" and full.nodes_explored == 243
+    for max_nodes in (1, 2, 100, 242):
+        seen = []
+        result = branch_and_bound(
+            nine_truck, CD, Budget(max_nodes=max_nodes), on_node=lambda d, b: seen.append(b)
+        )
+        assert result.status == "budget_exhausted", max_nodes
+        assert result.nodes_explored == len(seen) == max_nodes
+    result = branch_and_bound(nine_truck, CD, Budget(max_nodes=243))
+    assert result.status == "optimal"
+    assert result.nodes_explored == 243
+    assert result.objective == full.objective
+
+
+def test_time_limit_is_checked_every_256_nodes(nine_truck):
+    # an expired clock is first read before the 257th node
+    result = branch_and_bound(nine_truck, RCD, Budget(time_limit=0.0))
+    assert result.status == "budget_exhausted"
+    assert result.nodes_explored == 256
+
+
 def test_brute_force_guard():
     inst = generate(0, n=15, m=3)
     with pytest.raises(InstanceTooLargeError, match="instance_too_large"):
@@ -369,6 +395,71 @@ def test_node_bounds_admissible_in_strict_mode():
                     best = value if best is None else min(best, value)
             if best is not None:
                 assert bound <= best + 1e-9
+
+
+def _bound_from_scratch(tables, decided) -> float:
+    """A node's bound summed straight from the tables: the base, the exact
+    pair and unary terms of the docked decided trucks, and the optimistic
+    terms of every pair still open (no truck left unassigned, not both
+    decided) and of every undecided truck."""
+    dock = {truck - 1: k - 1 for truck, k in decided}  # 0 -> _UNDOCKED
+    docked = [(i, k) for i, k in sorted(dock.items()) if k != _UNDOCKED]
+    live = [u for u in range(tables.n) if dock.get(u) != _UNDOCKED]
+    bound = tables.base
+    for (i, ki), (j, kj) in itertools.combinations(docked, 2):
+        bound += tables.pair[i][j][ki][kj]
+    for i, k in docked:
+        bound += tables.unary[i][k]
+    for i, j in itertools.combinations(live, 2):
+        if i not in dock or j not in dock:
+            bound += tables.pair_opt[i][j]
+    for u in range(tables.n):
+        if u not in dock:
+            bound += tables.unary_opt[u]
+    return bound
+
+
+def _check_node_bounds(inst, rel=None) -> int:
+    """Check every node bound of a search, equal or within ``rel``; returns
+    how many nodes were checked."""
+    nodes = 0
+    for form, include_diagonal in itertools.product((CD, RCD), (False, True)):
+        tables = _Tables(inst, form, include_diagonal)
+        seen = []
+        result = branch_and_bound(
+            inst, form, include_diagonal=include_diagonal,
+            on_node=lambda decided, bound: seen.append((decided, bound)),
+        )
+        assert len(seen) == result.nodes_explored
+        for decided, bound in seen:
+            expected = _bound_from_scratch(tables, decided)
+            if rel is not None:
+                expected = pytest.approx(expected, rel=rel)
+            assert bound == expected, (inst.name, form, include_diagonal, decided)
+        nodes += len(seen)
+    return nodes
+
+
+def test_node_bounds_match_the_tables_summed_from_scratch():
+    # the incremental per-truck accumulators of the search against a plain
+    # sum over the decided and open pairs; on integer data the two agree
+    # exactly, binding capacity and strict-literal mode included
+    nodes = 0
+    for seed, (n, m), ratio in itertools.product(
+        range(3), ((3, 2), (4, 2), (5, 2), (5, 3)), (None, 0.05)
+    ):
+        nodes += _check_node_bounds(generate(seed, n, m, capacity_ratio=ratio))
+    assert nodes > 1000
+    # non-integer data: the accumulators add in another order, so the last
+    # bits may differ
+    inst = generate(1, 5, 3, capacity_ratio=0.05)
+    scaled = dataclasses.replace(
+        inst,
+        flow=[[f / 3 for f in row] for row in inst.flow],
+        penalty=[[p * 0.7 for p in row] for row in inst.penalty],
+        transfer_cost=[[c * 1.1 for c in row] for row in inst.transfer_cost],
+    )
+    assert _check_node_bounds(scaled, rel=1e-12) > 500
 
 
 def test_shape_mismatch_between_instance_and_solution():

@@ -24,10 +24,19 @@ def test_fixed_seed_gives_identical_traces(nine_truck):
 def test_zero_iterations_returns_greedy_unchanged(nine_truck):
     result = vns_solve(nine_truck, RCD, VnsConfig(iter_max=0, rng_seed=5))
     tables = _Tables(nine_truck, RCD, False)
-    greedy = greedy_initial(tables)
+    calls = []
+
+    def evaluate(y0):
+        calls.append(tuple(y0))
+        return tables.evaluate(y0)
+
+    greedy = greedy_initial(tables, evaluate)
     expected = tables.to_public(greedy)
     assert result.best.dock == expected
     assert len(result.trace) == 1
+    # the greedy start's evaluations count, plus the pricing of its result
+    assert len(calls) == 1 + nine_truck.n * nine_truck.m
+    assert result.nodes_explored == len(calls) + 1
 
 
 def test_trace_monotone_nonincreasing(nine_truck):
