@@ -19,13 +19,16 @@ search reads these tables and never branches on the model or the diagonal
 mode. Leaves are priced from the tables too: under a finite capacity, the
 table value plus the gain that the buffer forces the assignment to give up,
 chosen by the selection kernel of the subproblem module
-(:func:`crossdock.subproblem.select_items`). Only the returned solution's
-transfer set is built by the subproblem module and priced by
-``objective_value``.
+(:func:`crossdock.subproblem.select_items`). The returned solution is built
+from the same transfer decision (``_Tables.decide``) and priced by
+``objective_value``, so the value the search compares and the solution it
+returns come from one route.
 
-The brute-force oracle enumerates every assignment and always evaluates
-transfers through exhaustive subset enumeration, never the per-pair shortcut,
-so the two solvers cross-validate each other.
+The brute-force oracle enumerates every assignment, builds its transfers
+through the subproblem module by exhaustive subset enumeration (never the
+per-pair shortcut or the greedy) and prices them with ``objective_value``. It
+shares only the clash test with the tables, so the two solvers cross-validate
+each other.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ class ModelComparison:
 
 def _shipped(delta: float) -> float:
     """Net delta of an optional transfer: it ships iff it gains more than EPS,
-    the selection threshold of :func:`subproblem.select_transfers`."""
+    the threshold below which :meth:`_Tables.decide` lists no item."""
     return delta if delta < -EPS else 0.0
 
 
@@ -102,7 +105,6 @@ class _Tables:
         n, m = inst.n, inst.m
         rules = compile_rules(inst, form, include_diagonal)
         self.inst = inst
-        self.form = form
         self.diag = include_diagonal
         self.cd = form is Formulation.CROSS_DOCK
         self.n, self.m = n, m
@@ -146,8 +148,9 @@ class _Tables:
         # strict-literal self-transfers: free in CROSS-DOCK, so a constant in
         # the base; R-CROSS-DOCK ships truck i's self-flow through its own dock
         # k, a unary term unary[i][k] with optimistic value unary_opt[i]
-        # (under a finite capacity they become free_items: (i, i, gain) for
-        # each self-transfer worth more than EPS)
+        # (CROSS-DOCK's become free_items, (i, i, k, l, gain) at the cheapest
+        # dock pair (k, l) for each self-transfer worth more than EPS, which
+        # the selection picks from)
         free_self = 0.0
         self.free_items = []
         self.unary = [[0.0] * m for _ in range(n)]
@@ -155,7 +158,7 @@ class _Tables:
             min_ct = min(ct[k][l] for k in range(m) for l in range(m))
             free_self = sum(_shipped(min_ct - pf[i][i]) for i in range(n))
             self.free_items = [
-                (cp.i - 1, cp.i - 1, cp.gain)
+                (cp.i - 1, cp.i - 1, cp.k - 1, cp.l - 1, cp.gain)
                 for cp in subproblem.diagonal_candidates_crossdock(inst)
                 if cp.gain > EPS
             ]
@@ -165,7 +168,7 @@ class _Tables:
         self.base = total_penalty_constant(inst, include_diagonal) + free_self
 
         # finite capacity: the buffer intervals and density-greedy weights
-        # that evaluate() hands to the selection kernel
+        # that decide() hands to the selection kernel
         self.rules = rules
         self.footprint = [
             [subproblem.footprint(inst, i + 1, j + 1) for j in range(n)] for i in range(n)
@@ -200,77 +203,30 @@ class _Tables:
             value += self.unary[i][ki]
         return value
 
-    def build_solution(self, y0, force_enumeration: bool = False):
-        """Transfers for an assignment via the subproblem.
+    def decide(self, y0):
+        """The transfer decision of an assignment that passes
+        :meth:`first_clash`: (forced, items, picked, exact, given_up), or None
+        when the forced load overflows the buffer.
 
-        The assignment must pass :meth:`first_clash`; under R-CROSS-DOCK that
-        is the dock-conflict rule, so only a CROSS-DOCK capacity overflow is
-        left to make it infeasible (None). Returns (solution, exact) pairs;
-        exact=False marks a heuristic capacity selection.
+        ``forced`` lists the transfers that docking forces (CROSS-DOCK: every
+        docked pair; R-CROSS-DOCK: none) and ``items`` the choosable transfers
+        worth more than EPS (CROSS-DOCK: the strict-literal self-flows, at the
+        cheapest dock pair; R-CROSS-DOCK: every allowed transfer), as
+        0-based (i, j, k, l) and (i, j, k, l, gain) tuples in (i, j) order.
+        ``picked`` holds the indices of the items that
+        :func:`subproblem.select_items` ships, ``exact`` its exact flag and
+        ``given_up`` the gain of the items it leaves out.
         """
-        inst = self.inst
-        y1 = self.to_public(y0)
-        if self.cd:
-            induced = subproblem.induced_transfers_crossdock(inst, y1, self.diag)
-            if isinstance(induced, subproblem.InfeasibilityWitness):
-                return None
-            if not self.diag:
-                return induced, True
-            cands = subproblem.diagonal_candidates_crossdock(inst)
-            selected, exact, _ = subproblem.select_transfers(
-                inst,
-                cands,
-                forced=induced.transfers,
-                include_diagonal=True,
-                force_enumeration=force_enumeration,
-            )
-            transfers = induced.transfers + tuple(
-                (cp.i, cp.j, cp.k, cp.l) for cp in selected
-            )
-            return Solution(dock=y1, transfers=transfers), exact
-        sel = subproblem.optimal_transfers_rcrossdock(
-            inst, y1, include_diagonal=self.diag, force_enumeration=force_enumeration
-        )
-        return sel.solution, sel.exact
-
-    def evaluate(self, y0, force_enumeration: bool = False):
-        """(objective value, exact flag) of an assignment, or None if infeasible.
-
-        Without force_enumeration the value comes from the tables alone:
-        :meth:`fast_value`, which ships every transfer worth more than EPS,
-        plus the gain that a finite capacity forces the assignment to give
-        up. That gain is what :func:`subproblem.select_items` leaves out of
-        the choosable transfers (CROSS-DOCK: the strict-literal self-flows on
-        top of the forced load of every docked pair; R-CROSS-DOCK: every
-        allowed transfer worth more than EPS), listed in the order
-        :func:`subproblem.select_transfers` sorts by, so both pick the same
-        subset. A forced load above capacity makes a CROSS-DOCK assignment
-        infeasible. force_enumeration always routes through the subproblem's
-        exhaustive selection and objective_value (the oracle path).
-        """
-        if self.first_clash(y0) is not None:
-            return None
-        if not force_enumeration:
-            if self.inst.unbounded_capacity:
-                return self.fast_value(y0), True
-            return self._capacity_value(y0)
-        built = self.build_solution(y0, force_enumeration=True)
-        if built is None:
-            return None
-        sol, exact = built
-        total = objective_value(self.inst, sol, self.form, self.diag).total
-        return total, exact
-
-    def _capacity_value(self, y0):
-        """:meth:`evaluate` under a finite capacity, read from the tables."""
         rules = self.rules
         docked = [(i, y0[i]) for i in range(self.n) if y0[i] != _UNDOCKED]
         if self.cd:
-            base = rules.load((i + 1, j + 1) for i, _ in docked for j, _ in docked if i != j)
+            forced = [(i, j, ki, kj) for i, ki in docked for j, kj in docked if i != j]
+            base = rules.load((i + 1, j + 1) for i, j, _, _ in forced)
             if any(occ - rules.capacity > EPS for occ in base):
                 return None
             items = self.free_items
         else:
+            forced = []
             base = [0.0] * len(rules.events)
             ct, pf, allowed = rules.ct, rules.pf, rules.allowed
             items = []
@@ -278,16 +234,72 @@ class _Tables:
                 for j, kj in docked:
                     gain = pf[i][j] - ct[ki][kj]
                     if (i != j or self.diag) and gain > EPS and allowed[i][j][ki][kj]:
-                        items.append((i, j, gain))
-        gains = [gain for _, _, gain in items]
-        _, exact, kept = subproblem.select_items(
+                        items.append((i, j, ki, kj, gain))
+        gains = [item[4] for item in items]
+        picked, exact, kept = subproblem.select_items(
             gains,
-            [rules.hold[i][j] for i, j, _ in items],
+            [rules.hold[i][j] for i, j, _, _, _ in items],
             base,
             rules.capacity,
-            [self.footprint[i][j] for i, j, _ in items],
+            [self.footprint[i][j] for i, j, _, _, _ in items],
         )
-        return self.fast_value(y0) + (sum(gains) - kept), exact
+        return forced, items, picked, exact, sum(gains) - kept
+
+    def build_solution(self, y0):
+        """(solution, exact) of an assignment that passes :meth:`first_clash`,
+        built from the decision that :meth:`evaluate` prices; None when the
+        forced load overflows the buffer."""
+        decision = self.decide(y0)
+        if decision is None:
+            return None
+        forced, items, picked, exact, _ = decision
+        shipped = forced + [items[x][:4] for x in picked]
+        transfers = tuple((i + 1, j + 1, k + 1, l + 1) for i, j, k, l in shipped)
+        return Solution(dock=self.to_public(y0), transfers=transfers), exact
+
+    def evaluate(self, y0):
+        """(objective value, exact flag) of an assignment, or None if infeasible.
+
+        The value comes from the tables alone: :meth:`fast_value`, which
+        ships every transfer worth more than EPS, plus, under a finite
+        capacity, the gain that :meth:`decide` gives up. A forced load above
+        capacity makes a CROSS-DOCK assignment infeasible.
+        """
+        if self.first_clash(y0) is not None:
+            return None
+        if self.inst.unbounded_capacity:
+            return self.fast_value(y0), True
+        decision = self.decide(y0)
+        if decision is None:
+            return None
+        return self.fast_value(y0) + decision[4], decision[3]
+
+
+def _oracle_solution(tables: _Tables, y0) -> Solution | None:
+    """The subproblem module's transfer set for an assignment that passes
+    :meth:`_Tables.first_clash`, selected by exhaustive enumeration: the
+    oracle's route, independent of the tables' pricing. None when the
+    CROSS-DOCK forced load overflows the buffer."""
+    inst, diag = tables.inst, tables.diag
+    y1 = tables.to_public(y0)
+    if not tables.cd:
+        return subproblem.optimal_transfers_rcrossdock(
+            inst, y1, include_diagonal=diag, force_enumeration=True
+        ).solution
+    induced = subproblem.induced_transfers_crossdock(inst, y1, diag)
+    if isinstance(induced, subproblem.InfeasibilityWitness):
+        return None
+    if not diag:
+        return induced
+    selected, _, _ = subproblem.select_transfers(
+        inst,
+        subproblem.diagonal_candidates_crossdock(inst),
+        forced=induced.transfers,
+        include_diagonal=True,
+        force_enumeration=True,
+    )
+    transfers = induced.transfers + tuple((cp.i, cp.j, cp.k, cp.l) for cp in selected)
+    return Solution(dock=y1, transfers=transfers)
 
 
 def branch_and_bound(
@@ -435,27 +447,24 @@ def brute_force(
     start = time.perf_counter()
     options = list(range(m)) + [_UNDOCKED]
 
-    best_value = float("inf")
-    best_y = None
+    best = None
     trace = []
     nodes = 0
     for assignment in itertools.product(options, repeat=n):
         nodes += 1
-        result = tables.evaluate(list(assignment), force_enumeration=True)
-        if result is None:
+        if tables.first_clash(assignment) is not None:
             continue
-        value, _ = result
-        if value < best_value - EPS:
-            best_value = value
-            best_y = assignment
-            trace.append(value)
+        solution = _oracle_solution(tables, assignment)
+        if solution is None:
+            continue
+        breakdown = objective_value(inst, solution, form, include_diagonal)
+        if best is None or breakdown.total < best[1].total - EPS:
+            best = solution, breakdown
+            trace.append(breakdown.total)
 
-    built = tables.build_solution(list(best_y), force_enumeration=True)
-    solution, _ = built
-    breakdown = objective_value(inst, solution, form, include_diagonal)
     return OptimizeResult(
-        best=solution,
-        objective=breakdown,
+        best=best[0],
+        objective=best[1],
         proven_optimal=True,
         nodes_explored=nodes,
         wall_time=time.perf_counter() - start,

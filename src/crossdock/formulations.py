@@ -17,8 +17,9 @@ penalty p_ij * f_ij for every unserved pair.
 :func:`compile_rules` decides these rules once per (instance, formulation,
 diagonal mode) into the :class:`Rules` tables that the subproblem, the
 solvers, the conflict finder and the LP writer read. :func:`check_solution`
-and the ``residual_*`` functions restate every constraint literally; they are
-the reference the compiled tables are tested against.
+restates every constraint literally, with each violated row's left- and
+right-hand side: it is the one reference the compiled tables, the solvers
+and the conflict finder are tested against.
 """
 
 from __future__ import annotations
@@ -98,10 +99,6 @@ class ViolationReport:
         return tuple(v.constraint for v in self.violations)
 
 
-class FormulationMisuseError(ValueError):
-    """A formulation-specific operation was called with the wrong model."""
-
-
 class UnlinkedTransferError(ValueError):
     def __init__(self, i, j, k, l):
         self.indices = (i, j, k, l)
@@ -174,38 +171,6 @@ def time_margin(inst: Instance, i: int, j: int, k: int, l: int) -> float:
     return inst.d(j) - inst.a(i) - inst.t(k, l)
 
 
-def residual_pair_forcing(
-    inst: Instance,
-    sol: Solution,
-    i: int,
-    j: int,
-    k: int,
-    l: int,
-    form: Formulation = Formulation.CROSS_DOCK,
-) -> float:
-    """y_ik + y_jl - 1 - z_ijkl; violated iff > 0. CROSS-DOCK only."""
-    if form is not Formulation.CROSS_DOCK:
-        raise FormulationMisuseError("pair forcing exists only in CROSS-DOCK")
-    y_ik = 1 if sol.dock_of(i) == k else 0
-    y_jl = 1 if sol.dock_of(j) == l else 0
-    z = 1 if (i, j, k, l) in sol.transfers else 0
-    return y_ik + y_jl - 1 - z
-
-
-def residual_time_feasibility(
-    inst: Instance, sol: Solution, i: int, j: int, k: int, l: int
-) -> float:
-    """The time margin d_j - a_i - t_kl (same value for both models).
-
-    Violation semantics differ: CROSS-DOCK violates iff the transfer is
-    selected, f_ij > 0 and the margin is < 0 (open boundary); R-CROSS-DOCK
-    violates iff the transfer is selected and the margin is <= 0 (closed
-    boundary, regardless of f).
-    """
-    del sol
-    return time_margin(inst, i, j, k, l)
-
-
 def _time_violated(
     inst: Instance, form: Formulation, i: int, j: int, k: int, l: int
 ) -> bool:
@@ -213,40 +178,6 @@ def _time_violated(
     if form is Formulation.CROSS_DOCK:
         return inst.f(i, j) > EPS and margin < -EPS
     return margin <= EPS
-
-
-def residual_same_dock(
-    inst: Instance, sol: Solution, i: int, j: int, k: int, form: Formulation
-) -> float:
-    """z_ijkk minus its precedence bound; violated iff > 0.
-
-    The bound is xhat_ij + xhat_ji for CROSS-DOCK and the rectified xhat_ij
-    for R-CROSS-DOCK.
-    """
-    xhat = compute_xhat(inst)
-    z = 1 if (i, j, k, k) in sol.transfers else 0
-    if form is Formulation.CROSS_DOCK:
-        bound = xhat.get(i, j) + xhat.get(j, i)
-    else:
-        bound = xhat.get(i, j)
-    return z - bound
-
-
-def residual_dock_conflict(
-    inst: Instance,
-    sol: Solution,
-    i: int,
-    j: int,
-    k: int,
-    form: Formulation = Formulation.R_CROSS_DOCK,
-) -> float:
-    """y_ik + y_jk - 1 - xhat_ij - xhat_ji; violated iff > 0. R-CROSS-DOCK only."""
-    if form is not Formulation.R_CROSS_DOCK:
-        raise FormulationMisuseError("dock conflict exists only in R-CROSS-DOCK")
-    xhat = compute_xhat(inst)
-    y_ik = 1 if sol.dock_of(i) == k else 0
-    y_jk = 1 if sol.dock_of(j) == k else 0
-    return y_ik + y_jk - 1 - xhat.get(i, j) - xhat.get(j, i)
 
 
 def occupancy_at(
@@ -262,15 +193,6 @@ def occupancy_at(
         if inst.d(j) <= t_r + EPS:
             occ -= inst.f(i, j)
     return occ
-
-
-def residual_capacity(
-    inst: Instance, sol: Solution, r: int, include_diagonal: bool = False
-) -> float:
-    """occupancy(t_r) - C; violated iff > 0. r is 1-based in 1..2n."""
-    timeline = event_times(inst)
-    cap = inst.effective_capacity(include_diagonal)
-    return occupancy_at(inst, sol, timeline.at(r), include_diagonal) - cap
 
 
 def check_solution(
@@ -529,15 +451,9 @@ __all__ = [
     "ConstraintId",
     "Violation",
     "ViolationReport",
-    "FormulationMisuseError",
     "UnlinkedTransferError",
     "objective_value",
     "check_solution",
-    "residual_pair_forcing",
-    "residual_time_feasibility",
-    "residual_same_dock",
-    "residual_dock_conflict",
-    "residual_capacity",
     "occupancy_at",
     "time_margin",
     "Rules",

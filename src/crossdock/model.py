@@ -200,12 +200,6 @@ class Solution:
         """1-based dock of truck i, or 0 when unassigned."""
         return self.dock[i - 1]
 
-    def is_docked(self, i: int) -> bool:
-        return self.dock[i - 1] != UNASSIGNED
-
-    def docked_trucks(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, k in enumerate(self.dock) if k != UNASSIGNED)
-
 
 @dataclass(frozen=True)
 class ObjectiveBreakdown:

@@ -5,8 +5,9 @@ single-reassignment (N_1) and pairwise-swap (N_2) local search, move and
 reset k on strict improvement, otherwise grow k. Candidates are priced by
 ``exact._Tables.evaluate``, which B&B shares, and each distinct assignment is
 priced once per run: later visits read a memo. The final incumbent's
-transfers are built through the subproblem, so the result is a feasible
-solution of the chosen formulation. Deterministic for a fixed seed; the RNG
+transfers are built by ``_Tables.build_solution`` from the decision that
+priced it, so the result is a feasible solution of the chosen formulation
+with the value the search compared. Deterministic for a fixed seed; the RNG
 algorithm identifier is recorded in the result.
 """
 

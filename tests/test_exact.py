@@ -14,9 +14,15 @@ from crossdock.exact import (
     _Tables,
     _UNDOCKED,
 )
-from crossdock.formulations import Formulation, check_solution, objective_value
+from crossdock.formulations import (
+    Formulation,
+    check_solution,
+    compile_rules,
+    objective_value,
+)
 from crossdock.instance_io import generate
 from crossdock.model import Instance, Solution, total_penalty_constant
+from crossdock.vns import VnsConfig, vns_solve
 
 CD = Formulation.CROSS_DOCK
 RCD = Formulation.R_CROSS_DOCK
@@ -143,11 +149,36 @@ def _gain_within_eps() -> Instance:
     )
 
 
+def _built_by_subproblem(tables, y0):
+    """(solution, exact) that the subproblem functions build for a clash-free
+    assignment, or None when the CROSS-DOCK forced load overflows: the slow
+    twin of ``tables.build_solution``, which never reads the tables."""
+    inst, include_diagonal = tables.inst, tables.diag
+    dock = tables.to_public(y0)
+    if not tables.cd:
+        sel = subproblem.optimal_transfers_rcrossdock(inst, dock, include_diagonal)
+        return sel.solution, sel.exact
+    induced = subproblem.induced_transfers_crossdock(inst, dock, include_diagonal)
+    if isinstance(induced, subproblem.InfeasibilityWitness):
+        return None
+    if not include_diagonal:
+        return induced, True
+    selected, exact, _ = subproblem.select_transfers(
+        inst,
+        subproblem.diagonal_candidates_crossdock(inst),
+        forced=induced.transfers,
+        include_diagonal=True,
+    )
+    free = tuple((cp.i, cp.j, cp.k, cp.l) for cp in selected)
+    return Solution(dock=dock, transfers=induced.transfers + free), exact
+
+
 def _check_evaluate_against_built(inst, assignments) -> tuple[int, int]:
     """Assert that ``evaluate`` agrees with objective_value of the solution
-    ``build_solution`` builds, for every assignment in both models and
-    diagonal modes. Returns how many values capacity changed from the
-    uncapped table value (an overflow included) and how many were inexact."""
+    the subproblem functions build, and that ``build_solution`` builds that
+    very solution, for every assignment in both models and diagonal modes.
+    Returns how many values capacity changed from the uncapped table value
+    (an overflow included) and how many were inexact."""
     changed = inexact = 0
     for form, include_diagonal in itertools.product((CD, RCD), (False, True)):
         tables = _Tables(inst, form, include_diagonal)
@@ -157,8 +188,9 @@ def _check_evaluate_against_built(inst, assignments) -> tuple[int, int]:
             if tables.first_clash(y0) is not None:
                 assert result is None
                 continue
-            built = tables.build_solution(y0)
+            built = _built_by_subproblem(tables, y0)
             where = (inst.name, inst.capacity, form, include_diagonal, y0)
+            assert tables.build_solution(y0) == built, where
             assert (result is None) == (built is None), where
             if built is None:  # the forced transfers overflow the buffer
                 changed += 1
@@ -177,7 +209,9 @@ def test_fast_path_matches_the_built_solution():
     # with capacity unbounded, the table value of every feasible assignment
     # equals objective_value of the transfer set the subproblem builds for it,
     # self-transfer terms and gains within EPS included
-    instances = [generate(seed, n=3, m=2) for seed in range(4)] + [_gain_within_eps()]
+    instances = [
+        generate(seed, n, m) for seed in range(4) for n, m in ((1, 1), (2, 1), (3, 2))
+    ] + [_gain_within_eps()]
     for inst in instances:
         options = list(range(inst.m)) + [_UNDOCKED]
         assignments = list(itertools.product(options, repeat=inst.n))
@@ -195,8 +229,9 @@ def test_capacity_value_matches_the_built_solution(limit, nine_truck, monkeypatc
     if limit is not None:
         monkeypatch.setattr(subproblem, "EXACT_SELECTION_LIMIT", limit)
     changed = inexact = 0
-    for seed, n, ratio in itertools.product(range(3), (3, 4), (0.05, 0.1)):
-        inst = generate(seed, n, 2, capacity_ratio=ratio)
+    shapes = ((1, 1), (2, 1), (3, 2), (4, 2))
+    for seed, (n, m), ratio in itertools.product(range(3), shapes, (0.05, 0.1)):
+        inst = generate(seed, n, m, capacity_ratio=ratio)
         options = list(range(inst.m)) + [_UNDOCKED]
         counts = _check_evaluate_against_built(
             inst, list(itertools.product(options, repeat=n))
@@ -215,6 +250,27 @@ def test_capacity_value_matches_the_built_solution(limit, nine_truck, monkeypatc
     assert changed > 0, "capacity never changes a value; the test is vacuous"
     if limit is not None:
         assert inexact > 0, "the greedy path never ran"
+
+
+@pytest.mark.parametrize("form", [CD, RCD])
+def test_searches_compile_one_rule_set_and_call_no_subproblem(form, monkeypatch):
+    # B&B and VNS price and build every solution from one set of tables: in
+    # strict-literal mode under a binding capacity they compile the rules
+    # once and never reach the subproblem's transfer builders
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the search called the subproblem")
+
+    for name in (
+        "induced_transfers_crossdock", "optimal_transfers_rcrossdock", "select_transfers"
+    ):
+        monkeypatch.setattr(subproblem, name, unreachable)
+    inst = generate(0, 6, 2, capacity_ratio=0.05)
+    compile_rules.cache_clear()
+    bb = branch_and_bound(inst, form, include_diagonal=True)
+    heuristic = vns_solve(inst, form, VnsConfig(iter_max=3), include_diagonal=True)
+    assert bb.status in ("optimal", "completed_heuristic")
+    assert heuristic.objective.total >= bb.objective.total
+    assert compile_rules.cache_info().misses == 1
 
 
 def test_search_is_deterministic():

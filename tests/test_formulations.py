@@ -2,16 +2,12 @@ import pytest
 
 from crossdock.formulations import (
     ConstraintFamily,
+    ConstraintId,
     Formulation,
-    FormulationMisuseError,
     UnlinkedTransferError,
     check_solution,
     objective_value,
-    residual_capacity,
-    residual_dock_conflict,
-    residual_pair_forcing,
-    residual_same_dock,
-    residual_time_feasibility,
+    time_margin,
 )
 from crossdock.instance_io import generate
 from crossdock.model import Instance, Solution
@@ -94,25 +90,34 @@ def _feasible_dock(inst, seed):
         dock[max(i, j) - 1] = 0
 
 
+def _row(inst, sol, form, family, indices):
+    """(lhs, rhs) of the violated check_solution row, or None if it holds."""
+    for v in check_solution(inst, sol, form).violations:
+        if v.constraint == ConstraintId(family, indices):
+            return v.lhs, v.rhs
+    return None
+
+
 class TestResiduals:
+    """Each constraint's residual as check_solution states it: the lhs and
+    rhs of the violated row, or no row where the constraint holds."""
+
     def test_pair_forcing_published_case(self, nine_truck, s_prime_star):
-        assert residual_pair_forcing(nine_truck, s_prime_star, 1, 2, 1, 2) == 1
-        assert residual_pair_forcing(nine_truck, Solution.empty(9), 1, 2, 1, 2) == -1
+        forcing = ConstraintFamily.PAIR_FORCING
+        assert _row(nine_truck, s_prime_star, CD, forcing, (1, 2, 1, 2)) == (2, 1)
+        assert _row(nine_truck, Solution.empty(9), CD, forcing, (1, 2, 1, 2)) is None
 
     def test_pair_forcing_satisfied_in_s_star(self, nine_truck, s_star):
-        assert residual_pair_forcing(nine_truck, s_star, 1, 3, 1, 2) == 0
+        forcing = ConstraintFamily.PAIR_FORCING
+        assert _row(nine_truck, s_star, CD, forcing, (1, 3, 1, 2)) is None
 
-    def test_pair_forcing_wrong_formulation(self, nine_truck, s_star):
-        with pytest.raises(FormulationMisuseError):
-            residual_pair_forcing(nine_truck, s_star, 1, 3, 1, 2, form=RCD)
+    def test_pair_forcing_wrong_formulation(self, nine_truck, s_prime_star):
+        forcing = ConstraintFamily.PAIR_FORCING
+        assert _row(nine_truck, s_prime_star, RCD, forcing, (1, 2, 1, 2)) is None
 
-    def test_time_margin_values(self, nine_truck, s_prime_star):
-        assert residual_time_feasibility(
-            nine_truck, s_prime_star, 1, 2, 1, 2
-        ) == pytest.approx(-0.01, abs=1e-9)
-        assert residual_time_feasibility(
-            nine_truck, s_prime_star, 4, 3, 2, 1
-        ) == pytest.approx(0.48, abs=1e-9)
+    def test_time_margin_values(self, nine_truck):
+        assert time_margin(nine_truck, 1, 2, 1, 2) == pytest.approx(-0.01, abs=1e-9)
+        assert time_margin(nine_truck, 4, 3, 2, 1) == pytest.approx(0.48, abs=1e-9)
 
     def test_same_dock_boundary_asymmetry(self):
         # truck 2 departs before truck 1 arrives: xhat_12 = 0, xhat_21 = 1.
@@ -129,37 +134,42 @@ class TestResiduals:
             penalty=((0.0, 1.0), (1.0, 0.0)),
             capacity=None,
         )
+        same_dock = ConstraintFamily.SAME_DOCK_TW
         sol = Solution(dock=(1, 1), transfers=((1, 2, 1, 1),))
-        assert residual_same_dock(inst, sol, 1, 2, 1, CD) == 0
-        assert residual_same_dock(inst, sol, 1, 2, 1, RCD) == 1
+        assert _row(inst, sol, CD, same_dock, (1, 2, 1)) is None
+        assert _row(inst, sol, RCD, same_dock, (1, 2, 1)) == (1, 0)
         empty = Solution.empty(2)
-        assert residual_same_dock(inst, empty, 1, 2, 1, CD) <= 0
-        assert residual_same_dock(inst, empty, 1, 2, 1, RCD) <= 0
+        assert _row(inst, empty, CD, same_dock, (1, 2, 1)) is None
+        assert _row(inst, empty, RCD, same_dock, (1, 2, 1)) is None
 
     def test_s_star_has_no_same_dock_transfers(self, s_star):
         assert all(k != l for (_, _, k, l) in s_star.transfers)
 
     def test_dock_conflict_cases(self, nine_truck, s_prime_star):
+        conflict = ConstraintFamily.DOCK_CONFLICT
         # trucks 1 and 3 share dock 1 with xhat_13 = 1: allowed
-        assert residual_dock_conflict(nine_truck, s_prime_star, 1, 3, 1) <= 0
-        # overlapping trucks 1 and 2 on one dock: violated
+        assert _row(nine_truck, s_prime_star, RCD, conflict, (1, 3, 1)) is None
+        # overlapping trucks 1 and 2 on one dock: violated, in R-CROSS-DOCK only
         both = Solution(dock=(1, 1, 0, 0, 0, 0, 0, 0, 0))
-        assert residual_dock_conflict(nine_truck, both, 1, 2, 1) == 1
-        assert residual_dock_conflict(nine_truck, Solution.empty(9), 1, 2, 1) <= 0
-        with pytest.raises(FormulationMisuseError):
-            residual_dock_conflict(nine_truck, both, 1, 2, 1, form=CD)
+        assert _row(nine_truck, both, RCD, conflict, (1, 2, 1)) == (2, 1)
+        assert _row(nine_truck, both, CD, conflict, (1, 2, 1)) is None
+        assert _row(nine_truck, Solution.empty(9), RCD, conflict, (1, 2, 1)) is None
 
     def test_capacity_residuals_hand_case(self):
         inst = tiny_two_truck(capacity=4.0)
         sol = Solution(dock=(1, 1), transfers=((1, 2, 1, 1),))
         # truck 1 arrives at 0, truck 2 departs at 3: five pallets sit in the
         # buffer at events 1..3 (t = 0, 1, 2)
-        assert residual_capacity(inst, sol, 1) == 1.0
-        assert residual_capacity(inst, sol, 4) == -4.0
-        five = tiny_two_truck(capacity=5.0)
-        assert residual_capacity(five, sol, 1) == 0.0
-        empty = Solution.empty(2)
-        assert residual_capacity(inst, empty, 2) == -4.0
+        capacity = ConstraintFamily.CAPACITY
+        for form in (CD, RCD):
+            for r in (1, 2, 3):
+                assert _row(inst, sol, form, capacity, (r,)) == (5.0, 4.0)
+            assert _row(inst, sol, form, capacity, (4,)) is None
+            five = tiny_two_truck(capacity=5.0)
+            rows = check_solution(five, sol, form).constraint_ids()
+            assert all(c.family != capacity for c in rows)
+            empty = Solution.empty(2)
+            assert _row(inst, empty, form, capacity, (2,)) is None
 
 
 class TestCheckSolution:

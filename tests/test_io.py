@@ -141,5 +141,3 @@ def test_generator_capacity_ratio():
 def test_unassigned_marker_is_zero():
     sol = Solution.empty(3)
     assert sol.dock == (0, 0, 0)
-    assert not sol.is_docked(1)
-    assert sol.docked_trucks() == ()

@@ -12,7 +12,6 @@ from crossdock.formulations import (
     check_solution,
     compile_rules,
     occupancy_at,
-    residual_same_dock,
 )
 from crossdock.instance_io import generate, load_fixture_instance
 from crossdock.model import Instance, Solution, event_times
@@ -128,8 +127,16 @@ def test_pair_tables_match_the_checker(form, include_diagonal):
             conflict = ConstraintFamily.DOCK_CONFLICT in _families(report)
             assert rules.overlap[i - 1][j - 1] == conflict, (inst.name, i, j)
             if i != j:
-                bound = -residual_same_dock(inst, idle, i, j, 1, form)
-                assert rules.same_dock_bound[i - 1][j - 1] == bound, (inst.name, i, j)
+                # the checker's row for a same-dock transfer states the bound
+                # whenever it binds (below 1)
+                one = Solution(dock=dock, transfers=((i, j, 1, 1),))
+                rows = [
+                    (v.lhs, v.rhs)
+                    for v in check_solution(inst, one, form).violations
+                    if v.constraint.family is ConstraintFamily.SAME_DOCK_TW
+                ]
+                bound = rules.same_dock_bound[i - 1][j - 1]
+                assert rows == ([(1, bound)] if bound < 1 else []), (inst.name, i, j)
 
 
 @pytest.mark.parametrize("form,include_diagonal", MODES)
