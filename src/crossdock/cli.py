@@ -8,6 +8,7 @@ its own line.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -44,6 +45,18 @@ def _capacity_arg(text: str):
         raise argparse.ArgumentTypeError(
             f"capacity must be a number or 'unbounded', got {text!r}"
         )
+
+
+def _time_limit_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0:  # NaN fails this too
+        raise argparse.ArgumentTypeError(
+            f"time limit must be a number of seconds >= 0, got {text!r}"
+        )
+    return value
 
 
 def _load_instance(path: str, capacity=_KEEP_CAPACITY):
@@ -205,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["bnb", "brute", "vns"], default="bnb")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--capacity", type=_capacity_arg, default=_KEEP_CAPACITY)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_time_limit_arg, default=None)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("check", help="check a solution file against a model")
@@ -217,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="solve both models and report the gap")
     p.add_argument("instance")
     p.add_argument("--capacity", type=_capacity_arg, default=_KEEP_CAPACITY)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_time_limit_arg, default=None)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("diagnose", help="explain why an assignment is infeasible")
@@ -248,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", type=_capacity_arg, default=_FIXTURE_CAPACITY)
     p.add_argument(
         "--time-limit",
-        type=float,
+        type=_time_limit_arg,
         default=600.0,
         help="budget per exact solve in seconds (default 600)",
     )

@@ -5,9 +5,12 @@ docks ascending with "unassigned" last. Nodes are pruned by an admissible
 bound: the all-penalties constant, plus the exact net contribution of every
 fully decided truck pair, plus an optimistic (capacity-ignoring) contribution
 for every undecided pair. Every undecided truck carries an accumulator of its
-exact pair sum with the docked decided trucks at each dock, so a child is
-priced from one entry and passes on one pair row per later truck: O(m) work
-per undecided truck, not a sum over the decided ones. ``_Tables`` derives
+exact pair sum with the docked decided trucks at each dock, kept in one flat
+list per level with the truck branched on next in the last block. A child is
+priced from one entry; a docked child adds one precomputed flat pair row to
+the list in a single pass, O(m) work per undecided truck and not a sum over
+the decided ones, and an unassigned child shares its parent's list, since no
+list is written after it is built. ``_Tables`` derives
 from the compiled rules (:func:`crossdock.formulations.compile_rules`) one
 entry per decision the search makes: one number per pair of docked trucks,
 what the pair adds in both directions, infinite where the two may not both
@@ -311,12 +314,17 @@ def branch_and_bound(
 ) -> OptimizeResult:
     """Depth-first branch and bound over dock assignments.
 
-    Each level keeps one accumulator per undecided truck: its exact ``pair``
-    sum with the docked decided trucks at each dock, and the ``pair_opt`` sum
-    over the same pairs in a last column. A child prices itself from its
-    truck's accumulator and, if entered, adds the truck's precomputed pair
-    row to the accumulators of the later trucks, so each child costs O(m)
-    per undecided truck, whatever the depth. ``nodes_explored`` counts the
+    Each level keeps m + 1 accumulators per undecided truck: its exact
+    ``pair`` sum with the docked decided trucks at each dock, and the
+    ``pair_opt`` sum over the same pairs. They sit in one flat list, the
+    latest-branched truck's block first, so the block of the truck decided at
+    this level is the last one. A child prices itself from that block. A
+    docked child adds the truck's precomputed flat pair row to the list,
+    which covers every block but the last, so each child costs O(m) per
+    undecided truck, whatever the depth. An unassigned child adds nothing and
+    takes its parent's list as it is: lists are never written once built, so
+    sharing one is safe, and a shared list's extra trailing blocks are never
+    read. ``nodes_explored`` counts the
     nodes processed: ``Budget(max_nodes=K)`` processes at most K, and a time
     limit is checked before every 256th further node.
 
@@ -344,11 +352,19 @@ def branch_and_bound(
     bound_at_root = base + tables.root_opt_rest()
     order, pair, pair_opt = tables.order, tables.pair, tables.pair_opt
     unary, unary_opt = tables.unary, tables.unary_opt
-    # push[idx][k]: what docking order[idx] at k adds to each later truck's
-    # accumulator; skip[idx]: the optimistic terms that leaving it
-    # unassigned removes, subtracted left to right
+    # order[idx]'s accumulator block sits at offset (m + 1) * (n - 1 - idx);
+    # push[idx][k]: what docking order[idx] at k adds to the later trucks'
+    # blocks, in the same latest-first layout; skip[idx]: the optimistic
+    # terms that leaving it unassigned removes, subtracted left to right
     push = [
-        [[pair[u][v][k] + [pair_opt[u][v]] for v in order[idx + 1 :]] for k in range(m)]
+        [
+            [
+                x
+                for v in reversed(order[idx + 1 :])
+                for x in pair[u][v][k] + [pair_opt[u][v]]
+            ]
+            for k in range(m)
+        ]
         for idx, u in enumerate(order)
     ]
     skip = [
@@ -385,28 +401,31 @@ def branch_and_bound(
                     trace.append(value)
             return
         u = order[idx]
-        acc_u, rest = accs[0], accs[1:]
+        at = (m + 1) * (n - 1 - idx)
         unary_u = unary[u]
 
-        opt_rest2 = opt_rest - acc_u[m]
+        opt_rest2 = opt_rest - accs[at + m]
         docked_rest = opt_rest2 - unary_opt[u]
         for k, push_k in enumerate(push[idx]):
-            # a clash with a decided truck left acc_u[k] infinite: never entered
-            committed2 = committed + acc_u[k] + unary_u[k]
+            # a clash with a decided truck left accs[at + k] infinite: never
+            # entered
+            committed2 = committed + accs[at + k] + unary_u[k]
             if base + committed2 + docked_rest < best_value - EPS:
                 y0[u] = k
-                accs2 = [list(map(operator.add, a, r)) for a, r in zip(rest, push_k)]
+                # map stops at the shorter push row, dropping u's own block
+                accs2 = list(map(operator.add, accs, push_k))
                 recurse(idx + 1, committed2, docked_rest, accs2)
                 y0[u] = _UNDOCKED
                 if stopped:
                     return
 
-        # leave truck u unassigned: its pairs contribute exactly zero
+        # leave truck u unassigned: its pairs contribute exactly zero, and no
+        # accumulator list is written once built, so the child shares this one
         opt_rest2 = functools.reduce(operator.sub, skip[idx], opt_rest2)
         if base + committed + opt_rest2 < best_value - EPS:
-            recurse(idx + 1, committed, opt_rest2, rest)
+            recurse(idx + 1, committed, opt_rest2, accs)
 
-    recurse(0, 0.0, tables.root_opt_rest(), [[0.0] * (m + 1) for _ in range(n)])
+    recurse(0, 0.0, tables.root_opt_rest(), [0.0] * ((m + 1) * n))
 
     completed = not stopped
     built = tables.build_solution(list(best_y))

@@ -14,6 +14,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 EPS = 1e-9
@@ -259,7 +260,15 @@ def validation_issues(inst: Instance) -> list[ValidationIssue]:
     ):
         for r, row in enumerate(rows):
             for s, x in enumerate(row):
-                if x < -EPS:
+                if math.isnan(x):
+                    issues.append(
+                        ValidationIssue(
+                            "not_a_number",
+                            (r + 1, s + 1),
+                            f"{name}[{r + 1}][{s + 1}] is NaN",
+                        )
+                    )
+                elif x < -EPS:
                     issues.append(
                         ValidationIssue(
                             "negative_entry",
@@ -267,13 +276,29 @@ def validation_issues(inst: Instance) -> list[ValidationIssue]:
                             f"{name}[{r + 1}][{s + 1}] = {x} is negative",
                         )
                     )
-    if inst.capacity is not None and inst.capacity <= EPS:
+    # a NaN capacity passes the positivity test, so finiteness comes first;
+    # an unbounded capacity is None ("unbounded" in files), never inf
+    if inst.capacity is not None and not math.isfinite(inst.capacity):
+        issues.append(
+            ValidationIssue(
+                "nonfinite_capacity",
+                (),
+                f"capacity {inst.capacity} must be finite (use 'unbounded')",
+            )
+        )
+    elif inst.capacity is not None and inst.capacity <= EPS:
         issues.append(
             ValidationIssue(
                 "nonpositive_capacity", (), f"capacity {inst.capacity} must be positive"
             )
         )
 
+    for name, times in (("arrival", inst.arrival), ("departure", inst.departure)):
+        for i, x in enumerate(times, start=1):
+            if math.isnan(x):
+                issues.append(
+                    ValidationIssue("not_a_number", (i,), f"{name}[{i}] is NaN")
+                )
     for i in range(1, n + 1):
         if inst.a(i) >= inst.d(i) - EPS:
             issues.append(

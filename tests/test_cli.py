@@ -152,6 +152,31 @@ def test_solve_capacity_override(fixture_paths, capsys):
     assert "status:" in out
 
 
+@pytest.mark.parametrize("capacity", ["nan", "inf"])
+def test_solve_rejects_a_non_finite_capacity(fixture_paths, capsys, capacity):
+    code = main([
+        "solve", fixture_paths["miao_example.json"], "--model", "r-crossdock",
+        "--capacity", capacity,
+    ])
+    assert code == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "soon"])
+@pytest.mark.parametrize("command", ["solve", "compare", "reproduce-note"])
+def test_time_limit_must_be_a_nonnegative_number(fixture_paths, capsys, command, value):
+    # a NaN limit would never be exceeded, so the budget would be ignored
+    argv = [command]
+    if command != "reproduce-note":
+        argv.append(fixture_paths["miao_example.json"])
+    if command == "solve":
+        argv += ["--model", "crossdock"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--time-limit", value])
+    assert exit_info.value.code == 2
+    assert "time limit must be a number of seconds >= 0" in capsys.readouterr().err
+
+
 def test_gen_is_deterministic_and_valid(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     main(["gen", "--seed", "9", "--n", "3", "--m", "2", "--out", str(p1)])

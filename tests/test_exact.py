@@ -425,6 +425,20 @@ def test_reference_optima_frozen(nine_truck):
     assert check_solution(nine_truck, rcd.best, RCD).feasible
 
 
+def test_strict_literal_reference_optima_frozen(nine_truck):
+    # strict-literal (self-flows included), the figures of
+    # perfbench/references.json; they come from branch and bound alone (the
+    # LP export covers the default mode only), so this pins regressions of
+    # the search itself
+    cd = branch_and_bound(nine_truck, CD, include_diagonal=True)
+    rcd = branch_and_bound(nine_truck, RCD, include_diagonal=True)
+    assert cd.proven_optimal and rcd.proven_optimal
+    assert cd.objective.total == 1_584_704.0
+    assert rcd.objective.total == 1_366_810.0
+    assert check_solution(nine_truck, cd.best, CD, True).feasible
+    assert check_solution(nine_truck, rcd.best, RCD, True).feasible
+
+
 def test_node_bounds_admissible_in_strict_mode():
     inst = generate(8, n=3, m=2)
     for form in (CD, RCD):
@@ -506,6 +520,10 @@ def test_node_bounds_match_the_tables_summed_from_scratch():
     ):
         nodes += _check_node_bounds(generate(seed, n, m, capacity_ratio=ratio))
     assert nodes > 1000
+    # deeper trees: many accumulator block offsets, and runs of unassigned
+    # children that share their parent's accumulator list
+    assert _check_node_bounds(generate(0, 8, 3)) > 1000
+    assert _check_node_bounds(generate(1, 8, 3, capacity_ratio=0.05)) > 1000
     # non-integer data: the accumulators add in another order, so the last
     # bits may differ
     inst = generate(1, 5, 3, capacity_ratio=0.05)

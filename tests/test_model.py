@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from crossdock.instance_io import generate
@@ -67,6 +69,51 @@ def test_flow_against_departed_truck_is_an_error():
     )
     issues = validation_issues(inst)
     assert [(v.code, v.indices) for v in issues] == [("flow_vs_time", (1, 2))]
+
+
+NAN = float("nan")
+
+
+def _two_trucks(**changes) -> Instance:
+    fields = dict(
+        n=2,
+        m=2,
+        arrival=(0.0, 1.0),
+        departure=(2.0, 3.0),
+        transfer_time=((0.0, 1.0), (1.0, 0.0)),
+        transfer_cost=((0.0, 1.0), (1.0, 0.0)),
+        flow=((0.0, 4.0), (0.0, 0.0)),
+        penalty=((0.0, 5.0), (0.0, 0.0)),
+        capacity=10.0,
+    )
+    fields.update(changes)
+    return Instance(**fields)
+
+
+@pytest.mark.parametrize(
+    "changes, issue",
+    [
+        ({"arrival": (NAN, 1.0)}, ("not_a_number", (1,))),
+        ({"departure": (2.0, NAN)}, ("not_a_number", (2,))),
+        ({"transfer_time": ((0.0, NAN), (1.0, 0.0))}, ("not_a_number", (1, 2))),
+        ({"transfer_cost": ((0.0, 1.0), (NAN, 0.0))}, ("not_a_number", (2, 1))),
+        ({"flow": ((0.0, NAN), (0.0, 0.0))}, ("not_a_number", (1, 2))),
+        ({"penalty": ((NAN, 5.0), (0.0, 0.0))}, ("not_a_number", (1, 1))),
+        ({"capacity": NAN}, ("nonfinite_capacity", ())),
+        ({"capacity": math.inf}, ("nonfinite_capacity", ())),
+    ],
+    ids=[
+        "arrival", "departure", "transfer_time", "transfer_cost", "flow",
+        "penalty", "capacity_nan", "capacity_inf",
+    ],
+)
+def test_non_finite_numbers_are_rejected(changes, issue):
+    # NaN fails every comparison, so the sign, window and capacity checks
+    # alone let it through
+    inst = _two_trucks(**changes)
+    assert [(v.code, v.indices) for v in validation_issues(inst)] == [issue]
+    with pytest.raises(InvalidInstanceError):
+        validate_instance(inst)
 
 
 def test_xhat_on_reference_instance(nine_truck):
