@@ -9,11 +9,9 @@ cross-validation.
 from .model import (
     EPS,
     UNASSIGNED,
-    EventTimeline,
     Instance,
     InvalidInstanceError,
     ObjectiveBreakdown,
-    Precedence,
     Solution,
     ValidationIssue,
     compute_xhat,

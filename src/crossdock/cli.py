@@ -47,16 +47,33 @@ def _capacity_arg(text: str):
         )
 
 
-def _time_limit_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not value >= 0:  # NaN fails this too
-        raise argparse.ArgumentTypeError(
-            f"time limit must be a number of seconds >= 0, got {text!r}"
-        )
-    return value
+def _number_arg(convert, ok, what: str):
+    """An argparse type that parses with ``convert`` and accepts a value iff
+    ``ok`` holds; text that does not parse counts as NaN, which fails every
+    comparison and so every ``ok`` below."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_time_limit_arg = _number_arg(
+    float, lambda v: v >= 0, "time limit must be a number of seconds >= 0"
+)
+_count_arg = _number_arg(int, lambda v: v >= 1, "must be an integer >= 1")
+_capacity_ratio_arg = _number_arg(
+    float, lambda v: 0 < v < math.inf, "capacity ratio must be a finite number > 0"
+)
+_flow_density_arg = _number_arg(
+    float, lambda v: 0 <= v <= 1, "flow density must be a number in [0, 1]"
+)
 
 
 def _load_instance(path: str, capacity=_KEEP_CAPACITY):
@@ -140,7 +157,7 @@ def _cmd_compare(args) -> int:
     print(f"relative gap percent: {format_number(comparison.relative_gap_percent)}")
     print(
         "r-crossdock optimum under crossdock: "
-        + ("FEASIBLE" if not comparison.rcd_infeasible_under_cd else "INFEASIBLE")
+        + ("FEASIBLE" if comparison.rcd_best_under_cd.feasible else "INFEASIBLE")
     )
     print(f"wall_time: {cd.wall_time + rcd.wall_time:.3f}s")
     return 0
@@ -247,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--flow-density", type=float, default=1.0)
-    p.add_argument("--capacity-ratio", type=float, default=None)
+    p.add_argument("--n", type=_count_arg, default=4)
+    p.add_argument("--m", type=_count_arg, default=2)
+    p.add_argument("--flow-density", type=_flow_density_arg, default=1.0)
+    p.add_argument("--capacity-ratio", type=_capacity_ratio_arg, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 

@@ -73,13 +73,16 @@ class Budget:
 class OptimizeResult:
     best: Solution
     objective: ObjectiveBreakdown
-    proven_optimal: bool
     nodes_explored: int
     wall_time: float
     bound_at_root: float
     status: str = "optimal"
     trace: tuple[float, ...] = ()
     rng_algorithm: str | None = None
+
+    @property
+    def proven_optimal(self) -> bool:
+        return self.status == "optimal"
 
 
 @dataclass(frozen=True)
@@ -90,14 +93,10 @@ class ModelComparison:
     relative_gap_percent: float
     rcd_best_under_cd: ViolationReport
 
-    @property
-    def rcd_infeasible_under_cd(self) -> bool:
-        return not self.rcd_best_under_cd.feasible
-
 
 def _shipped(delta: float) -> float:
     """Net delta of an optional transfer: it ships iff it gains more than EPS,
-    the threshold below which :meth:`_Tables.decide` lists no item."""
+    so :meth:`_Tables.decide` lists an item wherever this is negative."""
     return delta if delta < -EPS else 0.0
 
 
@@ -135,6 +134,7 @@ class _Tables:
                     if ok:
                         opt[i][j] = min(opt[i][j], value)
                     half[i][j][k][l] = value if ok else math.inf
+        self.half = half
 
         # one number per truck pair and dock pair, read by the search from
         # either truck's side: pair[i][j][k][l] == pair[j][i][l][k]
@@ -153,13 +153,10 @@ class _Tables:
         # k, a unary term unary[i][k] with optimistic value unary_opt[i]
         # (CROSS-DOCK's become free_items, (i, i, k, l, gain) at the cheapest
         # dock pair (k, l) for each self-transfer worth more than EPS, which
-        # the selection picks from)
-        free_self = 0.0
+        # the selection picks from; the base ships them all)
         self.free_items = []
         self.unary = [[0.0] * m for _ in range(n)]
         if include_diagonal and self.cd:
-            min_ct = min(ct[k][l] for k in range(m) for l in range(m))
-            free_self = sum(_shipped(min_ct - pf[i][i]) for i in range(n))
             self.free_items = [
                 (cp.i - 1, cp.i - 1, cp.k - 1, cp.l - 1, cp.gain)
                 for cp in subproblem.diagonal_candidates_crossdock(inst)
@@ -168,14 +165,10 @@ class _Tables:
         elif include_diagonal:
             self.unary = [[_shipped(ct[k][k] - pf[i][i]) for k in range(m)] for i in range(n)]
         self.unary_opt = [min(row) for row in self.unary]
-        self.base = total_penalty_constant(inst, include_diagonal) + free_self
-
-        # finite capacity: the buffer intervals and density-greedy weights
-        # that decide() hands to the selection kernel
+        self.base = total_penalty_constant(inst, include_diagonal) - sum(
+            item[4] for item in self.free_items
+        )
         self.rules = rules
-        self.footprint = [
-            [subproblem.footprint(inst, i + 1, j + 1) for j in range(n)] for i in range(n)
-        ]
 
     def root_opt_rest(self) -> float:
         total = sum(
@@ -214,11 +207,12 @@ class _Tables:
         ``forced`` lists the transfers that docking forces (CROSS-DOCK: every
         docked pair; R-CROSS-DOCK: none) and ``items`` the choosable transfers
         worth more than EPS (CROSS-DOCK: the strict-literal self-flows, at the
-        cheapest dock pair; R-CROSS-DOCK: every allowed transfer), as
-        0-based (i, j, k, l) and (i, j, k, l, gain) tuples in (i, j) order.
-        ``picked`` holds the indices of the items that
-        :func:`subproblem.select_items` ships, ``exact`` its exact flag and
-        ``given_up`` the gain of the items it leaves out.
+        cheapest dock pair; R-CROSS-DOCK: every transfer whose ``half`` or
+        ``unary`` entry is negative, gaining minus that entry), as 0-based
+        (i, j, k, l) and (i, j, k, l, gain) tuples in (i, j) order. ``picked``
+        holds the indices of the items that :func:`subproblem.select_items`
+        ships, ``exact`` its exact flag and ``given_up`` the gain of the items
+        it leaves out.
         """
         rules = self.rules
         docked = [(i, y0[i]) for i in range(self.n) if y0[i] != _UNDOCKED]
@@ -231,20 +225,20 @@ class _Tables:
         else:
             forced = []
             base = [0.0] * len(rules.events)
-            ct, pf, allowed = rules.ct, rules.pf, rules.allowed
+            half, unary = self.half, self.unary
             items = []
             for i, ki in docked:
                 for j, kj in docked:
-                    gain = pf[i][j] - ct[ki][kj]
-                    if (i != j or self.diag) and gain > EPS and allowed[i][j][ki][kj]:
-                        items.append((i, j, ki, kj, gain))
+                    value = unary[i][ki] if i == j else half[i][j][ki][kj]
+                    if value < 0:
+                        items.append((i, j, ki, kj, -value))
         gains = [item[4] for item in items]
         picked, exact, kept = subproblem.select_items(
             gains,
             [rules.hold[i][j] for i, j, _, _, _ in items],
             base,
             rules.capacity,
-            [self.footprint[i][j] for i, j, _, _, _ in items],
+            [rules.footprint[i][j] for i, j, _, _, _ in items],
         )
         return forced, items, picked, exact, sum(gains) - kept
 
@@ -329,9 +323,10 @@ def branch_and_bound(
     limit is checked before every 256th further node.
 
     Deterministic: identical inputs give identical node counts and incumbents.
-    Returns proven_optimal=True iff the search completed within budget and no
-    heuristic leaf evaluation was needed. With an exhausted budget the best
-    incumbent found so far is still returned (status "budget_exhausted").
+    The status is "optimal" (so ``proven_optimal``) iff the search completed
+    within budget and no heuristic leaf evaluation was needed. With an
+    exhausted budget the best incumbent found so far is still returned
+    (status "budget_exhausted").
     """
     budget = budget or Budget()
     tables = _Tables(inst, form, include_diagonal)
@@ -427,21 +422,18 @@ def branch_and_bound(
 
     recurse(0, 0.0, tables.root_opt_rest(), [0.0] * ((m + 1) * n))
 
-    completed = not stopped
     built = tables.build_solution(list(best_y))
     solution, _ = built
     breakdown = objective_value(inst, solution, form, include_diagonal)
-    proven = completed and not heuristic
-    if not completed:
+    if stopped:
         status = "budget_exhausted"
-    elif proven:
-        status = "optimal"
-    else:
+    elif heuristic:
         status = "completed_heuristic"
+    else:
+        status = "optimal"
     return OptimizeResult(
         best=solution,
         objective=breakdown,
-        proven_optimal=proven,
         nodes_explored=nodes,
         wall_time=time.perf_counter() - start,
         bound_at_root=bound_at_root,
@@ -484,7 +476,6 @@ def brute_force(
     return OptimizeResult(
         best=best[0],
         objective=best[1],
-        proven_optimal=True,
         nodes_explored=nodes,
         wall_time=time.perf_counter() - start,
         bound_at_root=tables.base + tables.root_opt_rest(),

@@ -263,10 +263,10 @@ def check_solution(
         if i == j or k != l:
             continue
         if form is Formulation.CROSS_DOCK:
-            bound = xhat.get(i, j) + xhat.get(j, i)
+            bound = xhat[i - 1][j - 1] + xhat[j - 1][i - 1]
             rule = f"xhat_{i}{j} + xhat_{j}{i} = {bound}"
         else:
-            bound = xhat.get(i, j)
+            bound = xhat[i - 1][j - 1]
             rule = f"xhat_{i}{j} = {bound}"
         if 1 > bound:
             add(
@@ -278,17 +278,16 @@ def check_solution(
                 f"precedence bound {rule}",
             )
 
-    timeline = event_times(inst)
     cap = inst.effective_capacity(include_diagonal)
-    for r in range(1, 2 * inst.n + 1):
-        occ = occupancy_at(inst, sol, timeline.at(r), include_diagonal)
+    for r, t_r in enumerate(event_times(inst), 1):
+        occ = occupancy_at(inst, sol, t_r, include_diagonal)
         if occ - cap > EPS:
             add(
                 ConstraintFamily.CAPACITY,
                 (r,),
                 occ,
                 cap,
-                f"buffer occupancy {occ} at event {r} (t={timeline.at(r)}) "
+                f"buffer occupancy {occ} at event {r} (t={t_r}) "
                 f"exceeds capacity {cap}",
             )
 
@@ -314,7 +313,7 @@ def check_solution(
                     continue
                 k = sol.dock_of(i)
                 if k and sol.dock_of(j) == k:
-                    if xhat.get(i, j) + xhat.get(j, i) == 0:
+                    if xhat[i - 1][j - 1] + xhat[j - 1][i - 1] == 0:
                         add(
                             ConstraintFamily.DOCK_CONFLICT,
                             (i, j, k),
@@ -348,6 +347,9 @@ class Rules:
       sorted ``events``, which is ``units`` for lo <= r < hi and 0 elsewhere
       (units = -f_ij when d_j comes before a_i). :meth:`load` sums it over a
       transfer set.
+    * ``footprint[i][j]`` is f_ij * (d_j - a_i), never below EPS: the buffer
+      use of transfer i -> j in pallet-hours, the weight of the density
+      greedy in :func:`crossdock.subproblem.select_items`.
     * ``ct[k][l]`` is c_kl * t_kl, ``pf[i][j]`` is p_ij * f_ij and
       ``capacity`` is the effective capacity.
     """
@@ -358,6 +360,7 @@ class Rules:
     overlap: tuple
     allowed: tuple
     hold: tuple
+    footprint: tuple
     ct: tuple
     pf: tuple
     capacity: float
@@ -382,8 +385,8 @@ def compile_rules(
     n, m = inst.n, inst.m
     a, d, t, f = inst.arrival, inst.departure, inst.transfer_time, inst.flow
     cd = form is Formulation.CROSS_DOCK
-    xh = compute_xhat(inst).xhat
-    events = event_times(inst).events
+    xh = compute_xhat(inst)
+    events = event_times(inst)
     trucks, docks = range(n), range(m)
 
     bound = tuple(
@@ -430,6 +433,9 @@ def compile_rules(
         )
         for i in trucks
     )
+    footprint = tuple(
+        tuple(max(f[i][j] * (d[j] - a[i]), EPS) for j in trucks) for i in trucks
+    )
     return Rules(
         events=events,
         time_ok=tuple(time_ok),
@@ -437,6 +443,7 @@ def compile_rules(
         overlap=overlap,
         allowed=tuple(allowed),
         hold=hold,
+        footprint=footprint,
         ct=tuple(
             tuple(inst.transfer_cost[k][l] * t[k][l] for l in docks) for k in docks
         ),

@@ -74,10 +74,6 @@ def _require(doc: dict, key: str, kind, context: str):
     if key not in doc:
         raise SchemaError(f"{context}: missing key '{key}'")
     value = doc[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(f"{context}: key '{key}' must be a number")
-        return float(value)
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise SchemaError(f"{context}: key '{key}' must be an integer")

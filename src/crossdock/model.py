@@ -15,7 +15,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 EPS = 1e-9
 
@@ -118,51 +118,7 @@ class Instance:
         return range(1, self.m + 1)
 
     def with_capacity(self, capacity: float | None) -> Instance:
-        return Instance(
-            n=self.n,
-            m=self.m,
-            arrival=self.arrival,
-            departure=self.departure,
-            transfer_time=self.transfer_time,
-            transfer_cost=self.transfer_cost,
-            flow=self.flow,
-            penalty=self.penalty,
-            capacity=capacity,
-            name=self.name,
-            seed=self.seed,
-        )
-
-
-@dataclass(frozen=True)
-class Precedence:
-    """xhat[i][j] = 1 iff truck i departs no later than truck j arrives (0-based storage)."""
-
-    xhat: tuple[tuple[int, ...], ...]
-
-    def get(self, i: int, j: int) -> int:
-        """1-based lookup."""
-        return self.xhat[i - 1][j - 1]
-
-    def ones(self) -> tuple[tuple[int, int], ...]:
-        """All (i, j) with xhat = 1, 1-based, sorted."""
-        n = len(self.xhat)
-        return tuple(
-            (i + 1, j + 1) for i in range(n) for j in range(n) if self.xhat[i][j]
-        )
-
-
-@dataclass(frozen=True)
-class EventTimeline:
-    """The 2n arrival/departure instants, sorted ascending, duplicates retained."""
-
-    events: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def at(self, r: int) -> float:
-        """1-based event lookup, r in 1..2n."""
-        return self.events[r - 1]
+        return replace(self, capacity=capacity)
 
 
 @dataclass(frozen=True)
@@ -252,6 +208,19 @@ def validation_issues(inst: Instance) -> list[ValidationIssue]:
     if not ok:
         return issues
 
+    def finite(x, indices, where) -> bool:
+        """True iff x is finite; otherwise a not_a_number (NaN) or
+        infinite_number issue is recorded. A NaN passes every sign and window
+        test below, and so may an infinite entry."""
+        if math.isfinite(x):
+            return True
+        if math.isnan(x):
+            issues.append(ValidationIssue("not_a_number", indices, f"{where} is NaN"))
+        else:
+            message = f"{where} = {x} is not finite"
+            issues.append(ValidationIssue("infinite_number", indices, message))
+        return False
+
     for name, rows in (
         ("transfer_time", inst.transfer_time),
         ("transfer_cost", inst.transfer_cost),
@@ -260,21 +229,11 @@ def validation_issues(inst: Instance) -> list[ValidationIssue]:
     ):
         for r, row in enumerate(rows):
             for s, x in enumerate(row):
-                if math.isnan(x):
+                where = f"{name}[{r + 1}][{s + 1}]"
+                if finite(x, (r + 1, s + 1), where) and x < -EPS:
+                    message = f"{where} = {x} is negative"
                     issues.append(
-                        ValidationIssue(
-                            "not_a_number",
-                            (r + 1, s + 1),
-                            f"{name}[{r + 1}][{s + 1}] is NaN",
-                        )
-                    )
-                elif x < -EPS:
-                    issues.append(
-                        ValidationIssue(
-                            "negative_entry",
-                            (r + 1, s + 1),
-                            f"{name}[{r + 1}][{s + 1}] = {x} is negative",
-                        )
+                        ValidationIssue("negative_entry", (r + 1, s + 1), message)
                     )
     # a NaN capacity passes the positivity test, so finiteness comes first;
     # an unbounded capacity is None ("unbounded" in files), never inf
@@ -295,10 +254,7 @@ def validation_issues(inst: Instance) -> list[ValidationIssue]:
 
     for name, times in (("arrival", inst.arrival), ("departure", inst.departure)):
         for i, x in enumerate(times, start=1):
-            if math.isnan(x):
-                issues.append(
-                    ValidationIssue("not_a_number", (i,), f"{name}[{i}] is NaN")
-                )
+            finite(x, (i,), f"{name}[{i}]")
     for i in range(1, n + 1):
         if inst.a(i) >= inst.d(i) - EPS:
             issues.append(
@@ -346,23 +302,23 @@ def validate_instance(inst: Instance) -> Instance:
     return inst
 
 
-def compute_xhat(inst: Instance) -> Precedence:
-    """Precedence matrix: xhat[i][j] = 1 iff d_i <= a_j.
+def compute_xhat(inst: Instance) -> tuple[tuple[int, ...], ...]:
+    """Precedence matrix, 0-based: xhat[i][j] = 1 iff d_i <= a_j (i != j).
 
     The comparison is non-strict with tolerance EPS; boundary equality
     (a truck arriving exactly when another departs) counts as precedence.
     """
     n, a, d = inst.n, inst.arrival, inst.departure
-    xhat = tuple(
+    return tuple(
         tuple([1 if (i != j and d[i] <= a[j] + EPS) else 0 for j in range(n)])
         for i in range(n)
     )
-    return Precedence(xhat=xhat)
 
 
-def event_times(inst: Instance) -> EventTimeline:
-    """The sorted multiset of all arrivals and departures (length exactly 2n)."""
-    return EventTimeline(events=tuple(sorted(inst.arrival + inst.departure)))
+def event_times(inst: Instance) -> tuple[float, ...]:
+    """The 2n arrival and departure instants, sorted ascending, duplicates
+    retained; event r (1-based) is entry r - 1."""
+    return tuple(sorted(inst.arrival + inst.departure))
 
 
 def total_penalty_constant(inst: Instance, include_diagonal: bool = False) -> float:

@@ -86,6 +86,7 @@ def reproduce_note(
     flags = tuple(instance_flags(inst))
     s_star = load_fixture_solution("s_star.json", n=inst.n, m=inst.m)
     s_prime = load_fixture_solution("s_prime_star.json", n=inst.n, m=inst.m)
+    xhat = compute_xhat(inst)
 
     checks: dict[tuple[str, str], ViolationReport] = {}
     for label, sol in (("s_star", s_star), ("s_prime_star", s_prime)):
@@ -117,7 +118,9 @@ def reproduce_note(
     return NoteReproduction(
         instance=inst,
         flags=flags,
-        precedence_ones=compute_xhat(inst).ones(),
+        precedence_ones=tuple(
+            (i, j) for i in inst.trucks() for j in inst.trucks() if xhat[i - 1][j - 1]
+        ),
         s_star=s_star,
         s_prime=s_prime,
         checks=checks,

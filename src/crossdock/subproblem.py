@@ -196,14 +196,14 @@ def select_items(
     Item x gains ``gains[x]`` and adds ``units`` to the buffer at the events
     lo <= r < hi, ``holds[x] = (lo, hi, units)`` (a :attr:`Rules.hold`
     entry); ``base`` is the load of the forced transfers at each event and
-    ``footprints[x]`` the item's weight in the density greedy. ``picked``
-    lists item indices in ascending order. When every item fits, all are
-    taken; otherwise an exact depth-first search runs up to
-    ``EXACT_SELECTION_LIMIT`` items, above which a greedy by gain density
-    takes over and the result is flagged non-exact. ``force_enumeration``
-    skips the take-everything shortcut and lifts the limit. Ties between
-    optimal subsets go to the lexicographically first, so callers that list
-    items in the same order pick the same subset.
+    ``footprints[x]`` the item's weight in the density greedy (a
+    :attr:`Rules.footprint` entry). ``picked`` lists item indices in
+    ascending order. When every item fits, all are taken; otherwise an exact
+    depth-first search runs up to ``EXACT_SELECTION_LIMIT`` items, above
+    which a greedy by gain density takes over and the result is flagged
+    non-exact. ``force_enumeration`` skips the take-everything shortcut and
+    lifts the limit. Ties between optimal subsets go to the lexicographically
+    first, so callers that list items in the same order pick the same subset.
     """
     limit = capacity + EPS
 
@@ -283,12 +283,6 @@ def select_items(
     return picked, False, sum(gains[idx] for idx in picked)
 
 
-def footprint(inst: Instance, i: int, j: int) -> float:
-    """Buffer use of transfer i -> j in pallet-hours (1-based), the weight of
-    the density greedy in :func:`select_items`; never below EPS."""
-    return max(inst.f(i, j) * (inst.d(j) - inst.a(i)), EPS)
-
-
 def select_transfers(
     inst: Instance,
     candidates: Sequence[CandidatePair],
@@ -318,7 +312,7 @@ def select_transfers(
         [rules.hold[cp.i - 1][cp.j - 1] for cp in viable],
         rules.load((i, j) for (i, j, _, _) in forced),
         rules.capacity,
-        [footprint(inst, cp.i, cp.j) for cp in viable],
+        [rules.footprint[cp.i - 1][cp.j - 1] for cp in viable],
         force_enumeration,
     )
     return tuple(viable[idx] for idx in picked), exact, total

@@ -39,16 +39,8 @@ def greedy_initial(tables: _Tables, evaluate) -> list[int]:
     """Greedy start: heaviest-penalty trucks first, each to the feasible dock
     with the best immediate gain (strictly improving, lowest index on ties).
     Candidates are priced by ``evaluate``, as :meth:`_Tables.evaluate`."""
-    inst = tables.inst
-    n, m = tables.n, tables.m
-    weight = [
-        sum(
-            inst.penalty[i][j] * inst.flow[i][j] + inst.penalty[j][i] * inst.flow[j][i]
-            for j in range(n)
-            if j != i
-        )
-        for i in range(n)
-    ]
+    n, m, pf = tables.n, tables.m, tables.rules.pf
+    weight = [sum(pf[i][j] + pf[j][i] for j in range(n) if j != i) for i in range(n)]
     y0 = [_UNDOCKED] * n
     value = evaluate(y0)[0]
     for i in sorted(range(n), key=lambda i: (-weight[i], i)):
@@ -199,7 +191,6 @@ def vns_solve(
     return OptimizeResult(
         best=solution,
         objective=breakdown,
-        proven_optimal=False,
         nodes_explored=evaluations,
         wall_time=time.perf_counter() - start,
         bound_at_root=tables.base + tables.root_opt_rest(),

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from crossdock.cli import main
 from crossdock.instance_io import (
     fixture_text,
+    generate,
     parse_instance,
     serialize_instance,
     serialize_solution,
@@ -38,6 +41,19 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
     bad.write_text('{"n": 1}')
     assert main(["validate", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_validate_rejects_an_infinite_penalty(tmp_path, capsys):
+    # JSON's Infinity parses to inf, and an infinite penalty makes every
+    # objective infinite, so no solver could rank the assignments
+    inst = generate(0, 3, 2)
+    penalty = [list(row) for row in inst.penalty]
+    penalty[0][1] = math.inf
+    path = tmp_path / "inf.json"
+    path.write_text(serialize_instance(dataclasses.replace(inst, penalty=penalty)))
+    assert "Infinity" in path.read_text()
+    assert main(["validate", str(path)]) == 1
+    assert "error: infinite_number(1,2)" in capsys.readouterr().out
 
 
 def test_validate_reports_invariant_errors(tmp_path, capsys):
@@ -184,6 +200,33 @@ def test_gen_is_deterministic_and_valid(tmp_path, capsys):
     capsys.readouterr()
     assert p1.read_text() == p2.read_text()
     parse_instance(p1.read_text())
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--n", "0"),
+        ("--m", "-2"),
+        ("--m", "two"),
+        ("--capacity-ratio", "nan"),
+        ("--capacity-ratio", "inf"),
+        ("--capacity-ratio", "-1"),
+        ("--capacity-ratio", "0"),
+        ("--flow-density", "nan"),
+        ("--flow-density", "-0.5"),
+        ("--flow-density", "1.5"),
+    ],
+)
+def test_gen_rejects_bad_arguments(tmp_path, capsys, flag, value):
+    # without the check, --n 0 and a NaN or infinite ratio end in a
+    # traceback, --capacity-ratio -1 writes capacity 1 and --flow-density nan
+    # writes no flow at all
+    out = tmp_path / "inst.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gen", "--seed", "0", flag, value, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_export_lp_writes_file(fixture_paths, tmp_path, capsys):

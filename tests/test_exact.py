@@ -375,7 +375,7 @@ def test_compare_reference_instance(nine_truck):
         comparison.r_cross_dock.objective.total
         < comparison.cross_dock.objective.total
     )
-    assert comparison.rcd_infeasible_under_cd
+    assert not comparison.rcd_best_under_cd.feasible
     assert comparison.absolute_gap > 0
     assert 0 < comparison.relative_gap_percent < 100
 

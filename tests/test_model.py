@@ -72,6 +72,7 @@ def test_flow_against_departed_truck_is_an_error():
 
 
 NAN = float("nan")
+INF = math.inf
 
 
 def _two_trucks(**changes) -> Instance:
@@ -101,15 +102,25 @@ def _two_trucks(**changes) -> Instance:
         ({"penalty": ((NAN, 5.0), (0.0, 0.0))}, ("not_a_number", (1, 1))),
         ({"capacity": NAN}, ("nonfinite_capacity", ())),
         ({"capacity": math.inf}, ("nonfinite_capacity", ())),
+        ({"arrival": (-INF, 1.0)}, ("infinite_number", (1,))),
+        ({"departure": (2.0, INF)}, ("infinite_number", (2,))),
+        ({"transfer_time": ((0.0, INF), (1.0, 0.0))}, ("infinite_number", (1, 2))),
+        ({"transfer_cost": ((0.0, 1.0), (INF, 0.0))}, ("infinite_number", (2, 1))),
+        ({"flow": ((0.0, INF), (0.0, 0.0))}, ("infinite_number", (1, 2))),
+        ({"flow": ((0.0, 4.0), (-INF, 0.0))}, ("infinite_number", (2, 1))),
+        ({"penalty": ((0.0, INF), (0.0, 0.0))}, ("infinite_number", (1, 2))),
     ],
     ids=[
         "arrival", "departure", "transfer_time", "transfer_cost", "flow",
-        "penalty", "capacity_nan", "capacity_inf",
+        "penalty", "capacity_nan", "capacity_inf", "arrival_inf",
+        "departure_inf", "transfer_time_inf", "transfer_cost_inf", "flow_inf",
+        "flow_minus_inf", "penalty_inf",
     ],
 )
 def test_non_finite_numbers_are_rejected(changes, issue):
     # NaN fails every comparison, so the sign, window and capacity checks
-    # alone let it through
+    # alone let it through; an infinite entry passes them too, and an
+    # infinite penalty makes every objective infinite
     inst = _two_trucks(**changes)
     assert [(v.code, v.indices) for v in validation_issues(inst)] == [issue]
     with pytest.raises(InvalidInstanceError):
@@ -118,11 +129,14 @@ def test_non_finite_numbers_are_rejected(changes, issue):
 
 def test_xhat_on_reference_instance(nine_truck):
     xhat = compute_xhat(nine_truck)
-    assert xhat.get(1, 3) == 1
-    assert xhat.get(1, 5) == 1  # boundary equality d_1 = a_5 = 16.41
-    assert xhat.get(3, 1) == 0  # d_3 = 18.00 > a_1 = 15.42
-    assert all(xhat.get(i, i) == 0 for i in nine_truck.trucks())
-    assert xhat.ones() == (
+    assert xhat[0][2] == 1
+    assert xhat[0][4] == 1  # boundary equality d_1 = a_5 = 16.41
+    assert xhat[2][0] == 0  # d_3 = 18.00 > a_1 = 15.42
+    assert all(xhat[i][i] == 0 for i in range(nine_truck.n))
+    ones = tuple(
+        (i + 1, j + 1) for i, row in enumerate(xhat) for j, x in enumerate(row) if x
+    )
+    assert ones == (
         (1, 3),
         (1, 4),
         (1, 5),
@@ -135,11 +149,11 @@ def test_xhat_on_reference_instance(nine_truck):
 
 
 def test_event_times_reference(nine_truck):
-    timeline = event_times(nine_truck)
-    assert len(timeline) == 18
-    assert timeline.at(1) == 15.42
-    assert timeline.at(18) == 18.05
-    assert list(timeline.events) == sorted(timeline.events)
+    events = event_times(nine_truck)
+    assert len(events) == 18
+    assert events[0] == 15.42
+    assert events[17] == 18.05
+    assert list(events) == sorted(events)
 
 
 def test_event_times_trivial_cases():
@@ -154,7 +168,7 @@ def test_event_times_trivial_cases():
         penalty=((0.0,),),
         capacity=None,
     )
-    assert event_times(one).events == (0.0, 1.0)
+    assert event_times(one) == (0.0, 1.0)
     dup = Instance(
         n=2,
         m=1,
@@ -166,7 +180,7 @@ def test_event_times_trivial_cases():
         penalty=((0.0, 0.0),) * 2,
         capacity=None,
     )
-    assert event_times(dup).events == (1.0, 1.0, 2.0, 2.0)
+    assert event_times(dup) == (1.0, 1.0, 2.0, 2.0)
 
 
 def test_total_penalty_constant_examples(nine_truck):
@@ -220,8 +234,8 @@ def test_xhat_monotone_in_arrival():
         )
         after = compute_xhat(inst2)
         for i in inst.trucks():
-            if i != j + 1 and before.get(i, j + 1) == 1:
-                assert after.get(i, j + 1) == 1
+            if i != j + 1 and before[i - 1][j] == 1:
+                assert after[i - 1][j] == 1
 
 
 def test_event_length_property():
@@ -237,4 +251,4 @@ def test_xhat_never_symmetric_ones():
         for i in inst.trucks():
             for j in inst.trucks():
                 if i != j:
-                    assert not (xhat.get(i, j) == 1 and xhat.get(j, i) == 1)
+                    assert not (xhat[i - 1][j - 1] == 1 and xhat[j - 1][i - 1] == 1)

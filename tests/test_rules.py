@@ -14,7 +14,7 @@ from crossdock.formulations import (
     occupancy_at,
 )
 from crossdock.instance_io import generate, load_fixture_instance
-from crossdock.model import Instance, Solution, event_times
+from crossdock.model import EPS, Instance, Solution, event_times
 
 from conftest import tiny_two_truck
 
@@ -82,7 +82,7 @@ def _instances() -> list[Instance]:
     # each again with a capacity at half its peak occupancy, which binds
     for inst in list(out):
         everything = _everything(inst, True)
-        peak = max(occupancy_at(inst, everything, t, True) for t in event_times(inst).events)
+        peak = max(occupancy_at(inst, everything, t, True) for t in event_times(inst))
         if peak > 0:
             out.append(inst.with_capacity(peak / 2))
     return out
@@ -173,8 +173,11 @@ def test_summed_profiles_match_occupancy_and_capacity_rows(form, include_diagona
     binding = 0
     for inst in INSTANCES:
         rules = compile_rules(inst, form, include_diagonal)
-        assert rules.events == event_times(inst).events
+        assert rules.events == event_times(inst)
         assert rules.capacity == inst.effective_capacity(include_diagonal)
+        for i, j in itertools.product(range(inst.n), repeat=2):
+            expected = max(inst.f(i + 1, j + 1) * (inst.d(j + 1) - inst.a(i + 1)), EPS)
+            assert rules.footprint[i][j] == expected
         everything = _everything(inst, include_diagonal)
         report = check_solution(inst, everything, form, include_diagonal)
         over = {
