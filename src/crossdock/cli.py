@@ -68,6 +68,7 @@ _time_limit_arg = _number_arg(
     float, lambda v: v >= 0, "time limit must be a number of seconds >= 0"
 )
 _count_arg = _number_arg(int, lambda v: v >= 1, "must be an integer >= 1")
+_seed_arg = _number_arg(int, lambda v: v >= 0, "seed must be an integer >= 0")
 _capacity_ratio_arg = _number_arg(
     float, lambda v: 0 < v < math.inf, "capacity ratio must be a finite number > 0"
 )
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--model", choices=sorted(_MODELS), required=True)
     p.add_argument("--method", choices=["bnb", "brute", "vns"], default="bnb")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--capacity", type=_capacity_arg, default=_KEEP_CAPACITY)
     p.add_argument("--time-limit", type=_time_limit_arg, default=None)
     p.set_defaults(func=_cmd_solve)
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_export_lp)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed_arg, required=True)
     p.add_argument("--n", type=_count_arg, default=4)
     p.add_argument("--m", type=_count_arg, default=2)
     p.add_argument("--flow-density", type=_flow_density_arg, default=1.0)

@@ -22,7 +22,12 @@ search reads these tables and never branches on the model or the diagonal
 mode. Leaves are priced from the tables too: under a finite capacity, the
 table value plus the gain that the buffer forces the assignment to give up,
 chosen by the selection kernel of the subproblem module
-(:func:`crossdock.subproblem.select_items`). The returned solution is built
+(:func:`crossdock.subproblem.select_items`). A search leaf only has to show
+whether it beats the incumbent, so ``_Tables.leaf_value`` hands the kernel a
+floor on the gain it must keep: a per-event fractional bound or a selection
+search that starts at the floor drops a leaf that cannot beat it, while
+``_Tables.evaluate`` (VNS, its memo) still prices every assignment in full.
+The returned solution is built
 from the same transfer decision (``_Tables.decide``) and priced by
 ``objective_value``, so the value the search compares and the solution it
 returns come from one route.
@@ -199,6 +204,39 @@ class _Tables:
             value += self.unary[i][ki]
         return value
 
+    def _choice(self, y0):
+        """(forced, items, base) of an assignment that passes
+        :meth:`first_clash`, as :meth:`decide` describes them, with ``base``
+        the forced load at each event; None when it overflows the buffer."""
+        rules = self.rules
+        docked = [(i, y0[i]) for i in range(self.n) if y0[i] != _UNDOCKED]
+        if self.cd:
+            forced = [(i, j, ki, kj) for i, ki in docked for j, kj in docked if i != j]
+            base = rules.load((i + 1, j + 1) for i, j, _, _ in forced)
+            if any(occ - rules.capacity > EPS for occ in base):
+                return None
+            return forced, self.free_items, base
+        half, unary = self.half, self.unary
+        items = []
+        for i, ki in docked:
+            for j, kj in docked:
+                value = unary[i][ki] if i == j else half[i][j][ki][kj]
+                if value < 0:
+                    items.append((i, j, ki, kj, -value))
+        return [], items, [0.0] * len(rules.events)
+
+    def _select(self, items, base, floor=None):
+        """:func:`subproblem.select_items` over ``items`` above ``base``."""
+        rules = self.rules
+        return subproblem.select_items(
+            [item[4] for item in items],
+            [rules.hold[i][j] for i, j, _, _, _ in items],
+            base,
+            rules.capacity,
+            [rules.footprint[i][j] for i, j, _, _, _ in items],
+            floor=floor,
+        )
+
     def decide(self, y0):
         """The transfer decision of an assignment that passes
         :meth:`first_clash`: (forced, items, picked, exact, given_up), or None
@@ -214,33 +252,12 @@ class _Tables:
         ships, ``exact`` its exact flag and ``given_up`` the gain of the items
         it leaves out.
         """
-        rules = self.rules
-        docked = [(i, y0[i]) for i in range(self.n) if y0[i] != _UNDOCKED]
-        if self.cd:
-            forced = [(i, j, ki, kj) for i, ki in docked for j, kj in docked if i != j]
-            base = rules.load((i + 1, j + 1) for i, j, _, _ in forced)
-            if any(occ - rules.capacity > EPS for occ in base):
-                return None
-            items = self.free_items
-        else:
-            forced = []
-            base = [0.0] * len(rules.events)
-            half, unary = self.half, self.unary
-            items = []
-            for i, ki in docked:
-                for j, kj in docked:
-                    value = unary[i][ki] if i == j else half[i][j][ki][kj]
-                    if value < 0:
-                        items.append((i, j, ki, kj, -value))
-        gains = [item[4] for item in items]
-        picked, exact, kept = subproblem.select_items(
-            gains,
-            [rules.hold[i][j] for i, j, _, _, _ in items],
-            base,
-            rules.capacity,
-            [rules.footprint[i][j] for i, j, _, _, _ in items],
-        )
-        return forced, items, picked, exact, sum(gains) - kept
+        choice = self._choice(y0)
+        if choice is None:
+            return None
+        forced, items, base = choice
+        picked, exact, kept = self._select(items, base)
+        return forced, items, picked, exact, sum(item[4] for item in items) - kept
 
     def build_solution(self, y0):
         """(solution, exact) of an assignment that passes :meth:`first_clash`,
@@ -270,6 +287,40 @@ class _Tables:
         if decision is None:
             return None
         return self.fast_value(y0) + decision[4], decision[3]
+
+    def leaf_value(self, y0, target):
+        """(value, exact) of a branch-and-bound leaf, as :meth:`evaluate`
+        gives them, if the leaf may beat ``target`` by more than EPS; None
+        when it cannot.
+
+        The leaf must pass :meth:`first_clash`, as every leaf that the search
+        enters does, since a clash makes a child's bound infinite. Its table
+        value is :meth:`fast_value`, read after the CROSS-DOCK forced-load
+        check. Under a finite capacity the selection gets a floor on the gain
+        it keeps: the kept gain must exceed fast_value + sum(gains) - target
+        for the value to beat ``target`` - EPS, and the floor sits EPS below
+        that, so rounding never cuts a leaf that beats it. A leaf priced
+        exactly is returned iff its value is below ``target`` - EPS, with the
+        value and flag :meth:`evaluate` gives; a leaf priced by the greedy is
+        always returned, since the search must learn that it was not exact.
+        """
+        if self.inst.unbounded_capacity:
+            value = self.fast_value(y0)
+            return (value, True) if value < target - EPS else None
+        choice = self._choice(y0)
+        if choice is None:
+            return None
+        _, items, base = choice
+        value = self.fast_value(y0)
+        total = sum(item[4] for item in items)
+        selection = self._select(items, base, floor=value + total - target - EPS)
+        if selection is None:
+            return None
+        _, exact, kept = selection
+        value += total - kept
+        if exact and value >= target - EPS:
+            return None
+        return value, exact
 
 
 def _oracle_solution(tables: _Tables, y0) -> Solution | None:
@@ -318,9 +369,17 @@ def branch_and_bound(
     undecided truck, whatever the depth. An unassigned child adds nothing and
     takes its parent's list as it is: lists are never written once built, so
     sharing one is safe, and a shared list's extra trailing blocks are never
-    read. ``nodes_explored`` counts the
-    nodes processed: ``Budget(max_nodes=K)`` processes at most K, and a time
-    limit is checked before every 256th further node.
+    read.
+
+    Leaf pruning: a leaf's bound is its table value, and under a finite
+    capacity :meth:`_Tables.leaf_value` prices the buffer only as far as the
+    leaf can still beat the incumbent by more than EPS. A leaf that cannot is
+    dropped without its full value, so the incumbents, values and trace are
+    those that pricing every leaf in full gives.
+
+    ``nodes_explored`` counts the nodes processed: ``Budget(max_nodes=K)``
+    processes at most K, and a time limit is checked before every 256th
+    further node.
 
     Deterministic: identical inputs give identical node counts and incumbents.
     The status is "optimal" (so ``proven_optimal``) iff the search completed
@@ -385,7 +444,7 @@ def branch_and_bound(
             )
             on_node(decided, base + committed + opt_rest)
         if idx == n:
-            result = tables.evaluate(y0)
+            result = tables.leaf_value(y0, best_value)
             if result is not None:
                 value, exact = result
                 if not exact:

@@ -13,6 +13,7 @@ and the search's table path in :mod:`crossdock.exact` share.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -190,38 +191,91 @@ def select_items(
     capacity: float,
     footprints: Sequence[float],
     force_enumeration: bool = False,
-) -> tuple[list[int], bool, float]:
+    floor: float | None = None,
+) -> tuple[list[int], bool, float] | None:
     """Best subset of items under the capacity rows: (picked, exact, gain).
 
-    Item x gains ``gains[x]`` and adds ``units`` to the buffer at the events
-    lo <= r < hi, ``holds[x] = (lo, hi, units)`` (a :attr:`Rules.hold`
-    entry); ``base`` is the load of the forced transfers at each event and
-    ``footprints[x]`` the item's weight in the density greedy (a
-    :attr:`Rules.footprint` entry). ``picked`` lists item indices in
-    ascending order. When every item fits, all are taken; otherwise an exact
-    depth-first search runs up to ``EXACT_SELECTION_LIMIT`` items, above
-    which a greedy by gain density takes over and the result is flagged
-    non-exact. ``force_enumeration`` skips the take-everything shortcut and
-    lifts the limit. Ties between optimal subsets go to the lexicographically
-    first, so callers that list items in the same order pick the same subset.
+    Item x gains ``gains[x]`` (positive) and adds ``units`` to the buffer at
+    the events lo <= r < hi, ``holds[x] = (lo, hi, units)`` (a
+    :attr:`Rules.hold` entry); ``base`` is the load of the forced transfers at
+    each event and ``footprints[x]`` the item's weight in the density greedy
+    (a :attr:`Rules.footprint` entry). An item is taken only if the load
+    stays within capacity + EPS at each of its events as it is added.
+    ``picked`` lists item indices in ascending order. When every item fits,
+    all are taken; otherwise an exact depth-first search runs up to
+    ``EXACT_SELECTION_LIMIT`` items, above which a greedy by gain density
+    takes over and the result is flagged non-exact. ``force_enumeration``
+    skips the take-everything shortcut and lifts the limit. Ties between
+    optimal subsets go to the lexicographically first, so callers that list
+    items in the same order pick the same subset.
+
+    Rows: only the events that some subset can overload are checked, those
+    where ``base`` plus every positive unit, summed in index order, exceeds
+    capacity + EPS, and of the events that one set of items covers only the
+    one with the highest ``base``. Every subset passes or fails exactly as
+    against every event: float addition is monotone, so a load summed in
+    index order (the search and its greedy seed) never exceeds that sum, and
+    the same items added to a higher base never give a lower load. The
+    density greedy adds in another order, where the same holds on integral
+    data (every partial sum exact, as on generated and bundled instances);
+    on other data its picks can differ only where a load lies within
+    rounding of the limit.
+
+    ``floor``: on an exact result, return only a subset that keeps more than
+    floor + EPS, and None when none does; the greedy path ignores it. Before
+    the search, a per-event fractional bound (Dantzig 1957): at each event,
+    the covering items must shed their excess load (base plus every covering
+    unit, negative ones too, minus the limit: what any subset that fits sheds
+    at least), and the cheapest fractional shed, by gain per unit, bounds the
+    gain lost there. If the worst event leaves no gain above the floor, the
+    result is None at once; otherwise the search starts from the larger of
+    the floor and its greedy seed. Unless two subset gains lie within EPS of
+    each other, a floored result is the unfloored one whenever that keeps
+    more than floor + EPS.
     """
     limit = capacity + EPS
 
     # per-pair rule: take everything if capacity never binds
-    if not force_enumeration:
-        occ_all = list(base)
-        for lo, hi, units in holds:
-            for r in range(lo, hi):
-                occ_all[r] += units
-        if all(v <= limit for v in occ_all):
-            return list(range(len(gains))), True, sum(gains)
+    occ_all = list(base)
+    for lo, hi, units in holds:
+        for r in range(lo, hi):
+            occ_all[r] += units
+    if not force_enumeration and all(v <= limit for v in occ_all):
+        total = sum(gains)
+        if floor is not None and total <= floor + EPS:
+            return None
+        return list(range(len(gains))), True, total
 
-    # each item adds ``units`` to the buffer at the events of ``rows``
-    rows_of = [(range(lo, hi), units) for lo, hi, units in holds]
+    # the rows: per set of covering items (a bit mask), the highest-base event
+    # that base plus every positive unit overloads
+    top = occ_all
+    if any(units < 0 for _, _, units in holds):
+        top = list(base)
+        for lo, hi, units in holds:
+            if units > 0:
+                for r in range(lo, hi):
+                    top[r] += units
+    cover = [0] * len(base)
+    for idx, (lo, hi, _) in enumerate(holds):
+        bit = 1 << idx
+        for r in range(lo, hi):
+            cover[r] |= bit
+    highest: dict[int, int] = {}
+    for r, key in enumerate(cover):
+        if key and top[r] > limit:
+            if key not in highest or base[r] > base[highest[key]]:
+                highest[key] = r
+    keep = sorted(highest.values())
+    occ0 = [base[r] for r in keep]
+    # each item adds ``units`` to the buffer at the kept rows of ``rows``
+    rows_of = [
+        (range(bisect_left(keep, lo), bisect_left(keep, hi)), units)
+        for lo, hi, units in holds
+    ]
 
     def fill(order) -> list[int]:
         """The items of ``order`` taken greedily while they fit."""
-        occ = list(base)
+        occ = list(occ0)
         picked = []
         for idx in order:
             rows, units = rows_of[idx]
@@ -232,18 +286,40 @@ def select_items(
         return picked
 
     if force_enumeration or len(gains) <= EXACT_SELECTION_LIMIT:
+        if floor is not None:
+            # the gain each event forces out, shedding the cheapest units first
+            shedders = sorted(
+                (idx for idx, (_, _, units) in enumerate(holds) if units > 0),
+                key=lambda idx: gains[idx] / holds[idx][2],
+            )
+            lost = 0.0
+            for r in keep:
+                excess = occ_all[r] - limit
+                shed = 0.0
+                for idx in shedders:
+                    if excess <= 0:
+                        break
+                    lo, hi, units = holds[idx]
+                    if lo <= r < hi:
+                        shed += gains[idx] * min(1.0, excess / units)
+                        excess -= units
+                lost = max(lost, shed)
+            if sum(gains) - lost <= floor + EPS:
+                return None
+
         # a greedy pass seeds the incumbent bound just below its own gain:
         # the DFS prunes against a near-optimal value from the start, while
         # every true optimum still strictly beats the seed, so the
         # lexicographically first optimal subset is reached and kept
         greedy_gain = sum(gains[idx] for idx in fill(range(len(gains))))
-
         best_gain = greedy_gain - 2 * EPS
+        if floor is not None:
+            best_gain = max(best_gain, floor)
         best_pick: list[int] | None = None
         suffix = [0.0] * (len(gains) + 1)
         for idx in range(len(gains) - 1, -1, -1):
             suffix[idx] = suffix[idx + 1] + gains[idx]
-        occ = list(base)
+        occ = list(occ0)
         pick: list[int] = []
 
         def dfs(idx, gain):
@@ -256,23 +332,23 @@ def select_items(
                     best_pick = list(pick)
                 return
             rows, units = rows_of[idx]
-            ok = True
             for r in rows:
                 if occ[r] + units > limit:
-                    ok = False
                     break
-            if ok:
+            else:
+                saved = occ[rows.start : rows.stop]
                 for r in rows:
                     occ[r] += units
                 pick.append(idx)
                 dfs(idx + 1, gain + gains[idx])
                 pick.pop()
-                for r in rows:
-                    occ[r] -= units
+                occ[rows.start : rows.stop] = saved  # exact, unlike subtracting
             dfs(idx + 1, gain)
 
         dfs(0, 0.0)
-        assert best_pick is not None, "an optimum at least matches the greedy seed"
+        if best_pick is None:
+            assert floor is not None, "an optimum at least matches the greedy seed"
+            return None
         return best_pick, True, max(best_gain, 0.0)
 
     # greedy by gain density: gain per pallet-hour of buffer use

@@ -229,6 +229,24 @@ def test_gen_rejects_bad_arguments(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "solve"])
+def test_seed_must_be_a_nonnegative_integer(fixture_paths, tmp_path, capsys, command):
+    # numpy's generator rejects a negative seed with a traceback
+    out = tmp_path / "inst.json"
+    if command == "gen":
+        argv = ["gen", "--seed", "-1", "--out", str(out)]
+    else:
+        argv = [
+            "solve", fixture_paths["miao_example.json"], "--model", "crossdock",
+            "--method", "vns", "--seed", "-1",
+        ]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "argument --seed: seed must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_lp_writes_file(fixture_paths, tmp_path, capsys):
     out = tmp_path / "model.lp"
     code = main([

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from crossdock.formulations import (
     objective_value,
 )
 from crossdock.instance_io import generate
-from crossdock.model import Instance, Solution, total_penalty_constant
+from crossdock.model import EPS, Instance, Solution, total_penalty_constant
 from crossdock.vns import VnsConfig, vns_solve
 
 CD = Formulation.CROSS_DOCK
@@ -250,6 +251,60 @@ def test_capacity_value_matches_the_built_solution(limit, nine_truck, monkeypatc
     assert changed > 0, "capacity never changes a value; the test is vacuous"
     if limit is not None:
         assert inexact > 0, "the greedy path never ran"
+
+
+def _non_integer(inst: Instance) -> Instance:
+    """A copy with flows / 3 and penalties x 0.7: sums that round."""
+    return dataclasses.replace(
+        inst,
+        flow=tuple(tuple(f / 3 for f in row) for row in inst.flow),
+        penalty=tuple(tuple(p * 0.7 for p in row) for row in inst.penalty),
+    )
+
+
+def test_leaf_value_drops_exactly_the_leaves_that_cannot_beat_the_target():
+    # for every clash-free assignment: None iff evaluate's value misses
+    # target - EPS (or the CROSS-DOCK forced load overflows), and evaluate's
+    # (value, exact) otherwise, for targets on both sides of the value
+    priced = changed = 0
+    for seed, n, ratio in itertools.product(range(3), (3, 4), (0.05, 0.1)):
+        generated = generate(seed, n, 2, capacity_ratio=ratio)
+        for inst in (generated, _non_integer(generated)):
+            options = list(range(inst.m)) + [_UNDOCKED]
+            for form, include_diagonal in itertools.product((CD, RCD), (False, True)):
+                tables = _Tables(inst, form, include_diagonal)
+                for y0 in itertools.product(options, repeat=n):
+                    y0 = list(y0)
+                    if tables.first_clash(y0) is not None:
+                        continue
+                    result = tables.evaluate(y0)
+                    where = (inst.name, inst.flow[0], form, include_diagonal, y0)
+                    if result is None:
+                        assert tables.leaf_value(y0, math.inf) is None, where
+                        continue
+                    value = result[0]
+                    for target in (value - 1, value, value + EPS / 2, value + 1):
+                        expected = None if value >= target - EPS else result
+                        assert tables.leaf_value(y0, target) == expected, (where, target)
+                    priced += 1
+                    changed += value != tables.fast_value(y0)
+    assert changed > priced // 10, (priced, changed)
+
+
+@pytest.mark.parametrize("include_diagonal", [False, True])
+@pytest.mark.parametrize("form", [CD, RCD])
+def test_oracle_equivalence_where_capacity_binds(form, include_diagonal):
+    changed = 0
+    for seed in range(10):
+        inst = generate(seed, 5, 2, capacity_ratio=0.05)
+        bb = branch_and_bound(inst, form, include_diagonal=include_diagonal)
+        bf = brute_force(inst, form, include_diagonal)
+        assert bb.proven_optimal
+        assert bb.objective.total == bf.objective.total, seed
+        unbounded = brute_force(inst.with_capacity(None), form, include_diagonal)
+        changed += unbounded.objective.total != bf.objective.total
+    # the capacity must change most optima, or the test shows nothing
+    assert changed >= 5, changed
 
 
 @pytest.mark.parametrize("form", [CD, RCD])

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from crossdock import subproblem
+from crossdock.exact import _Tables, _UNDOCKED
 from crossdock.formulations import (
     ConstraintFamily,
     Formulation,
     check_solution,
 )
 from crossdock.instance_io import generate
-from crossdock.model import Solution
+from crossdock.model import EPS, Solution
 from crossdock.subproblem import (
     DockConflictError,
     InfeasibilityWitness,
@@ -235,3 +236,85 @@ def test_induced_solutions_always_pass_the_checker():
             assert check_solution(inst, induced, Formulation.CROSS_DOCK).feasible
             accepted += 1
     assert accepted > 10 and rejected > 10
+
+
+def _first_best_subset(gains, holds, base, capacity):
+    """Plain-enumeration twin of ``select_items``: every subset, loads summed
+    over the full ``hold`` intervals at every event, the first best subset in
+    the kernel's order (item 0 taken before item 0 left out, and so on)."""
+    best = None
+    for take in itertools.product((True, False), repeat=len(gains)):
+        picked = [x for x in range(len(gains)) if take[x]]
+        load = list(base)
+        for x in picked:
+            lo, hi, units = holds[x]
+            for r in range(lo, hi):
+                load[r] += units
+        if any(v > capacity + EPS for v in load):
+            continue
+        gain = sum(gains[x] for x in picked)
+        if best is None or gain > best[1] + EPS:
+            best = picked, gain
+    return best
+
+
+def _assert_selection_matches_enumeration(gains, holds, base, capacity):
+    """The kernel against its twin, without a floor and with floors on both
+    sides of the optimum; True if the capacity binds."""
+    picked, gain = _first_best_subset(gains, holds, base, capacity)
+    footprints = [1.0] * len(gains)
+    assert subproblem.select_items(gains, holds, base, capacity, footprints) == (
+        picked, True, gain
+    )
+    for floor in (-1.0, 0.0, gain - 1.0, gain - 0.25, gain, gain + 0.5):
+        result = subproblem.select_items(
+            gains, holds, base, capacity, footprints, floor=floor
+        )
+        assert result == (None if gain <= floor + EPS else (picked, True, gain)), floor
+    return gain < sum(gains)
+
+
+# (gains, holds, base, capacity); units sum exactly in any order
+SELECTION_CASES = [
+    # two events covered by the same two items: the higher base, at event 1,
+    # keeps item 0 out (at event 0 alone it would fit); event 2 overflows for
+    # no subset; non-integer gains and units
+    ([3.0, 2.0, 1.5], [(0, 2, 4.0), (0, 2, 1.0), (2, 3, 1.25)], [2.0, 3.0, 0.0], 6.0),
+    # overlapping intervals with non-integer gains, units and base
+    ([2.5, 1.75, 3.25, 0.5], [(0, 2, 1.5), (1, 3, 2.25), (0, 3, 0.75), (2, 3, 3.5)], [0.0, 0.5, 1.0, 0.0], 3.0),
+    # one negative-unit item (a reversed window): it makes room for item 1 at
+    # event 0, so the excess there must count it; listed first, because the
+    # kernel checks each load as the item is added, in index order
+    ([1.0, 10.0, 4.0, 3.0], [(0, 1, -5.0), (0, 1, 10.0), (1, 2, 4.0), (1, 2, 3.0)], [0.0, 0.0], 5.0),
+]
+
+
+@pytest.mark.parametrize("case", SELECTION_CASES)
+def test_select_items_matches_plain_enumeration(case):
+    assert _assert_selection_matches_enumeration(*case)
+
+
+def test_select_items_matches_plain_enumeration_on_decide_items():
+    # the items and forced loads that the search's tables hand to the kernel
+    checked = binding = 0
+    for seed in range(3):
+        inst = generate(seed, 6, 2, capacity_ratio=0.05)
+        options = list(range(inst.m)) + [_UNDOCKED]
+        for form, diag in itertools.product(Formulation, (False, True)):
+            tables = _Tables(inst, form, diag)
+            hold = tables.rules.hold
+            for y0 in itertools.product(options, repeat=inst.n):
+                if tables.first_clash(y0) is not None:
+                    continue
+                choice = tables._choice(y0)
+                if choice is None or not 0 < len(choice[1]) <= 10:
+                    continue
+                _, items, base = choice
+                binding += _assert_selection_matches_enumeration(
+                    [item[4] for item in items],
+                    [hold[i][j] for i, j, _, _, _ in items],
+                    base,
+                    tables.rules.capacity,
+                )
+                checked += 1
+    assert binding > 100, (checked, binding)
