@@ -10,11 +10,13 @@ satisfiable, which is re-verified before reporting.
 
 Candidates are processed in reverse (family, indices) order so that, when
 several disjoint conflicts exist, the lexicographically smallest one
-survives the filter.
+survives the filter. The filter runs on counters, so each removal test is
+O(1) unless the buffer load has to be summed (see :func:`find_conflict`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .formulations import (
@@ -80,77 +82,98 @@ def find_conflict(
     deterministic order) and drop every one whose removal keeps the system
     unsatisfiable; what remains is irreducible. Minimality is then verified
     by re-checking each single-constraint removal.
+
+    Active pair-forcing rows push transfers up; active time and same-dock
+    rows push them down. The filter keeps running state instead of
+    re-reading the active rows for each removal: the active pair-forcing
+    tuples and capacity rows, for each tuple the number of active time and
+    same-dock rows that hang on it, and the witnesses, the hanging rows whose
+    pair-forcing row is active. A removal keeps the clash at once while a
+    witness remains; only when none does is the buffer load of the active
+    pair-forcing rows summed, in candidate order. Dropping a row updates the
+    state in O(1). Under R-CROSS-DOCK every dock-conflict row clashes on its own, so
+    the filter keeps the first and the result is minimal at once.
     """
     rules = compile_rules(inst, form, False)
     y = _dock_array(dock)
     docked = [(i, k) for i, k in enumerate(y, start=1) if k != UNASSIGNED]
     # only rows on docked trucks can clash: every other row is vacuous
     if form is Formulation.R_CROSS_DOCK:
-        candidates = [
-            ConstraintId(ConstraintFamily.DOCK_CONFLICT, (i, j, k))
-            for i, k in docked
-            for j, l in docked
-            if i < j and k == l and rules.overlap[i - 1][j - 1]
-        ]
-
-        def clash(active) -> bool:
-            return bool(active)  # each dock-conflict row fails on its own
-
-    else:
-        forced = [(i, j, k, l) for i, k in docked for j, l in docked if j != i]
-        candidates = [ConstraintId(ConstraintFamily.PAIR_FORCING, t) for t in forced]
-        for (i, j, k, l) in forced:
-            if k == l and rules.same_dock_bound[i - 1][j - 1] < 1:
-                candidates.append(
-                    ConstraintId(ConstraintFamily.SAME_DOCK_TW, (i, j, k))
-                )
-            if not rules.time_ok[i - 1][j - 1][k - 1][l - 1]:
-                candidates.append(
-                    ConstraintId(ConstraintFamily.TIME_FEASIBILITY, (i, j, k, l))
-                )
-        if not inst.unbounded_capacity and forced:
-            candidates += [
-                ConstraintId(ConstraintFamily.CAPACITY, (r,))
-                for r in range(1, 2 * inst.n + 1)
-            ]
-
-        def clash(active) -> bool:
-            # active pair-forcing rows push transfers up, active time and
-            # same-dock rows push them down; capacity is checked on the least
-            # forced set, since occupancy contributions are nonnegative for
-            # validated instances
-            up = {
-                c.indices for c in active if c.family is ConstraintFamily.PAIR_FORCING
-            }
-            for c in active:
-                if c.family is ConstraintFamily.TIME_FEASIBILITY and c.indices in up:
-                    return True
-                if c.family is ConstraintFamily.SAME_DOCK_TW:
-                    i, j, k = c.indices
-                    if (i, j, k, k) in up:
-                        return True
-            cap_rows = [c for c in active if c.family is ConstraintFamily.CAPACITY]
-            if not cap_rows:
-                return False
-            load = rules.load((i, j) for (i, j, _, _) in up)
-            return any(load[c.indices[0] - 1] - rules.capacity > EPS for c in cap_rows)
-
-    candidates.sort(key=lambda c: (c.family, c.indices))
-    if not clash(candidates):
+        # every dock-conflict row clashes on its own, so the filter keeps the
+        # first in sorted order: the first found, as docked is in truck order
+        for i, k in docked:
+            for j, l in docked:
+                if i < j and k == l and rules.overlap[i - 1][j - 1]:
+                    first = (ConstraintId(ConstraintFamily.DOCK_CONFLICT, (i, j, k)),)
+                    return ConflictSet(first, True, _narrative(inst, first))
         return None
 
-    active = list(candidates)
-    for c in reversed(candidates):
-        trial = [x for x in active if x != c]
-        if clash(trial):
-            active = trial
+    F = ConstraintFamily
+    PF, SD, TF, CAP = F.PAIR_FORCING, F.SAME_DOCK_TW, F.TIME_FEASIBILITY, F.CAPACITY
+    # forced, like the pair-forcing candidates, is in (i, j) order; each
+    # candidate comes with its key: the pair-forcing tuple that the row is or
+    # hangs on, or a capacity row's event
+    forced = [(i, j, k, l) for i, k in docked for j, l in docked if j != i]
+    entries = [(ConstraintId(PF, t), t) for t in forced]
+    for t in forced:
+        i, j, k, l = t
+        if k == l and rules.same_dock_bound[i - 1][j - 1] < 1:
+            entries.append((ConstraintId(SD, (i, j, k)), t))
+        if not rules.time_ok[i - 1][j - 1][k - 1][l - 1]:
+            entries.append((ConstraintId(TF, t), t))
+    if not inst.unbounded_capacity and forced:
+        entries += [(ConstraintId(CAP, (r,)), r) for r in range(1, 2 * inst.n + 1)]
+    entries.sort(key=lambda e: (e[0].family, e[0].indices))
+    candidates = [c for c, _ in entries]
+    rows = [(c.family, key) for c, key in entries]
+    up = set(forced)
+    caps = {key for f, key in rows if f is CAP}
+    hang = Counter(key for f, key in rows if f is TF or f is SD)
+    witnesses = sum(hang.values())
 
-    assert clash(active)  # the set itself must clash
-    minimal = not any(clash([x for x in active if x != c]) for c in active)
+    def overload(skip, events) -> bool:
+        # capacity is checked on the least forced set, since occupancy
+        # contributions are nonnegative for validated instances
+        if not events:
+            return False
+        load = rules.load(t[:2] for t in forced if t in up and t != skip)
+        return any(load[r - 1] - rules.capacity > EPS for r in events)
+
+    def without(pos) -> tuple[int, bool]:
+        """The witnesses left without the active row ``pos``, and whether the
+        other active rows still clash."""
+        f, key = rows[pos]
+        if f is PF:
+            left = witnesses - hang[key]
+            return left, left > 0 or overload(key, caps)
+        if f is CAP:
+            return witnesses, witnesses > 0 or overload(None, caps - {key})
+        left = witnesses - (key in up)
+        return left, left > 0 or overload(None, caps)
+
+    if not (witnesses or overload(None, caps)):
+        return None
+    active = [True] * len(candidates)
+    for pos in reversed(range(len(candidates))):
+        left, clashes = without(pos)
+        if clashes:
+            witnesses = left
+            active[pos] = False
+            f, key = rows[pos]
+            if f is PF:
+                up.remove(key)
+            elif f is CAP:
+                caps.remove(key)
+            else:
+                hang[key] -= 1
+
+    kept = [pos for pos, on in enumerate(active) if on]
+    assert witnesses or overload(None, caps)  # the set itself must clash
+    conflict = tuple(candidates[pos] for pos in kept)
     return ConflictSet(
-        constraints=tuple(active),
-        minimal=minimal,
-        narrative=_narrative(inst, tuple(active)),
+        constraints=conflict,
+        minimal=not any(without(pos)[1] for pos in kept),
+        narrative=_narrative(inst, conflict),
     )
 
 

@@ -39,51 +39,50 @@ def _num(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _wrap_terms(label: str, terms: list[str], tail: str) -> list[str]:
-    """Render 'label: term term ... tail' wrapped to readable lines."""
+def _wrap_terms(first: str, terms: list[str], indent: str) -> list[str]:
+    """``first`` and the ``terms``, space-separated, wrapped to lines of at
+    most _WRAP columns where a term allows; a continuation line starts with
+    ``indent`` and a space. A running length finds the breaks, and each
+    line's parts are joined once."""
     lines = []
-    current = f" {label}:"
+    parts, width = [first], len(first)
     for term in terms:
-        if len(current) + 1 + len(term) > _WRAP:
-            lines.append(current)
-            current = "   " + term
+        if width + 1 + len(term) > _WRAP:
+            lines.append(" ".join(parts))
+            parts, width = [indent, term], len(indent) + 1 + len(term)
         else:
-            current += " " + term
-    if tail:
-        if len(current) + 1 + len(tail) > _WRAP:
-            lines.append(current)
-            current = "   " + tail
-        else:
-            current += " " + tail
-    lines.append(current)
+            parts.append(term)
+            width += 1 + len(term)
+    lines.append(" ".join(parts))
     return lines
 
 
 def emit_lp(inst: Instance, form: Formulation) -> LpDocument:
-    """Emit the default-mode model (self-flows excluded) as an LP document."""
-    n = inst.n
+    """Emit the default-mode model (self-flows excluded) as an LP document.
+
+    Each variable name is formatted once, into ``y_names[i - 1][k - 1]`` and
+    ``z_names`` (indexed like ``z_index``); the row labels, the capacity
+    blocks, the Bounds and the Binaries are all read from these tables.
+    """
+    n, m = inst.n, inst.m
     rules = compile_rules(inst, form, False)
     cd = form is Formulation.CROSS_DOCK
 
-    def yname(i, k):
-        return f"y_{i}_{k}"
-
-    def zname(i, j, k, l):
-        return f"z_{i}_{j}_{k}_{l}"
-
-    y_vars = [yname(i, k) for i in inst.trucks() for k in inst.docks()]
+    y_names = [[f"y_{i}_{k}" for k in inst.docks()] for i in inst.trucks()]
+    y_vars = [name for row in y_names for name in row]
     truck_pairs = [(i, j) for i in inst.trucks() for j in inst.trucks() if j != i]
     dock_pairs = [(k, l) for k in inst.docks() for l in inst.docks()]
     z_index = [(i, j, k, l) for i, j in truck_pairs for k, l in dock_pairs]
+    z_names = [f"z_{i}_{j}_{k}_{l}" for i, j, k, l in z_index]
+    z_table = list(zip(z_index, z_names))
 
     constant = total_penalty_constant(inst)
-    lines: list[str] = []
     rows = 0
 
     obj_terms = []
-    for (i, j, k, l) in z_index:
+    for (i, j, k, l), z in z_table:
         coef = rules.ct[k - 1][l - 1] - rules.pf[i - 1][j - 1]
-        obj_terms.append(f"{'+' if coef >= 0 else '-'} {_num(abs(coef))} {zname(i, j, k, l)}")
+        obj_terms.append(f"{'+' if coef >= 0 else '-'} {_num(abs(coef))} {z}")
     if not obj_terms:
         obj_terms = [f"+ 0 {y_vars[0]}"]  # n = 1: no transfer variables exist
 
@@ -95,79 +94,70 @@ def emit_lp(inst: Instance, form: Formulation) -> LpDocument:
     ]
 
     body: list[str] = ["Minimize"]
-    body.extend(_wrap_terms("obj", obj_terms, ""))
+    body.extend(_wrap_terms(" obj:", obj_terms, "  "))
     body.append("Subject To")
 
     # dock uniqueness
-    for i in inst.trucks():
-        terms = [f"+ {yname(i, k)}" for k in inst.docks()]
-        body.extend(_wrap_terms(f"du_{i}", terms, "<= 1"))
+    for i, names in enumerate(y_names, start=1):
+        terms = [f"+ {y}" for y in names] + ["<= 1"]
+        body.extend(_wrap_terms(f" du_{i}:", terms, "  "))
         rows += 1
-    # linking z <= y_ik and z <= y_jl
-    for (i, j, k, l) in z_index:
-        body.append(f" lzi_{i}_{j}_{k}_{l}: {zname(i, j, k, l)} - {yname(i, k)} <= 0")
-        rows += 1
-    for (i, j, k, l) in z_index:
-        body.append(f" lzj_{i}_{j}_{k}_{l}: {zname(i, j, k, l)} - {yname(j, l)} <= 0")
-        rows += 1
+    # linking z <= y_ik and z <= y_jl; a z name's suffix labels its rows
+    for (i, j, k, l), z in z_table:
+        body.append(f" lzi_{z[2:]}: {z} - {y_names[i - 1][k - 1]} <= 0")
+    for (i, j, k, l), z in z_table:
+        body.append(f" lzj_{z[2:]}: {z} - {y_names[j - 1][l - 1]} <= 0")
+    rows += 2 * len(z_index)
     if cd:
-        for (i, j, k, l) in z_index:
+        for (i, j, k, l), z in z_table:
             body.append(
-                f" pf_{i}_{j}_{k}_{l}: {yname(i, k)} + {yname(j, l)} "
-                f"- {zname(i, j, k, l)} <= 1"
+                f" pf_{z[2:]}: {y_names[i - 1][k - 1]} + {y_names[j - 1][l - 1]} "
+                f"- {z} <= 1"
             )
-            rows += 1
-    # same-dock precedence
-    for i, j in truck_pairs:
+        rows += len(z_index)
+    # same-dock precedence: the p-th truck pair's z_i_j_k_k is
+    # z_names[(p * m + k - 1) * m + k - 1]
+    for p, (i, j) in enumerate(truck_pairs):
         bound = rules.same_dock_bound[i - 1][j - 1]
         for k in inst.docks():
-            body.append(f" sd_{i}_{j}_{k}: {zname(i, j, k, k)} <= {bound}")
+            z = z_names[(p * m + k - 1) * m + k - 1]
+            body.append(f" sd_{i}_{j}_{k}: {z} <= {bound}")
             rows += 1
     # capacity at every event time (no rows without transfer variables):
-    # every z_i_j_k_l of the pair (i, j) holds the same buffer interval
+    # every z_i_j_k_l of the pair (i, j) holds the same buffer interval, so
+    # each pair's terms are one block of the name table
     cap = rules.capacity
     if z_index:
-        blocks = [
-            (rules.hold[i - 1][j - 1], [zname(i, j, k, l) for k, l in dock_pairs])
-            for i, j in truck_pairs
-        ]
+        blocks = []
+        for p, (i, j) in enumerate(truck_pairs):
+            lo, hi, units = rules.hold[i - 1][j - 1]
+            if abs(units) > EPS:
+                coef = f"+ {_num(units)}" if units > 0 else f"- {_num(-units)}"
+                names = z_names[p * m * m : (p + 1) * m * m]
+                blocks.append((lo, hi, [f"{coef} {z}" for z in names]))
         for r in range(2 * n):
-            terms = []
-            for (lo, hi, units), names in blocks:
-                if lo <= r < hi and abs(units) > EPS:
-                    coef = f"+ {_num(units)}" if units > 0 else f"- {_num(-units)}"
-                    terms += [f"{coef} {name}" for name in names]
+            terms = [term for lo, hi, block in blocks if lo <= r < hi for term in block]
             if not terms:
-                terms = ["+ 0 " + zname(*z_index[0])]
-            body.extend(_wrap_terms(f"cap_{r + 1}", terms, f"<= {_num(cap)}"))
+                terms = ["+ 0 " + z_names[0]]
+            terms.append(f"<= {_num(cap)}")
+            body.extend(_wrap_terms(f" cap_{r + 1}:", terms, "  "))
             rows += 1
     if not cd:
         for i in inst.trucks():
             for j in range(i + 1, n + 1):
                 # 1 + xhat_ij + xhat_ji: 2 unless the two windows overlap
                 rhs = 1 if rules.overlap[i - 1][j - 1] else 2
-                for k in inst.docks():
-                    body.append(
-                        f" dc_{i}_{j}_{k}: {yname(i, k)} + {yname(j, k)} <= {rhs}"
-                    )
+                for k, (yi, yj) in enumerate(zip(y_names[i - 1], y_names[j - 1]), 1):
+                    body.append(f" dc_{i}_{j}_{k}: {yi} + {yj} <= {rhs}")
                     rows += 1
 
     body.append("Bounds")
-    for (i, j, k, l) in z_index:
+    for (i, j, k, l), z in z_table:
         if not rules.time_ok[i - 1][j - 1][k - 1][l - 1]:
-            body.append(f" {zname(i, j, k, l)} = 0")
+            body.append(f" {z} = 0")
 
     body.append("Binaries")
-    names = y_vars + [zname(*idx) for idx in z_index]
-    current = ""
-    for name in names:
-        if len(current) + 1 + len(name) > _WRAP:
-            body.append(current)
-            current = " " + name
-        else:
-            current += " " + name
-    if current:
-        body.append(current)
+    body.extend(_wrap_terms("", y_vars + z_names, ""))
     body.append("End")
 
     header.append(f"\\ constraints: {rows}")

@@ -199,15 +199,17 @@ def select_items(
     the events lo <= r < hi, ``holds[x] = (lo, hi, units)`` (a
     :attr:`Rules.hold` entry); ``base`` is the load of the forced transfers at
     each event and ``footprints[x]`` the item's weight in the density greedy
-    (a :attr:`Rules.footprint` entry). An item is taken only if the load
-    stays within capacity + EPS at each of its events as it is added.
-    ``picked`` lists item indices in ascending order. When every item fits,
-    all are taken; otherwise an exact depth-first search runs up to
-    ``EXACT_SELECTION_LIMIT`` items, above which a greedy by gain density
-    takes over and the result is flagged non-exact. ``force_enumeration``
-    skips the take-everything shortcut and lifts the limit. Ties between
-    optimal subsets go to the lexicographically first, so callers that list
-    items in the same order pick the same subset.
+    (a :attr:`Rules.footprint` entry). With ``base`` within capacity + EPS,
+    a subset is taken only if its final load is too, at every event: the
+    search adds the negative-unit items first, so no load it checks as an
+    item is added exceeds the final one. ``picked`` lists item indices in
+    ascending order. When every item fits, all are taken; otherwise an exact
+    depth-first search runs up to ``EXACT_SELECTION_LIMIT`` items, above
+    which a greedy by gain density takes over and the result is flagged
+    non-exact. ``force_enumeration`` skips the take-everything shortcut and
+    lifts the limit. Ties between optimal subsets go to the lexicographically
+    first, the negative-unit items listed first, so callers that list items
+    in the same order pick the same subset.
 
     Rows: only the events that some subset can overload are checked, those
     where ``base`` plus every positive unit, summed in index order, exceeds
@@ -250,6 +252,15 @@ def select_items(
     # that base plus every positive unit overloads
     top = occ_all
     if any(units < 0 for _, _, units in holds):
+        order = sorted(range(len(gains)), key=lambda x: holds[x][2] >= 0)
+        if order != list(range(len(gains))):  # search negative units first
+            result = select_items(
+                [gains[x] for x in order], [holds[x] for x in order], base, capacity,
+                [footprints[x] for x in order], force_enumeration, floor,
+            )
+            if result is None:
+                return None
+            return sorted(order[x] for x in result[0]), result[1], result[2]
         top = list(base)
         for lo, hi, units in holds:
             if units > 0:

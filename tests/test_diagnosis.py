@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 
-from crossdock.diagnosis import explain_pair, find_conflict
-from crossdock.formulations import ConstraintFamily, Formulation
+from crossdock.diagnosis import ConflictSet, _narrative, explain_pair, find_conflict
+from crossdock.formulations import ConstraintFamily, ConstraintId, Formulation, compile_rules
 from crossdock.instance_io import generate
-from crossdock.model import Instance, Solution
+from crossdock.model import EPS, UNASSIGNED, Instance, Solution
 from crossdock.subproblem import InfeasibilityWitness, induced_transfers_crossdock
 
 CD = Formulation.CROSS_DOCK
@@ -78,6 +80,9 @@ def test_capacity_conflict_includes_capacity_row():
     assert ConstraintFamily.CAPACITY in families
     assert ConstraintFamily.PAIR_FORCING in families
     assert conflict.minimal
+    # every transfer fits in time: an overload alone, as the slow twin finds
+    assert ConstraintFamily.TIME_FEASIBILITY not in families
+    assert conflict == _quadratic_find_conflict(inst, (1, 2), CD)
 
 
 def _case_instance():
@@ -151,3 +156,90 @@ def test_rcrossdock_consistency_iff_no_dock_conflicts():
         dock = tuple(int(rng.integers(0, inst.m + 1)) for _ in range(inst.n))
         conflict = find_conflict(inst, dock, RCD)
         assert (conflict is None) == (check_dock_conflicts(inst, dock) is None)
+
+
+def _quadratic_find_conflict(inst, dock, form):
+    """Slow twin of ``find_conflict``: the plain deletion filter, which
+    rebuilds the active list and re-reads every active row for each removal
+    test, walks the sorted candidates in reverse and re-checks every single
+    removal for minimality."""
+    rules = compile_rules(inst, form, False)
+    docked = [(i, k) for i, k in enumerate(dock, start=1) if k != UNASSIGNED]
+    if form is RCD:
+        candidates = [
+            ConstraintId(ConstraintFamily.DOCK_CONFLICT, (i, j, k))
+            for i, k in docked
+            for j, l in docked
+            if i < j and k == l and rules.overlap[i - 1][j - 1]
+        ]
+
+        def clash(active):
+            return bool(active)
+
+    else:
+        forced = [(i, j, k, l) for i, k in docked for j, l in docked if j != i]
+        candidates = [ConstraintId(ConstraintFamily.PAIR_FORCING, t) for t in forced]
+        for i, j, k, l in forced:
+            if k == l and rules.same_dock_bound[i - 1][j - 1] < 1:
+                candidates.append(ConstraintId(ConstraintFamily.SAME_DOCK_TW, (i, j, k)))
+            if not rules.time_ok[i - 1][j - 1][k - 1][l - 1]:
+                candidates.append(
+                    ConstraintId(ConstraintFamily.TIME_FEASIBILITY, (i, j, k, l))
+                )
+        if not inst.unbounded_capacity and forced:
+            candidates += [
+                ConstraintId(ConstraintFamily.CAPACITY, (r,))
+                for r in range(1, 2 * inst.n + 1)
+            ]
+
+        def clash(active):
+            up = {c.indices for c in active if c.family is ConstraintFamily.PAIR_FORCING}
+            for c in active:
+                if c.family is ConstraintFamily.TIME_FEASIBILITY and c.indices in up:
+                    return True
+                if c.family is ConstraintFamily.SAME_DOCK_TW:
+                    i, j, k = c.indices
+                    if (i, j, k, k) in up:
+                        return True
+            cap_rows = [c for c in active if c.family is ConstraintFamily.CAPACITY]
+            if not cap_rows:
+                return False
+            load = rules.load((i, j) for (i, j, _, _) in up)
+            return any(load[c.indices[0] - 1] - rules.capacity > EPS for c in cap_rows)
+
+    candidates.sort(key=lambda c: (c.family, c.indices))
+    if not clash(candidates):
+        return None
+    active = list(candidates)
+    for c in reversed(candidates):
+        trial = [x for x in active if x != c]
+        if clash(trial):
+            active = trial
+    minimal = not any(clash([x for x in active if x != c]) for c in active)
+    return ConflictSet(tuple(active), minimal, _narrative(inst, tuple(active)))
+
+
+def test_find_conflict_matches_its_slow_twin():
+    rng = np.random.default_rng(11)
+    kinds = {}
+    for seed, m, ratio in itertools.product(range(12), (2, 3), (None, 0.02, 0.05)):
+        inst = generate(seed, 5 + seed % 3, m, capacity_ratio=ratio)
+        for form in (CD, RCD):
+            for _ in range(4):
+                dock = tuple(int(rng.integers(0, m + 1)) for _ in range(inst.n))
+                conflict = find_conflict(inst, dock, form)
+                assert conflict == _quadratic_find_conflict(inst, dock, form)
+                if conflict is not None:
+                    families = frozenset(c.family for c in conflict.constraints)
+                    kinds[families] = kinds.get(families, 0) + 1
+    # the draw reaches every kind of conflict: time, same-dock, dock and
+    # capacity-only (pair-forcing rows plus one overloaded event)
+    capacity_only = frozenset(
+        {ConstraintFamily.PAIR_FORCING, ConstraintFamily.CAPACITY}
+    )
+    assert kinds.get(capacity_only, 0) > 0, kinds
+    assert {
+        ConstraintFamily.SAME_DOCK_TW,
+        ConstraintFamily.TIME_FEASIBILITY,
+        ConstraintFamily.DOCK_CONFLICT,
+    } <= set().union(*kinds), kinds

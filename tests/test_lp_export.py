@@ -1,4 +1,6 @@
+import hashlib
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -118,6 +120,84 @@ def test_single_truck_edge_case():
     doc = emit_lp(inst, CD)
     assert doc.variable_count == 2
     assert "Minimize" in doc.text and "End" in doc.text
+
+
+def _reversed_flow(inst):
+    """``inst`` with a flow of 70 on every pair whose destination departs
+    before its source arrives: its ``hold`` units are negative, so the
+    capacity rows print negative coefficients. Validation rejects such flows,
+    but the writer must still print them faithfully."""
+    flow = [list(row) for row in inst.flow]
+    for i in range(inst.n):
+        for j in range(inst.n):
+            if i != j and inst.departure[j] < inst.arrival[i]:
+                flow[i][j] = 70.0
+    return replace(inst, flow=tuple(tuple(row) for row in flow))
+
+
+# sha256 of emit_lp(...).text: (reversed flows, seed, n, m, capacity_ratio)
+# -> (CROSS-DOCK, R-CROSS-DOCK); n = 1 and m = 1 edge cases, binding
+# capacities (ratio 0.05) and negative capacity coefficients
+PINNED_LP_HASHES = {
+    (False, 1, 1, 2, None): (
+        "4d9f2280957f00e139e24f7cedc349e0f2f240d8fefa78d5ab90460e980cdbd7",
+        "8e1826f615995e9beac813940a6bdf566613a68d3835b229d92e9192f96fdbdf",
+    ),
+    (False, 2, 1, 1, None): (
+        "ad28d66e038c37bd9e216493e1881b551cf6661748e5cbc8c160aad429a7305e",
+        "f9ab33f0a07ac8c78aff1579be3d921b85e861a091b7db5bcff14d8434ac9348",
+    ),
+    (False, 3, 3, 1, None): (
+        "8899e2867ca6c995d7ddbd5a4a201bc3650546737138b2ca5debe8cabb9cc460",
+        "7495e1d73a81a712321af402d794c8143b9dcf3bce1ebb6df99ccf2018142f4c",
+    ),
+    (False, 4, 4, 1, 0.05): (
+        "8c22cc006635bbb303dce2e89224533b2680a33f37c796aa136e044a43f6fa71",
+        "2e39808242b91478c0ba9dfdfa5048793a1e0e9a4c5b9a2053d94a804c4e0336",
+    ),
+    (False, 5, 3, 2, None): (
+        "a4408ae100f3daa1f5f176523a52147446cc33f8628aa8c07ce92fb30f9146f0",
+        "1e6012a99ededefcd4d444c502575806152136ec817592bbe05fd7def93f7eb7",
+    ),
+    (False, 6, 4, 2, 0.05): (
+        "add5a692e2012340c0c22ebaea911f7579c82a716822bfca6d4348bba748c4bb",
+        "d349ab138da38ea06c3c8cbc25e15c2e806e743a32cee9ddfc2582132c4b0538",
+    ),
+    (False, 7, 5, 2, 0.05): (
+        "78b143d807d784755f85d2d933c34ead3c4928028dd995cf4914a3575d04a368",
+        "cdaf941bb3af6ab8ef7b4623e280f9387d629ba6760cc53da7beeab7055e7a1a",
+    ),
+    (False, 8, 4, 3, 0.5): (
+        "ed38501e63d10c0da866ecdbdfe99758e89a4e659a94f211d63e25ddf9f03037",
+        "0d93b2922dcee9cb28debcadda7b4f13c8aa02a41fec0df5d5b2af89d87a8bd1",
+    ),
+    (True, 12, 5, 2, None): (
+        "2094a47148a46b2a1f55000e724a83d4d1e9ab17bdc30f5385f6e5bc06acd20f",
+        "fdc150497a2a03b4009a0e269977282c965e94d306c7a5ea60dc9da9c1e873df",
+    ),
+    (True, 10, 5, 2, 0.05): (
+        "bd792fc906aba74334f274be5bd15663872952c76bae1a70c2f07ddc597b7c64",
+        "b74dcf134f197573ec6ffc85cc86ebd7d77f56ae90fafc929cb94ad72a423d48",
+    ),
+    (True, 11, 6, 2, 0.05): (
+        "74677129dc063347c98216a4082cc545343b6985db5d3d36ea1aa7b80cc2364e",
+        "1d717d90cf24050718b35d2f029935eed5ec2c3d0e686e8b488a1a8d51b2bffe",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_LP_HASHES, key=repr))
+def test_exports_of_generated_instances_are_pinned(case):
+    reverse, seed, n, m, ratio = case
+    inst = generate(seed, n, m, capacity_ratio=ratio)
+    if reverse:
+        inst = _reversed_flow(inst)
+    for form, pinned in zip((CD, RCD), PINNED_LP_HASHES[case]):
+        text = emit_lp(inst, form).text
+        if reverse:
+            capacity_rows = text.split("\n cap_1:")[1].split("Bounds")[0]
+            assert " - " in capacity_rows
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned, form
 
 
 def _interpret_lp(text: str):

@@ -4,8 +4,10 @@ The emitted text is parsed back with a standalone interpreter and handed to
 HiGHS (via scipy.optimize.milp). The external optimum plus the reported
 constant must reproduce the toolkit's branch-and-bound optimum, both on the
 reference instance and on random small instances against the brute-force
-oracle.
+oracle, including instances where the buffer capacity changes the optimum.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -69,3 +71,20 @@ def test_random_instances_reproduced_by_external_solver():
             external = _solve_lp_with_highs(doc.text)
             oracle = brute_force(inst, form).objective.total
             assert external == pytest.approx(oracle, abs=1e-6)
+
+
+def test_binding_capacity_reproduced_by_external_solver():
+    # capacity_ratio=0.05 binds on the generator's data (0.5 never does):
+    # HiGHS on the exported capacity rows must meet the brute-force oracle
+    cases = changed = 0
+    for seed, n, form in itertools.product(range(20), (3, 4, 5), (CD, RCD)):
+        inst = generate(seed, n=n, m=2, capacity_ratio=0.05)
+        oracle = brute_force(inst, form).objective.total
+        assert _solve_lp_with_highs(emit_lp(inst, form).text) == pytest.approx(
+            oracle, abs=1e-6
+        ), (seed, n, form)
+        unbounded = brute_force(inst.with_capacity(None), form).objective.total
+        changed += abs(oracle - unbounded) > 1e-6
+        cases += 1
+    assert cases == 120
+    assert changed >= cases // 2, changed

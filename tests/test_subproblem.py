@@ -283,9 +283,11 @@ SELECTION_CASES = [
     # overlapping intervals with non-integer gains, units and base
     ([2.5, 1.75, 3.25, 0.5], [(0, 2, 1.5), (1, 3, 2.25), (0, 3, 0.75), (2, 3, 3.5)], [0.0, 0.5, 1.0, 0.0], 3.0),
     # one negative-unit item (a reversed window): it makes room for item 1 at
-    # event 0, so the excess there must count it; listed first, because the
-    # kernel checks each load as the item is added, in index order
+    # event 0, so the excess there must count it
     ([1.0, 10.0, 4.0, 3.0], [(0, 1, -5.0), (0, 1, 10.0), (1, 2, 4.0), (1, 2, 3.0)], [0.0, 0.0], 5.0),
+    # the same items with the negative one second: the subset {0, 1, 2} keeps
+    # 15 in either order, although item 0 alone overloads event 0
+    ([10.0, 1.0, 4.0, 3.0], [(0, 1, 10.0), (0, 1, -5.0), (1, 2, 4.0), (1, 2, 3.0)], [0.0, 0.0], 5.0),
 ]
 
 
