@@ -203,13 +203,14 @@ def select_items(
     a subset is taken only if its final load is too, at every event: the
     search adds the negative-unit items first, so no load it checks as an
     item is added exceeds the final one. ``picked`` lists item indices in
-    ascending order. When every item fits, all are taken; otherwise an exact
-    depth-first search runs up to ``EXACT_SELECTION_LIMIT`` items, above
-    which a greedy by gain density takes over and the result is flagged
-    non-exact. ``force_enumeration`` skips the take-everything shortcut and
-    lifts the limit. Ties between optimal subsets go to the lexicographically
-    first, the negative-unit items listed first, so callers that list items
-    in the same order pick the same subset.
+    ascending order. When every item fits, all are taken. Otherwise a ``base``
+    above capacity + EPS raises ValueError, and an exact depth-first search
+    runs up to ``EXACT_SELECTION_LIMIT`` items, above which a greedy by gain
+    density takes over and the result is flagged non-exact.
+    ``force_enumeration`` skips the take-everything shortcut and lifts the
+    limit. Ties between optimal subsets go to the lexicographically first, the
+    negative-unit items listed first, so callers that list items in the same
+    order pick the same subset.
 
     Rows: only the events that some subset can overload are checked, those
     where ``base`` plus every positive unit, summed in index order, exceeds
@@ -247,6 +248,8 @@ def select_items(
         if floor is not None and total <= floor + EPS:
             return None
         return list(range(len(gains))), True, total
+    if any(v > limit for v in base):
+        raise ValueError("select_items: the base load exceeds capacity")
 
     # the rows: per set of covering items (a bit mask), the highest-base event
     # that base plus every positive unit overloads

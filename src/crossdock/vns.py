@@ -39,8 +39,7 @@ def greedy_initial(tables: _Tables, evaluate) -> list[int]:
     """Greedy start: heaviest-penalty trucks first, each to the feasible dock
     with the best immediate gain (strictly improving, lowest index on ties).
     Candidates are priced by ``evaluate``, as :meth:`_Tables.evaluate`."""
-    n, m, pf = tables.n, tables.m, tables.rules.pf
-    weight = [sum(pf[i][j] + pf[j][i] for j in range(n) if j != i) for i in range(n)]
+    n, m, weight = tables.n, tables.m, tables.weight
     y0 = [_UNDOCKED] * n
     value = evaluate(y0)[0]
     for i in sorted(range(n), key=lambda i: (-weight[i], i)):

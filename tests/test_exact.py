@@ -394,21 +394,83 @@ def test_budget_exhaustion_still_returns_incumbent():
 
 
 def test_max_nodes_counts_the_nodes_processed(nine_truck):
-    # the fixture CROSS-DOCK tree has 243 nodes: a budget below that stops
-    # after exactly that many nodes, a budget of 243 lets the search finish
+    # a budget below the fixture CROSS-DOCK tree's size stops after exactly
+    # that many nodes, and a budget of the size lets the search finish
     full = branch_and_bound(nine_truck, CD)
-    assert full.status == "optimal" and full.nodes_explored == 243
-    for max_nodes in (1, 2, 100, 242):
+    size = full.nodes_explored
+    assert full.status == "optimal" and size > 100
+    for max_nodes in (1, 2, 100, size - 1):
         seen = []
         result = branch_and_bound(
             nine_truck, CD, Budget(max_nodes=max_nodes), on_node=lambda d, b: seen.append(b)
         )
         assert result.status == "budget_exhausted", max_nodes
         assert result.nodes_explored == len(seen) == max_nodes
-    result = branch_and_bound(nine_truck, CD, Budget(max_nodes=243))
+    result = branch_and_bound(nine_truck, CD, Budget(max_nodes=size))
     assert result.status == "optimal"
-    assert result.nodes_explored == 243
+    assert result.nodes_explored == size
     assert result.objective == full.objective
+
+
+def test_fixture_tree_sizes_are_pinned(nine_truck):
+    # the node counts of the heaviest-first branching order: a change of the
+    # order or of the bounds shows here
+    assert branch_and_bound(nine_truck, CD).nodes_explored == 236
+    assert branch_and_bound(nine_truck, RCD).nodes_explored == 26_733
+    strict = branch_and_bound(nine_truck, RCD, include_diagonal=True)
+    assert strict.nodes_explored == 22_207
+
+
+def _relabel(inst: Instance, rng: random.Random) -> Instance:
+    """The instance with its trucks renumbered by a random permutation, where
+    trucks with equal arrival keep their relative order."""
+    n = inst.n
+    label = list(range(n))  # old truck -> new truck
+    rng.shuffle(label)
+    ties = {}
+    for i in range(n):
+        ties.setdefault(inst.arrival[i], []).append(i)
+    for members in ties.values():
+        for i, new in zip(members, sorted(label[i] for i in members)):
+            label[i] = new
+    old = [0] * n
+    for i, new in enumerate(label):
+        old[new] = i
+
+    def square(rows):
+        return [[rows[old[a]][old[b]] for b in range(n)] for a in range(n)]
+
+    return dataclasses.replace(
+        inst,
+        arrival=[inst.arrival[i] for i in old],
+        departure=[inst.departure[i] for i in old],
+        flow=square(inst.flow),
+        penalty=square(inst.penalty),
+    )
+
+
+def test_branching_order_is_label_invariant(nine_truck):
+    # heaviest trucks first, ties by arrival, then index: a relabelling that
+    # keeps equal-arrival trucks in order explores one tree
+    rng = random.Random(12)
+    cases = [
+        nine_truck,
+        nine_truck.with_capacity(2000.0),
+        generate(1, 10, 3, capacity_ratio=0.05),
+    ]
+    for inst in cases:
+        reference = branch_and_bound(inst, RCD)
+        for _ in range(5):
+            relabelled = _relabel(inst, rng)
+            tables = _Tables(relabelled, RCD, False)
+            keys = [
+                (-tables.weight[i], relabelled.arrival[i], i) for i in tables.order
+            ]
+            assert keys == sorted(keys)
+            result = branch_and_bound(relabelled, RCD)
+            assert result.nodes_explored == reference.nodes_explored
+            assert result.trace == reference.trace
+            assert result.objective.total == reference.objective.total
 
 
 def test_time_limit_is_checked_every_256_nodes(nine_truck):

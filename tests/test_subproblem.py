@@ -320,3 +320,11 @@ def test_select_items_matches_plain_enumeration_on_decide_items():
                 )
                 checked += 1
     assert binding > 100, (checked, binding)
+
+
+def test_select_items_rejects_a_base_load_above_capacity():
+    # event 1 carries a forced load of 10 against capacity 5 and no item
+    # covers it: no subset is feasible, so the precondition is enforced
+    # rather than the overload ignored
+    with pytest.raises(ValueError, match="base load exceeds capacity"):
+        subproblem.select_items([1.0], [(0, 1, 1.0)], [0.0, 10.0], 5.0, [1.0])
