@@ -118,6 +118,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.method == "brute" and args.time_limit is not None:
+        # brute force always enumerates every assignment
+        args.usage_error("argument --time-limit: not allowed with --method brute")
     inst = _load_instance(args.instance, args.capacity)
     form = _MODELS[args.model]
     budget = exact.Budget(time_limit=args.time_limit)
@@ -237,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--capacity", type=_capacity_arg, default=_KEEP_CAPACITY)
     p.add_argument("--time-limit", type=_time_limit_arg, default=None)
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_solve, usage_error=p.error)
 
     p = sub.add_parser("check", help="check a solution file against a model")
     p.add_argument("instance")

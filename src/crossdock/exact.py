@@ -28,8 +28,10 @@ chosen by the selection kernel of the subproblem module
 (:func:`crossdock.subproblem.select_items`). A search leaf only has to show
 whether it beats the incumbent, so ``_Tables.leaf_value`` hands the kernel a
 floor on the gain it must keep: a per-event fractional bound or a selection
-search that starts at the floor drops a leaf that cannot beat it, while
-``_Tables.evaluate`` (VNS, its memo) still prices every assignment in full.
+search that starts at the floor drops a leaf that cannot beat it. VNS prices
+its neighbours the same way, against its running best, and
+``_Tables.evaluate`` prices an assignment in full. Each distinct buffer
+problem is selected once per search (``_Tables._select`` keeps a memo).
 The returned solution is built
 from the same transfer decision (``_Tables.decide``) and priced by
 ``objective_value``, so the value the search compares and the solution it
@@ -65,6 +67,11 @@ from .model import EPS, Instance, Solution, total_penalty_constant
 BRUTE_FORCE_LIMIT = 10**6
 
 _UNDOCKED = -1  # internal 0-based marker
+
+#: Entries a search's selection memo holds before it is cleared: above the
+#: 11,300 buffer problems of the fixture's R-CROSS-DOCK search at capacity
+#: 1000, about 1.2 kB each at n = 9-10, so at most about 20 MB.
+_MEMO_LIMIT = 1 << 14
 
 
 class InstanceTooLargeError(ValueError):
@@ -179,6 +186,8 @@ class _Tables:
             item[4] for item in self.free_items
         )
         self.rules = rules
+        self._no_load = (0.0,) * len(rules.events)
+        self._memo = {}
 
     def root_opt_rest(self) -> float:
         total = sum(
@@ -228,12 +237,33 @@ class _Tables:
                 value = unary[i][ki] if i == j else half[i][j][ki][kj]
                 if value < 0:
                     items.append((i, j, ki, kj, -value))
-        return [], items, [0.0] * len(rules.events)
+        return [], items, self._no_load
 
     def _select(self, items, base, floor=None):
-        """:func:`subproblem.select_items` over ``items`` above ``base``."""
+        """:func:`subproblem.select_items` over ``items`` above ``base``, run
+        once per buffer problem: a memo keyed by the items' (i, j, gain) and
+        ``base`` (with the rules, they fix the holds, footprints and capacity)
+        is cleared at ``_MEMO_LIMIT`` entries. A stored exact result answers
+        an unfloored call as it is, a floored one with itself if it keeps more
+        than floor + EPS, else None; a greedy one is returned as it is, since
+        the greedy ignores floors. A None stored at floor f answers None for
+        any floor >= f; a lower floor or no floor selects again.
+        """
+        key = (tuple([(i, j, gain) for i, j, _, _, gain in items]), tuple(base))
+        memo = self._memo
+        known = memo.get(key)
+        if known is not None:
+            if isinstance(known, float):  # None at floor ``known``
+                if floor is not None and floor >= known:
+                    return None
+            elif floor is None or not known[1]:
+                return known
+            else:
+                return known if known[2] > floor + EPS else None
+        if len(memo) >= _MEMO_LIMIT:
+            memo.clear()
         rules = self.rules
-        return subproblem.select_items(
+        selection = subproblem.select_items(
             [item[4] for item in items],
             [rules.hold[i][j] for i, j, _, _, _ in items],
             base,
@@ -241,6 +271,8 @@ class _Tables:
             [rules.footprint[i][j] for i, j, _, _, _ in items],
             floor=floor,
         )
+        memo[key] = float(floor) if selection is None else selection
+        return selection
 
     def decide(self, y0):
         """The transfer decision of an assignment that passes
@@ -308,6 +340,8 @@ class _Tables:
         exactly is returned iff its value is below ``target`` - EPS, with the
         value and flag :meth:`evaluate` gives; a leaf priced by the greedy is
         always returned, since the search must learn that it was not exact.
+        Branch and bound calls it with the incumbent, VNS with the best
+        neighbour value so far.
         """
         if self.inst.unbounded_capacity:
             value = self.fast_value(y0)
@@ -414,25 +448,20 @@ def branch_and_bound(
     bound_at_root = base + tables.root_opt_rest()
     order, pair, pair_opt = tables.order, tables.pair, tables.pair_opt
     unary, unary_opt = tables.unary, tables.unary_opt
-    # order[idx]'s accumulator block sits at offset (m + 1) * (n - 1 - idx);
-    # push[idx][k]: what docking order[idx] at k adds to the later trucks'
-    # blocks, in the same latest-first layout; skip[idx]: the optimistic
-    # terms that leaving it unassigned removes, subtracted left to right
-    push = [
-        [
-            [
-                x
-                for v in reversed(order[idx + 1 :])
-                for x in pair[u][v][k] + [pair_opt[u][v]]
-            ]
+    # per level idx, deciding u = order[idx]: u, the offset of its
+    # accumulator block, its push rows (per dock k, what docking u at k adds
+    # to the later trucks' blocks, in the same latest-first layout), its
+    # unary row and optimum, and its skip row (the optimistic terms that
+    # leaving it unassigned removes, subtracted left to right)
+    levels = []
+    for idx, u in enumerate(order):
+        later = order[idx + 1 :]
+        push = [
+            [x for v in reversed(later) for x in pair[u][v][k] + [pair_opt[u][v]]]
             for k in range(m)
         ]
-        for idx, u in enumerate(order)
-    ]
-    skip = [
-        [pair_opt[u][v] for v in order[idx + 1 :]] + [unary_opt[u]]
-        for idx, u in enumerate(order)
-    ]
+        skip = [pair_opt[u][v] for v in later] + [unary_opt[u]]
+        levels.append((u, (m + 1) * (n - 1 - idx), push, unary[u], unary_opt[u], skip))
 
     def recurse(idx: int, committed: float, opt_rest: float, accs):
         nonlocal best_value, best_y, nodes, stopped, heuristic
@@ -462,13 +491,11 @@ def branch_and_bound(
                     best_y = tuple(y0)
                     trace.append(value)
             return
-        u = order[idx]
-        at = (m + 1) * (n - 1 - idx)
-        unary_u = unary[u]
+        u, at, push_u, unary_u, unary_opt_u, skip_u = levels[idx]
 
         opt_rest2 = opt_rest - accs[at + m]
-        docked_rest = opt_rest2 - unary_opt[u]
-        for k, push_k in enumerate(push[idx]):
+        docked_rest = opt_rest2 - unary_opt_u
+        for k, push_k in enumerate(push_u):
             # a clash with a decided truck left accs[at + k] infinite: never
             # entered
             committed2 = committed + accs[at + k] + unary_u[k]
@@ -482,10 +509,13 @@ def branch_and_bound(
                     return
 
         # leave truck u unassigned: its pairs contribute exactly zero, and no
-        # accumulator list is written once built, so the child shares this one
-        opt_rest2 = functools.reduce(operator.sub, skip[idx], opt_rest2)
+        # accumulator list is written once built, so the child shares this one.
+        # Every skip term is <= 0, so subtracting them never lowers the
+        # bound: a child that fails before the reduce fails after it too
         if base + committed + opt_rest2 < best_value - EPS:
-            recurse(idx + 1, committed, opt_rest2, accs)
+            opt_rest2 = functools.reduce(operator.sub, skip_u, opt_rest2)
+            if base + committed + opt_rest2 < best_value - EPS:
+                recurse(idx + 1, committed, opt_rest2, accs)
 
     recurse(0, 0.0, tables.root_opt_rest(), [0.0] * ((m + 1) * n))
 

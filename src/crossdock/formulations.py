@@ -184,14 +184,27 @@ def occupancy_at(
     inst: Instance, sol: Solution, t_r: float, include_diagonal: bool = False
 ) -> float:
     """Buffer occupancy at event time t_r: arrived inflow minus departed outflow."""
+    return _occupancy(_buffer_terms(inst, sol, include_diagonal), t_r)
+
+
+def _buffer_terms(inst: Instance, sol: Solution, include_diagonal: bool):
+    """(a_i, d_j, f_ij) of each transfer that uses the buffer, in order."""
+    return [
+        (inst.a(i), inst.d(j), inst.f(i, j))
+        for (i, j, _, _) in sol.transfers
+        if include_diagonal or i != j
+    ]
+
+
+def _occupancy(terms, t_r: float) -> float:
+    """:func:`occupancy_at` summed over :func:`_buffer_terms`."""
     occ = 0.0
-    for (i, j, _, _) in sol.transfers:
-        if not include_diagonal and i == j:
-            continue
-        if inst.a(i) <= t_r + EPS:
-            occ += inst.f(i, j)
-        if inst.d(j) <= t_r + EPS:
-            occ -= inst.f(i, j)
+    limit = t_r + EPS
+    for a_i, d_j, f_ij in terms:
+        if a_i <= limit:
+            occ += f_ij
+        if d_j <= limit:
+            occ -= f_ij
     return occ
 
 
@@ -239,6 +252,7 @@ def check_solution(
             )
 
     if form is Formulation.CROSS_DOCK:
+        shipped = set(sol.transfers)
         for i in inst.trucks():
             k = sol.dock_of(i)
             if not k:
@@ -249,7 +263,7 @@ def check_solution(
                 l = sol.dock_of(j)
                 if not l:
                     continue
-                if (i, j, k, l) not in sol.transfers:
+                if (i, j, k, l) not in shipped:
                     add(
                         ConstraintFamily.PAIR_FORCING,
                         (i, j, k, l),
@@ -279,8 +293,9 @@ def check_solution(
             )
 
     cap = inst.effective_capacity(include_diagonal)
+    terms = _buffer_terms(inst, sol, include_diagonal)
     for r, t_r in enumerate(event_times(inst), 1):
-        occ = occupancy_at(inst, sol, t_r, include_diagonal)
+        occ = _occupancy(terms, t_r)
         if occ - cap > EPS:
             add(
                 ConstraintFamily.CAPACITY,

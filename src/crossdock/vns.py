@@ -3,16 +3,18 @@
 Classic scheme: shake in N_k (k random truck reassignments), descend with
 single-reassignment (N_1) and pairwise-swap (N_2) local search, move and
 reset k on strict improvement, otherwise grow k. Candidates are priced by
-``exact._Tables.evaluate``, which B&B shares, and each distinct assignment is
-priced once per run: later visits read a memo. The final incumbent's
-transfers are built by ``_Tables.build_solution`` from the decision that
-priced it, so the result is a feasible solution of the chosen formulation
-with the value the search compared. Deterministic for a fixed seed; the RNG
-algorithm identifier is recorded in the result.
+``exact._Tables``, which B&B shares: under a finite capacity a neighbour is
+priced by ``_Tables.leaf_value`` only as far as it can beat the running best,
+every other query by ``_Tables.evaluate`` in full. Later visits read a memo.
+The final incumbent's transfers are built by ``_Tables.build_solution`` from
+the decision that priced it, so the result is a feasible solution of the
+chosen formulation with the value the search compared. Deterministic for a
+fixed seed; the RNG algorithm identifier is recorded in the result.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -91,10 +93,15 @@ def vns_solve(
 
     The result's trace holds the incumbent objective after the greedy start
     and after every iteration; ``nodes_explored`` counts the evaluations of
-    the greedy start, the repairs and the search, repeats included. Each
-    evaluation's result (None for an infeasible assignment) is memoised by
-    assignment for the run, so the memo holds one entry per distinct
-    assignment visited.
+    the greedy start, the repairs and the search, repeats included.
+
+    The run memo holds, per assignment visited, its full result (None for an
+    infeasible assignment) or the highest target it failed to beat. Under a
+    finite capacity the N_1 and N_2 moves pass the running best as that
+    target, and a neighbour that cannot beat it is priced no further: a later
+    visit at a target no higher is answered from the memo, a higher target or
+    a full query (the greedy start, ``_repair`` and the final value) prices
+    it again.
     """
     cfg = cfg or VnsConfig()
     tables = _Tables(inst, form, include_diagonal)
@@ -103,6 +110,7 @@ def vns_solve(
     start = time.perf_counter()
     evaluations = 0
     memo: dict[tuple[int, ...], tuple[float, bool] | None] = {}
+    beaten: dict[tuple[int, ...], float] = {}
 
     def timed_out() -> bool:
         return (
@@ -110,13 +118,23 @@ def vns_solve(
             and time.perf_counter() - start > cfg.time_budget
         )
 
-    def evaluate(y0):
+    def evaluate(y0, target=None):
         nonlocal evaluations
         evaluations += 1
         key = tuple(y0)
-        if key not in memo:
-            memo[key] = tables.evaluate(y0)
-        return memo[key]
+        if key in memo:
+            return memo[key]
+        if target is not None and target <= beaten.get(key, -math.inf):
+            return None
+        if target is None or inst.unbounded_capacity:
+            result = tables.evaluate(y0)
+        elif tables.first_clash(y0) is not None:
+            result = None
+        elif (result := tables.leaf_value(y0, target)) is None:
+            beaten[key] = target
+            return None
+        memo[key] = result
+        return result
 
     incumbent = greedy_initial(tables, evaluate)
     incumbent_value = evaluate(incumbent)[0]
@@ -133,7 +151,7 @@ def vns_solve(
                     if k == current:
                         continue
                     y0[i] = k
-                    result = evaluate(y0)
+                    result = evaluate(y0, best_value)
                     y0[i] = current
                     if result is None:
                         continue
@@ -151,7 +169,7 @@ def vns_solve(
                     if y0[i] == y0[j]:
                         continue
                     y0[i], y0[j] = y0[j], y0[i]
-                    result = evaluate(y0)
+                    result = evaluate(y0, best_value)
                     y0[i], y0[j] = y0[j], y0[i]
                     if result is None:
                         continue

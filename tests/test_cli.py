@@ -318,6 +318,23 @@ def test_solve_brute_guard_exits_nonzero(fixture_paths, capsys):
     assert "instance_too_large" in capsys.readouterr().err
 
 
+def test_solve_brute_rejects_a_time_limit(tmp_path, capsys):
+    # brute force runs to completion, so a limit it cannot honour is a usage
+    # error rather than an "optimal" answer that ignored it
+    path = tmp_path / "inst.json"
+    main(["gen", "--seed", "3", "--n", "6", "--m", "2", "--out", str(path)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "solve", str(path), "--model", "r-crossdock", "--method", "brute",
+            "--time-limit", "0",
+        ])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --time-limit: not allowed with --method brute" in captured.err
+    assert captured.out == ""
+
+
 def test_reproduce_note_is_deterministic_modulo_timing(capsys):
     main(["reproduce-note"])
     first = capsys.readouterr().out

@@ -291,6 +291,73 @@ def test_leaf_value_drops_exactly_the_leaves_that_cannot_beat_the_target():
     assert changed > priced // 10, (priced, changed)
 
 
+@pytest.mark.parametrize("limit", [None, 2])
+def test_selection_memo_answers_as_a_fresh_selection(limit, monkeypatch):
+    # the slow twin of _Tables._select's memo: every answer, under rising,
+    # falling and absent floors, equals a fresh select_items call. Two tables
+    # over the same instance at two capacities get the same buffer problems,
+    # so a memo shared between them answers one from the other's entries. A
+    # limit of 2 sends most selections down the greedy path
+    if limit is not None:
+        monkeypatch.setattr(subproblem, "EXACT_SELECTION_LIMIT", limit)
+    fresh = subproblem.select_items
+    kernel_calls = []
+
+    def counted(*args, **kwargs):
+        kernel_calls.append(args)
+        return fresh(*args, **kwargs)
+
+    monkeypatch.setattr(subproblem, "select_items", counted)
+
+    def expected(tables, items, base, floor):
+        rules = tables.rules
+        return fresh(
+            [item[4] for item in items],
+            [rules.hold[i][j] for i, j, _, _, _ in items],
+            base,
+            rules.capacity,
+            [rules.footprint[i][j] for i, j, _, _, _ in items],
+            floor=floor,
+        )
+
+    # floors as offsets from a problem's unfloored kept gain; None: no floor
+    offsets = (5, 1, 9, -2, 3, None, -7, 0.5, None, 12)
+    calls = differ = 0
+    for seed, form, include_diagonal in itertools.product(
+        range(2), (CD, RCD), (False, True)
+    ):
+        inst = generate(seed, 6, 2, capacity_ratio=0.05)
+        if form is CD and not include_diagonal:
+            continue  # CROSS-DOCK selects only the strict-literal self-flows
+        tables = [
+            _Tables(inst.with_capacity(capacity), form, include_diagonal)
+            for capacity in (inst.capacity, 1.5 * inst.capacity)
+        ]
+        problems = {}
+        options = list(range(inst.m)) + [_UNDOCKED]
+        for y0 in itertools.product(options, repeat=inst.n):
+            choice = None if tables[0].first_clash(y0) else tables[0]._choice(y0)
+            if choice is not None and choice[1]:
+                _, items, base = choice
+                key = (tuple(items), tuple(base))
+                if key not in problems and len(problems) < 40:
+                    problems[key] = (items, base)
+        for offset in offsets:
+            for items, base in problems.values():
+                for table in tables:
+                    floor = None
+                    if offset is not None:
+                        floor = expected(table, items, base, None)[2] + offset
+                    want = expected(table, items, base, floor)
+                    assert table._select(items, base, floor) == want, (offset, items)
+                    calls += 1
+                differ += expected(tables[0], items, base, None) != expected(
+                    tables[1], items, base, None
+                )
+    assert differ > 0, "the two capacities never select differently"
+    assert len(kernel_calls) < calls // 2, "the memo answered too few calls"
+
+
 @pytest.mark.parametrize("include_diagonal", [False, True])
 @pytest.mark.parametrize("form", [CD, RCD])
 def test_oracle_equivalence_where_capacity_binds(form, include_diagonal):

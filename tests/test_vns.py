@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
 from crossdock.exact import brute_force
 from crossdock.formulations import Formulation, check_solution, objective_value
 from crossdock.instance_io import generate
+from crossdock.model import EPS
 from crossdock.vns import VnsConfig, greedy_initial, vns_solve
 from crossdock.exact import _Tables, _UNDOCKED
 
@@ -117,3 +120,48 @@ def test_binding_capacity_runs_are_feasible_and_repeatable():
                 y0 = [k - 1 if k else _UNDOCKED for k in result.best.dock]
                 cut += result.objective.total > tables.fast_value(y0) + 1e-9
     assert cut > 0, "capacity never binds at an incumbent; the test is vacuous"
+
+
+def test_targeted_pricing_matches_full_pricing(nine_truck, monkeypatch):
+    # the full-pricing twins: with _Tables.leaf_value swapped for its
+    # reference contract (price in full, then the value iff it beats the
+    # target by more than EPS), and for full pricing alone, which never
+    # reports a neighbour as beaten and so bypasses that part of the run
+    # memo, every run repeats the search exactly
+    def reference(self, y0, target):
+        result = self.evaluate(y0)
+        return result if result is not None and result[0] < target - EPS else None
+
+    def full(self, y0, target):
+        return self.evaluate(y0)
+
+    def signature(result):
+        return (
+            result.objective.total,
+            result.best.dock,
+            sorted(result.best.transfers),
+            result.trace,
+            result.nodes_explored,
+        )
+
+    instances = [nine_truck.with_capacity(2000)] + [
+        generate(seed, n, m, capacity_ratio=0.05)
+        for seed, n, m in itertools.product(range(2), (6, 7, 8, 9), (2, 3))
+    ]
+    targeted = 0
+    fast = _Tables.leaf_value
+
+    def counted(self, y0, target):
+        nonlocal targeted
+        targeted += 1
+        return fast(self, y0, target)
+
+    for inst, form, include_diagonal in itertools.product(instances, (CD, RCD), (False, True)):
+        cfg = VnsConfig(iter_max=4, rng_seed=3)
+        monkeypatch.setattr(_Tables, "leaf_value", counted)
+        result = vns_solve(inst, form, cfg, include_diagonal)
+        for twin in (reference, full):
+            monkeypatch.setattr(_Tables, "leaf_value", twin)
+            where = (inst.name, form, include_diagonal, twin.__name__)
+            assert signature(vns_solve(inst, form, cfg, include_diagonal)) == signature(result), where
+    assert targeted > 0, "no neighbour was priced against a target"
