@@ -26,8 +26,8 @@ from .formulations import (
     compile_rules,
     time_margin,
 )
-from .model import EPS, UNASSIGNED, Instance, format_number
-from .subproblem import _dock_array
+from .model import EPS, UNASSIGNED, Instance, _dock_array, format_number
+from .subproblem import check_dock_conflicts
 
 
 @dataclass(frozen=True)
@@ -94,19 +94,18 @@ def find_conflict(
     state in O(1). Under R-CROSS-DOCK every dock-conflict row clashes on its own, so
     the filter keeps the first and the result is minimal at once.
     """
-    rules = compile_rules(inst, form, False)
-    y = _dock_array(dock)
-    docked = [(i, k) for i, k in enumerate(y, start=1) if k != UNASSIGNED]
-    # only rows on docked trucks can clash: every other row is vacuous
     if form is Formulation.R_CROSS_DOCK:
         # every dock-conflict row clashes on its own, so the filter keeps the
-        # first in sorted order: the first found, as docked is in truck order
-        for i, k in docked:
-            for j, l in docked:
-                if i < j and k == l and rules.overlap[i - 1][j - 1]:
-                    first = (ConstraintId(ConstraintFamily.DOCK_CONFLICT, (i, j, k)),)
-                    return ConflictSet(first, True, _narrative(inst, first))
-        return None
+        # first in sorted order: the first found, as the scan walks (i, j) in
+        # ascending order
+        first = check_dock_conflicts(inst, dock)
+        if first is None:
+            return None
+        return ConflictSet((first,), True, _narrative(inst, (first,)))
+    rules = compile_rules(inst, form, False)
+    y = _dock_array(inst, dock)
+    # only rows on docked trucks can clash: every other row is vacuous
+    docked = [(i, k) for i, k in enumerate(y, start=1) if k != UNASSIGNED]
 
     F = ConstraintFamily
     PF, SD, TF, CAP = F.PAIR_FORCING, F.SAME_DOCK_TW, F.TIME_FEASIBILITY, F.CAPACITY

@@ -22,18 +22,19 @@ shared dock with overlapping windows), and one per truck for its
 strict-literal self-flow at its dock (a unary term, or a constant in the base
 under CROSS-DOCK). A clash therefore makes a child's bound infinite. The
 search reads these tables and never branches on the model or the diagonal
-mode. Leaves are priced from the tables too: under a finite capacity, the
-table value plus the gain that the buffer forces the assignment to give up,
-chosen by the selection kernel of the subproblem module
-(:func:`crossdock.subproblem.select_items`). A search leaf only has to show
-whether it beats the incumbent, so ``_Tables.leaf_value`` hands the kernel a
-floor on the gain it must keep: a per-event fractional bound or a selection
-search that starts at the floor drops a leaf that cannot beat it. VNS prices
-its neighbours the same way, against its running best, and
-``_Tables.evaluate`` prices an assignment in full. Each distinct buffer
-problem is selected once per search (``_Tables._select`` keeps a memo).
-The returned solution is built
-from the same transfer decision (``_Tables.decide``) and priced by
+mode. Leaves are priced from the tables too, by one route,
+``_Tables.leaf_value``: the table value, plus under a finite capacity the
+gain that the buffer forces the assignment to give up, chosen by the
+selection kernel of the subproblem module
+(:func:`crossdock.subproblem.select_items`). A caller with a target only has
+to learn whether the assignment beats it, so a table value that already
+misses the target ends the pricing, and otherwise the kernel gets a floor on
+the gain it must keep: a per-event fractional bound or a selection search
+that starts at the floor drops an assignment that cannot beat it. Branch and
+bound passes its incumbent, VNS its running best; with no target the value
+is priced in full. Each distinct buffer problem is selected once per search
+(``_Tables._select`` keeps a memo). The returned solution is built from the
+same transfer decision (``_Tables.build_solution``) and priced by
 ``objective_value``, so the value the search compares and the solution it
 returns come from one route.
 
@@ -111,7 +112,7 @@ class ModelComparison:
 
 def _shipped(delta: float) -> float:
     """Net delta of an optional transfer: it ships iff it gains more than EPS,
-    so :meth:`_Tables.decide` lists an item wherever this is negative."""
+    so :meth:`_Tables._choice` lists an item wherever this is negative."""
     return delta if delta < -EPS else 0.0
 
 
@@ -220,8 +221,17 @@ class _Tables:
 
     def _choice(self, y0):
         """(forced, items, base) of an assignment that passes
-        :meth:`first_clash`, as :meth:`decide` describes them, with ``base``
-        the forced load at each event; None when it overflows the buffer."""
+        :meth:`first_clash`, or None when the forced load overflows the
+        buffer.
+
+        ``forced`` lists the transfers that docking forces (CROSS-DOCK: every
+        docked pair; R-CROSS-DOCK: none) and ``items`` the choosable transfers
+        worth more than EPS (CROSS-DOCK: the strict-literal self-flows, at the
+        cheapest dock pair; R-CROSS-DOCK: every transfer whose ``half`` or
+        ``unary`` entry is negative, gaining minus that entry), as 0-based
+        (i, j, k, l) and (i, j, k, l, gain) tuples in (i, j) order; ``base``
+        is the forced load at each event.
+        """
         rules = self.rules
         docked = [(i, y0[i]) for i in range(self.n) if y0[i] != _UNDOCKED]
         if self.cd:
@@ -274,85 +284,53 @@ class _Tables:
         memo[key] = float(floor) if selection is None else selection
         return selection
 
-    def decide(self, y0):
-        """The transfer decision of an assignment that passes
-        :meth:`first_clash`: (forced, items, picked, exact, given_up), or None
-        when the forced load overflows the buffer.
-
-        ``forced`` lists the transfers that docking forces (CROSS-DOCK: every
-        docked pair; R-CROSS-DOCK: none) and ``items`` the choosable transfers
-        worth more than EPS (CROSS-DOCK: the strict-literal self-flows, at the
-        cheapest dock pair; R-CROSS-DOCK: every transfer whose ``half`` or
-        ``unary`` entry is negative, gaining minus that entry), as 0-based
-        (i, j, k, l) and (i, j, k, l, gain) tuples in (i, j) order. ``picked``
-        holds the indices of the items that :func:`subproblem.select_items`
-        ships, ``exact`` its exact flag and ``given_up`` the gain of the items
-        it leaves out.
-        """
+    def build_solution(self, y0):
+        """(solution, exact) of an assignment that passes :meth:`first_clash`,
+        built from the decision that :meth:`leaf_value` prices: the forced
+        transfers and the items that :meth:`_select` ships; None when the
+        forced load overflows the buffer."""
         choice = self._choice(y0)
         if choice is None:
             return None
         forced, items, base = choice
-        picked, exact, kept = self._select(items, base)
-        return forced, items, picked, exact, sum(item[4] for item in items) - kept
-
-    def build_solution(self, y0):
-        """(solution, exact) of an assignment that passes :meth:`first_clash`,
-        built from the decision that :meth:`evaluate` prices; None when the
-        forced load overflows the buffer."""
-        decision = self.decide(y0)
-        if decision is None:
-            return None
-        forced, items, picked, exact, _ = decision
+        picked, exact, _ = self._select(items, base)
         shipped = forced + [items[x][:4] for x in picked]
         transfers = tuple((i + 1, j + 1, k + 1, l + 1) for i, j, k, l in shipped)
         return Solution(dock=self.to_public(y0), transfers=transfers), exact
 
-    def evaluate(self, y0):
-        """(objective value, exact flag) of an assignment, or None if infeasible.
+    def leaf_value(self, y0, target=math.inf):
+        """(value, exact) of an assignment that passes :meth:`first_clash`, if
+        it may beat ``target`` by more than EPS; None when it cannot, or when
+        the CROSS-DOCK forced load overflows the buffer. The default target
+        asks for the full value.
 
         The value comes from the tables alone: :meth:`fast_value`, which
         ships every transfer worth more than EPS, plus, under a finite
-        capacity, the gain that :meth:`decide` gives up. A forced load above
-        capacity makes a CROSS-DOCK assignment infeasible.
+        capacity, the gain of the items that :meth:`_select` leaves out. The
+        table value is read first, and an assignment whose table value does
+        not beat ``target`` - EPS is dropped before the buffer is looked at,
+        since the buffer only adds to it. Otherwise a finite ``target`` gives
+        the selection a floor on the gain it keeps: the kept gain must exceed
+        fast_value + sum(gains) - target for the value to beat ``target`` -
+        EPS, and the floor sits EPS below that, so rounding never cuts an
+        assignment that beats it. An assignment priced exactly is returned
+        iff its value is below ``target`` - EPS; one priced by the greedy is
+        always returned once the selection runs, since the caller must learn
+        that it was not exact. Branch and bound calls it with the incumbent,
+        VNS with the best neighbour value so far.
         """
-        if self.first_clash(y0) is not None:
+        value = self.fast_value(y0)
+        if value >= target - EPS:
             return None
         if self.inst.unbounded_capacity:
-            return self.fast_value(y0), True
-        decision = self.decide(y0)
-        if decision is None:
-            return None
-        return self.fast_value(y0) + decision[4], decision[3]
-
-    def leaf_value(self, y0, target):
-        """(value, exact) of a branch-and-bound leaf, as :meth:`evaluate`
-        gives them, if the leaf may beat ``target`` by more than EPS; None
-        when it cannot.
-
-        The leaf must pass :meth:`first_clash`, as every leaf that the search
-        enters does, since a clash makes a child's bound infinite. Its table
-        value is :meth:`fast_value`, read after the CROSS-DOCK forced-load
-        check. Under a finite capacity the selection gets a floor on the gain
-        it keeps: the kept gain must exceed fast_value + sum(gains) - target
-        for the value to beat ``target`` - EPS, and the floor sits EPS below
-        that, so rounding never cuts a leaf that beats it. A leaf priced
-        exactly is returned iff its value is below ``target`` - EPS, with the
-        value and flag :meth:`evaluate` gives; a leaf priced by the greedy is
-        always returned, since the search must learn that it was not exact.
-        Branch and bound calls it with the incumbent, VNS with the best
-        neighbour value so far.
-        """
-        if self.inst.unbounded_capacity:
-            value = self.fast_value(y0)
-            return (value, True) if value < target - EPS else None
+            return value, True
         choice = self._choice(y0)
         if choice is None:
             return None
         _, items, base = choice
-        value = self.fast_value(y0)
         total = sum(item[4] for item in items)
-        selection = self._select(items, base, floor=value + total - target - EPS)
+        floor = None if target == math.inf else value + total - target - EPS
+        selection = self._select(items, base, floor)
         if selection is None:
             return None
         _, exact, kept = selection
@@ -438,7 +416,7 @@ def branch_and_bound(
 
     y0 = [_UNDOCKED] * n
     # the empty assignment is always feasible: a guaranteed incumbent
-    best_value, _ = tables.evaluate(y0)
+    best_value, _ = tables.leaf_value(y0)
     best_y = tuple(y0)
     trace = [best_value]
     nodes = 0

@@ -33,6 +33,7 @@ from .model import (
     Instance,
     ObjectiveBreakdown,
     Solution,
+    _dock_array,
     compute_xhat,
     event_times,
 )
@@ -118,13 +119,6 @@ def _check_diagonal_use(sol: Solution, include_diagonal: bool) -> None:
             )
 
 
-def _check_shapes(inst: Instance, sol: Solution) -> None:
-    if len(sol.dock) != inst.n:
-        raise ValueError(
-            f"solution docks {len(sol.dock)} trucks but the instance has {inst.n}"
-        )
-
-
 def objective_value(
     inst: Instance,
     sol: Solution,
@@ -136,9 +130,10 @@ def objective_value(
     Raises UnlinkedTransferError when a transfer's docks disagree with the
     dock assignment. Strict-literal CROSS-DOCK self-transfers are exempt from
     that check: nothing in the model links z_iikl to y. Feasibility is *not*
-    checked here; use check_solution.
+    checked here; use check_solution. A dock array or transfer outside the
+    instance raises ValueError.
     """
-    _check_shapes(inst, sol)
+    _dock_array(inst, sol)
     _check_diagonal_use(sol, include_diagonal)
     cost = 0.0
     served: set[tuple[int, int]] = set()
@@ -217,9 +212,10 @@ def check_solution(
     """Every violated constraint instance, ordered by (family, indices).
 
     Dock uniqueness is structural in the Solution representation and can never
-    be violated. Violations are data, not errors.
+    be violated. Violations are data, not errors; a dock array or transfer
+    outside the instance is an error (ValueError, as in objective_value).
     """
-    _check_shapes(inst, sol)
+    _dock_array(inst, sol)
     _check_diagonal_use(sol, include_diagonal)
     xhat = compute_xhat(inst)
     violations: list[Violation] = []

@@ -158,6 +158,29 @@ class Solution:
         return self.dock[i - 1]
 
 
+def _dock_array(inst: Instance, dock) -> tuple[int, ...]:
+    """The dock array of ``dock`` (a Solution or a sequence of 1-based docks,
+    0 for unassigned), checked against ``inst``: ValueError unless it has n
+    entries in 0..m and, for a Solution, every transfer names trucks in 1..n
+    and docks in 1..m."""
+    if isinstance(dock, Solution):
+        y, transfers = dock.dock, dock.transfers
+    else:
+        y, transfers = tuple(int(x) for x in dock), ()
+    n, m = inst.n, inst.m
+    if len(y) != n:
+        raise ValueError(f"dock array docks {len(y)} trucks but the instance has {n}")
+    for i, k in enumerate(y, start=1):
+        if not 0 <= k <= m:
+            raise ValueError(f"truck {i} has dock {k}, outside 0..{m}")
+    for (i, j, k, l) in transfers:
+        if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= m and 1 <= l <= m):
+            raise ValueError(
+                f"transfer ({i},{j},{k},{l}) is outside trucks 1..{n} or docks 1..{m}"
+            )
+    return y
+
+
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
     transfer_cost_total: float

@@ -8,7 +8,9 @@ subject to the model's rules and capacity. Every rule is read from the
 compiled tables of :func:`crossdock.formulations.compile_rules`. The capacity
 choice itself, a knapsack over the transfers' buffer intervals, is made by one
 kernel on plain lists, :func:`select_items`, which :func:`select_transfers`
-and the search's table path in :mod:`crossdock.exact` share.
+and the search's table path in :mod:`crossdock.exact` share. A dock array
+that does not fit the instance (length, a dock outside 0..m) raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .formulations import (
     compile_rules,
     time_margin,
 )
-from .model import EPS, UNASSIGNED, Instance, Solution
+from .model import EPS, UNASSIGNED, Instance, Solution, _dock_array
 
 #: Largest candidate count for which capacity-constrained selection is exact.
 EXACT_SELECTION_LIMIT = 20
@@ -64,12 +66,6 @@ class DockConflictError(ValueError):
         super().__init__(message)
 
 
-def _dock_array(dock) -> tuple[int, ...]:
-    if isinstance(dock, Solution):
-        return dock.dock
-    return tuple(int(x) for x in dock)
-
-
 def induced_transfers_crossdock(
     inst: Instance, dock, include_diagonal: bool = False
 ) -> Solution | InfeasibilityWitness:
@@ -82,7 +78,7 @@ def induced_transfers_crossdock(
     selection step.
     """
     rules = compile_rules(inst, Formulation.CROSS_DOCK, include_diagonal)
-    y = _dock_array(dock)
+    y = _dock_array(inst, dock)
     transfers = []
     for i in inst.trucks():
         k = y[i - 1]
@@ -145,7 +141,7 @@ def candidate_pairs(
     face no time or precedence rule.
     """
     rules = compile_rules(inst, Formulation.R_CROSS_DOCK, include_diagonal)
-    y = _dock_array(dock)
+    y = _dock_array(inst, dock)
     ct, pf = rules.ct, rules.pf
     out: list[CandidatePair] = []
     for i in inst.trucks():
@@ -173,7 +169,7 @@ def candidate_pairs(
 def check_dock_conflicts(inst: Instance, dock) -> ConstraintId | None:
     """First violated dock-conflict constraint for an assignment, if any."""
     overlap = compile_rules(inst, Formulation.R_CROSS_DOCK, False).overlap
-    y = _dock_array(dock)
+    y = _dock_array(inst, dock)
     for i in inst.trucks():
         k = y[i - 1]
         if k == UNASSIGNED:
@@ -439,7 +435,7 @@ def optimal_transfers_rcrossdock(
     The assignment must satisfy the dock-conflict constraints; otherwise
     DockConflictError is raised.
     """
-    y = _dock_array(dock)
+    y = _dock_array(inst, dock)
     conflict = check_dock_conflicts(inst, y)
     if conflict is not None:
         raise DockConflictError(

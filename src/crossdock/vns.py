@@ -3,9 +3,9 @@
 Classic scheme: shake in N_k (k random truck reassignments), descend with
 single-reassignment (N_1) and pairwise-swap (N_2) local search, move and
 reset k on strict improvement, otherwise grow k. Candidates are priced by
-``exact._Tables``, which B&B shares: under a finite capacity a neighbour is
-priced by ``_Tables.leaf_value`` only as far as it can beat the running best,
-every other query by ``_Tables.evaluate`` in full. Later visits read a memo.
+``exact._Tables.leaf_value``, which B&B shares: under a finite capacity a
+neighbour is priced only as far as it can beat the running best, every other
+query in full. Later visits read a memo.
 The final incumbent's transfers are built by ``_Tables.build_solution`` from
 the decision that priced it, so the result is a feasible solution of the
 chosen formulation with the value the search compared. Deterministic for a
@@ -40,7 +40,8 @@ class VnsConfig:
 def greedy_initial(tables: _Tables, evaluate) -> list[int]:
     """Greedy start: heaviest-penalty trucks first, each to the feasible dock
     with the best immediate gain (strictly improving, lowest index on ties).
-    Candidates are priced by ``evaluate``, as :meth:`_Tables.evaluate`."""
+    Candidates are priced by ``evaluate``: (value, exact) of an assignment,
+    as :meth:`_Tables.leaf_value` gives it in full, or None if infeasible."""
     n, m, weight = tables.n, tables.m, tables.weight
     y0 = [_UNDOCKED] * n
     value = evaluate(y0)[0]
@@ -95,13 +96,16 @@ def vns_solve(
     and after every iteration; ``nodes_explored`` counts the evaluations of
     the greedy start, the repairs and the search, repeats included.
 
-    The run memo holds, per assignment visited, its full result (None for an
-    infeasible assignment) or the highest target it failed to beat. Under a
-    finite capacity the N_1 and N_2 moves pass the running best as that
-    target, and a neighbour that cannot beat it is priced no further: a later
-    visit at a target no higher is answered from the memo, a higher target or
-    a full query (the greedy start, ``_repair`` and the final value) prices
-    it again.
+    Every query makes one pricing call, :meth:`_Tables.leaf_value`, after
+    the clash test. The run memo holds, per assignment visited, its full
+    result (None for an infeasible assignment) or the highest target it
+    failed to beat. Under a finite capacity the N_1 and N_2 moves pass the
+    running best as that target, and a neighbour that cannot beat it is
+    priced no further: a later visit at a target no higher is answered from
+    the memo, a higher target or a full query (the greedy start, ``_repair``
+    and the final value) prices it again. Under an unbounded capacity every
+    query is priced in full, one table sum, so the memo answers every
+    revisit.
     """
     cfg = cfg or VnsConfig()
     tables = _Tables(inst, form, include_diagonal)
@@ -118,19 +122,19 @@ def vns_solve(
             and time.perf_counter() - start > cfg.time_budget
         )
 
-    def evaluate(y0, target=None):
+    def evaluate(y0, target=math.inf):
         nonlocal evaluations
         evaluations += 1
         key = tuple(y0)
         if key in memo:
             return memo[key]
-        if target is not None and target <= beaten.get(key, -math.inf):
+        if target <= beaten.get(key, -math.inf):
             return None
-        if target is None or inst.unbounded_capacity:
-            result = tables.evaluate(y0)
-        elif tables.first_clash(y0) is not None:
+        if inst.unbounded_capacity:
+            target = math.inf  # a full value answers every later visit
+        if tables.first_clash(y0) is not None:
             result = None
-        elif (result := tables.leaf_value(y0, target)) is None:
+        elif (result := tables.leaf_value(y0, target)) is None and target < math.inf:
             beaten[key] = target
             return None
         memo[key] = result

@@ -174,21 +174,21 @@ def _built_by_subproblem(tables, y0):
     return Solution(dock=dock, transfers=induced.transfers + free), exact
 
 
-def _check_evaluate_against_built(inst, assignments) -> tuple[int, int]:
-    """Assert that ``evaluate`` agrees with objective_value of the solution
-    the subproblem functions build, and that ``build_solution`` builds that
-    very solution, for every assignment in both models and diagonal modes.
-    Returns how many values capacity changed from the uncapped table value
-    (an overflow included) and how many were inexact."""
+def _check_leaf_value_against_built(inst, assignments) -> tuple[int, int]:
+    """Assert that the full ``leaf_value`` of every clash-free assignment
+    agrees with objective_value of the solution the subproblem functions
+    build, and that ``build_solution`` builds that very solution, in both
+    models and diagonal modes. Returns how many values capacity changed from
+    the uncapped table value (an overflow included) and how many were
+    inexact."""
     changed = inexact = 0
     for form, include_diagonal in itertools.product((CD, RCD), (False, True)):
         tables = _Tables(inst, form, include_diagonal)
         for y0 in assignments:
             y0 = list(y0)
-            result = tables.evaluate(y0)
             if tables.first_clash(y0) is not None:
-                assert result is None
                 continue
+            result = tables.leaf_value(y0)
             built = _built_by_subproblem(tables, y0)
             where = (inst.name, inst.capacity, form, include_diagonal, y0)
             assert tables.build_solution(y0) == built, where
@@ -216,10 +216,10 @@ def test_fast_path_matches_the_built_solution():
     for inst in instances:
         options = list(range(inst.m)) + [_UNDOCKED]
         assignments = list(itertools.product(options, repeat=inst.n))
-        changed, _ = _check_evaluate_against_built(inst, assignments)
+        changed, _ = _check_leaf_value_against_built(inst, assignments)
         assert changed == 0
     tables = _Tables(_gain_within_eps(), RCD, False)
-    assert tables.evaluate([0, 1]) == (1.0000000005, True)
+    assert tables.leaf_value([0, 1]) == (1.0000000005, True)
 
 
 @pytest.mark.parametrize("limit", [None, 2])
@@ -234,7 +234,7 @@ def test_capacity_value_matches_the_built_solution(limit, nine_truck, monkeypatc
     for seed, (n, m), ratio in itertools.product(range(3), shapes, (0.05, 0.1)):
         inst = generate(seed, n, m, capacity_ratio=ratio)
         options = list(range(inst.m)) + [_UNDOCKED]
-        counts = _check_evaluate_against_built(
+        counts = _check_leaf_value_against_built(
             inst, list(itertools.product(options, repeat=n))
         )
         changed, inexact = changed + counts[0], inexact + counts[1]
@@ -246,7 +246,7 @@ def test_capacity_value_matches_the_built_solution(limit, nine_truck, monkeypatc
         [rng.randrange(fixture.m) if rng.random() < 0.5 else _UNDOCKED for _ in range(fixture.n)]
         for _ in range(150)
     ]
-    counts = _check_evaluate_against_built(fixture, sample)
+    counts = _check_leaf_value_against_built(fixture, sample)
     changed, inexact = changed + counts[0], inexact + counts[1]
     assert changed > 0, "capacity never changes a value; the test is vacuous"
     if limit is not None:
@@ -263,9 +263,11 @@ def _non_integer(inst: Instance) -> Instance:
 
 
 def test_leaf_value_drops_exactly_the_leaves_that_cannot_beat_the_target():
-    # for every clash-free assignment: None iff evaluate's value misses
-    # target - EPS (or the CROSS-DOCK forced load overflows), and evaluate's
-    # (value, exact) otherwise, for targets on both sides of the value
+    # for every clash-free assignment: None iff the full value misses
+    # target - EPS (or the CROSS-DOCK forced load overflows), and the full
+    # (value, exact) otherwise, for targets on both sides of the value. The
+    # full value comes from fresh tables, which share no selection memo with
+    # the tables under test
     priced = changed = 0
     for seed, n, ratio in itertools.product(range(3), (3, 4), (0.05, 0.1)):
         generated = generate(seed, n, 2, capacity_ratio=ratio)
@@ -273,11 +275,12 @@ def test_leaf_value_drops_exactly_the_leaves_that_cannot_beat_the_target():
             options = list(range(inst.m)) + [_UNDOCKED]
             for form, include_diagonal in itertools.product((CD, RCD), (False, True)):
                 tables = _Tables(inst, form, include_diagonal)
+                full = _Tables(inst, form, include_diagonal)
                 for y0 in itertools.product(options, repeat=n):
                     y0 = list(y0)
                     if tables.first_clash(y0) is not None:
                         continue
-                    result = tables.evaluate(y0)
+                    result = full.leaf_value(y0)
                     where = (inst.name, inst.flow[0], form, include_diagonal, y0)
                     if result is None:
                         assert tables.leaf_value(y0, math.inf) is None, where
@@ -289,6 +292,38 @@ def test_leaf_value_drops_exactly_the_leaves_that_cannot_beat_the_target():
                     priced += 1
                     changed += value != tables.fast_value(y0)
     assert changed > priced // 10, (priced, changed)
+
+
+def test_a_target_the_table_value_misses_is_dropped_before_the_buffer(nine_truck, monkeypatch):
+    # the buffer only adds to the table value, so a target that fast_value
+    # already misses is answered None without building the choice; a target
+    # above it still reaches the buffer
+    fixture = nine_truck.with_capacity(1000)
+    built = []
+    choice = _Tables._choice
+
+    def counted(self, y0):
+        built.append(tuple(y0))
+        return choice(self, y0)
+
+    monkeypatch.setattr(_Tables, "_choice", counted)
+    rng = random.Random(1)
+    checked = 0
+    for form, include_diagonal in itertools.product((CD, RCD), (False, True)):
+        tables = _Tables(fixture, form, include_diagonal)
+        for _ in range(100):
+            y0 = [rng.randrange(fixture.m) if rng.random() < 0.5 else _UNDOCKED for _ in range(fixture.n)]
+            if tables.first_clash(y0) is not None:
+                continue
+            value = tables.fast_value(y0)
+            for target in (value - 1, value, value + EPS / 2):
+                assert tables.leaf_value(y0, target) is None, (form, y0, target)
+            assert not built, (form, include_diagonal, y0)
+            tables.leaf_value(y0, value + 1)
+            assert built == [tuple(y0)], (form, include_diagonal, y0)
+            built.clear()
+            checked += 1
+    assert checked > 50, checked
 
 
 @pytest.mark.parametrize("limit", [None, 2])
@@ -443,8 +478,7 @@ def test_node_bounds_admissible_by_subtree_completion():
                     y0[truck1 - 1] = dock1 - 1 if dock1 else _UNDOCKED
                 for u, k in zip(free, combo):
                     y0[u] = k
-                outcome = tables.evaluate(y0)
-                if outcome is not None:
+                if tables.first_clash(y0) is None and (outcome := tables.leaf_value(y0)):
                     value = outcome[0]
                     best = value if best is None else min(best, value)
             if best is not None:
@@ -643,8 +677,7 @@ def test_node_bounds_admissible_in_strict_mode():
                     y0[truck1 - 1] = dock1 - 1 if dock1 else _UNDOCKED
                 for u, k in zip(free, combo):
                     y0[u] = k
-                outcome = tables.evaluate(y0)
-                if outcome is not None:
+                if tables.first_clash(y0) is None and (outcome := tables.leaf_value(y0)):
                     value = outcome[0]
                     best = value if best is None else min(best, value)
             if best is not None:

@@ -2,10 +2,14 @@ import math
 
 import pytest
 
+from crossdock import diagnosis, subproblem
+from crossdock.formulations import Formulation, check_solution, objective_value
 from crossdock.instance_io import generate
 from crossdock.model import (
     Instance,
     InvalidInstanceError,
+    Solution,
+    _dock_array,
     compute_xhat,
     event_times,
     instance_flags,
@@ -252,3 +256,48 @@ def test_xhat_never_symmetric_ones():
             for j in inst.trucks():
                 if i != j:
                     assert not (xhat[i - 1][j - 1] == 1 and xhat[j - 1][i - 1] == 1)
+
+
+def test_dock_arrays_outside_the_instance_are_rejected(nine_truck, s_star):
+    # every library entry point that reads a dock array checks it against the
+    # instance: a short or long array, a dock outside 0..m or a transfer
+    # outside the trucks and docks raises ValueError instead of answering
+    # from wrapped or missing entries
+    fx = nine_truck
+    rest = (0,) * (fx.n - 2)
+    bad_solutions = [
+        Solution(dock=(1, 2)),
+        Solution(dock=(1,) * (fx.n + 3)),
+        # dock -1 read transfer_cost[-2][-2]
+        Solution(dock=(-1, -1) + rest, transfers=((1, 2, -1, -1), (2, 1, -1, -1))),
+        Solution(dock=(fx.m + 1,) + (0,) * (fx.n - 1)),
+        Solution(dock=(1, 2) + rest, transfers=((1, fx.n + 1, 1, 2),)),
+        Solution(dock=(1, 2) + rest, transfers=((1, 2, 1, fx.m + 1),)),
+    ]
+    for form in Formulation:
+        for include_diagonal in (False, True):
+            for sol in bad_solutions:
+                with pytest.raises(ValueError):
+                    objective_value(fx, sol, form, include_diagonal)
+                with pytest.raises(ValueError):
+                    check_solution(fx, sol, form, include_diagonal)
+    bad_docks = [sol.dock for sol in bad_solutions[:4]]
+    for dock in bad_docks:
+        with pytest.raises(ValueError):
+            _dock_array(fx, dock)
+        for form in Formulation:
+            with pytest.raises(ValueError):
+                diagnosis.find_conflict(fx, dock, form)
+        for call in (
+            subproblem.optimal_transfers_rcrossdock,
+            subproblem.induced_transfers_crossdock,
+            subproblem.candidate_pairs,
+            subproblem.check_dock_conflicts,
+        ):
+            with pytest.raises(ValueError):
+                call(fx, dock)
+    # an array in range passes as it is, from a Solution or a sequence
+    assert _dock_array(fx, s_star) == s_star.dock
+    assert _dock_array(fx, list(s_star.dock)) == s_star.dock
+    assert _dock_array(fx, (0,) * fx.n) == (0,) * fx.n
+    assert _dock_array(fx, (fx.m,) * fx.n) == (fx.m,) * fx.n

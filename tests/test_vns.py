@@ -31,7 +31,7 @@ def test_zero_iterations_returns_greedy_unchanged(nine_truck):
 
     def evaluate(y0):
         calls.append(tuple(y0))
-        return tables.evaluate(y0)
+        return None if tables.first_clash(y0) is not None else tables.leaf_value(y0)
 
     greedy = greedy_initial(tables, evaluate)
     expected = tables.to_public(greedy)
@@ -127,13 +127,16 @@ def test_targeted_pricing_matches_full_pricing(nine_truck, monkeypatch):
     # reference contract (price in full, then the value iff it beats the
     # target by more than EPS), and for full pricing alone, which never
     # reports a neighbour as beaten and so bypasses that part of the run
-    # memo, every run repeats the search exactly
+    # memo, every run repeats the search exactly. The twins price through
+    # the unpatched method at its default target, never through the patch
+    fast = _Tables.leaf_value
+
     def reference(self, y0, target):
-        result = self.evaluate(y0)
+        result = fast(self, y0)
         return result if result is not None and result[0] < target - EPS else None
 
     def full(self, y0, target):
-        return self.evaluate(y0)
+        return fast(self, y0)
 
     def signature(result):
         return (
@@ -149,7 +152,6 @@ def test_targeted_pricing_matches_full_pricing(nine_truck, monkeypatch):
         for seed, n, m in itertools.product(range(2), (6, 7, 8, 9), (2, 3))
     ]
     targeted = 0
-    fast = _Tables.leaf_value
 
     def counted(self, y0, target):
         nonlocal targeted
