@@ -26,7 +26,7 @@ from .formulations import (
     compile_rules,
     time_margin,
 )
-from .model import EPS, UNASSIGNED, Instance, _dock_array, format_number
+from .model import EPS, UNASSIGNED, Instance, Solution, _dock_array, format_number
 from .subproblem import check_dock_conflicts
 
 
@@ -187,9 +187,12 @@ def explain_pair(
     possible (the destination leaves after the source arrives) but eliminated
     because the dock-to-dock operation time does not fit, which the pair
     forcing then propagates to the healthy reverse direction.
+
+    Trucks outside 1..n or docks outside 1..m raise ValueError.
     """
     if i == j:
         raise ValueError("explain_pair needs two distinct trucks")
+    _dock_array(inst, Solution(dock=(UNASSIGNED,) * inst.n, transfers=((i, j, k, l),)))
     margin = time_margin(inst, i, j, k, l)
     reverse_margin = time_margin(inst, j, i, l, k)
     rectified = (

@@ -33,14 +33,16 @@ the gain it must keep: a per-event fractional bound or a selection search
 that starts at the floor drops an assignment that cannot beat it. Branch and
 bound passes its incumbent, VNS its running best; with no target the value
 is priced in full. Each distinct buffer problem is selected once per search
-(``_Tables._select`` keeps a memo). The returned solution is built from the
-same transfer decision (``_Tables.build_solution``) and priced by
+(``_Tables._select`` keeps a memo), always exactly; a search's time budget
+reaches into the kernel as a deadline, so a runaway selection ends the
+search rather than outlasting its budget. The returned solution is built
+from the same transfer decision (``_Tables.build_solution``) and priced by
 ``objective_value``, so the value the search compares and the solution it
 returns come from one route.
 
 The brute-force oracle enumerates every assignment, builds its transfers
 through the subproblem module by exhaustive subset enumeration (never the
-per-pair shortcut or the greedy) and prices them with ``objective_value``. It
+per-pair shortcut) and prices them with ``objective_value``. It
 shares only the clash test with the tables, so the two solvers cross-validate
 each other.
 """
@@ -249,15 +251,15 @@ class _Tables:
                     items.append((i, j, ki, kj, -value))
         return [], items, self._no_load
 
-    def _select(self, items, base, floor=None):
+    def _select(self, items, base, floor=None, deadline=None):
         """:func:`subproblem.select_items` over ``items`` above ``base``, run
         once per buffer problem: a memo keyed by the items' (i, j, gain) and
-        ``base`` (with the rules, they fix the holds, footprints and capacity)
-        is cleared at ``_MEMO_LIMIT`` entries. A stored exact result answers
-        an unfloored call as it is, a floored one with itself if it keeps more
-        than floor + EPS, else None; a greedy one is returned as it is, since
-        the greedy ignores floors. A None stored at floor f answers None for
-        any floor >= f; a lower floor or no floor selects again.
+        ``base`` (with the rules, they fix the holds and capacity) is cleared
+        at ``_MEMO_LIMIT`` entries. A stored result answers an unfloored call
+        as it is, a floored one with itself if it keeps more than floor + EPS,
+        else None. A None stored at floor f answers None for any floor >= f; a
+        lower floor or no floor selects again. A selection stopped by
+        ``deadline`` raises and stores nothing.
         """
         key = (tuple([(i, j, gain) for i, j, _, _, gain in items]), tuple(base))
         memo = self._memo
@@ -266,10 +268,10 @@ class _Tables:
             if isinstance(known, float):  # None at floor ``known``
                 if floor is not None and floor >= known:
                     return None
-            elif floor is None or not known[1]:
+            elif floor is None:
                 return known
             else:
-                return known if known[2] > floor + EPS else None
+                return known if known[1] > floor + EPS else None
         if len(memo) >= _MEMO_LIMIT:
             memo.clear()
         rules = self.rules
@@ -278,14 +280,14 @@ class _Tables:
             [rules.hold[i][j] for i, j, _, _, _ in items],
             base,
             rules.capacity,
-            [rules.footprint[i][j] for i, j, _, _, _ in items],
             floor=floor,
+            deadline=deadline,
         )
         memo[key] = float(floor) if selection is None else selection
         return selection
 
     def build_solution(self, y0):
-        """(solution, exact) of an assignment that passes :meth:`first_clash`,
+        """The solution of an assignment that passes :meth:`first_clash`,
         built from the decision that :meth:`leaf_value` prices: the forced
         transfers and the items that :meth:`_select` ships; None when the
         forced load overflows the buffer."""
@@ -293,16 +295,16 @@ class _Tables:
         if choice is None:
             return None
         forced, items, base = choice
-        picked, exact, _ = self._select(items, base)
+        picked, _ = self._select(items, base)
         shipped = forced + [items[x][:4] for x in picked]
         transfers = tuple((i + 1, j + 1, k + 1, l + 1) for i, j, k, l in shipped)
-        return Solution(dock=self.to_public(y0), transfers=transfers), exact
+        return Solution(dock=self.to_public(y0), transfers=transfers)
 
-    def leaf_value(self, y0, target=math.inf):
-        """(value, exact) of an assignment that passes :meth:`first_clash`, if
-        it may beat ``target`` by more than EPS; None when it cannot, or when
-        the CROSS-DOCK forced load overflows the buffer. The default target
-        asks for the full value.
+    def leaf_value(self, y0, target=math.inf, deadline=None):
+        """The value of an assignment that passes :meth:`first_clash`, if it
+        beats ``target`` by more than EPS; None when it does not, or when the
+        CROSS-DOCK forced load overflows the buffer. The default target asks
+        for the full value.
 
         The value comes from the tables alone: :meth:`fast_value`, which
         ships every transfer worth more than EPS, plus, under a finite
@@ -313,31 +315,26 @@ class _Tables:
         the selection a floor on the gain it keeps: the kept gain must exceed
         fast_value + sum(gains) - target for the value to beat ``target`` -
         EPS, and the floor sits EPS below that, so rounding never cuts an
-        assignment that beats it. An assignment priced exactly is returned
-        iff its value is below ``target`` - EPS; one priced by the greedy is
-        always returned once the selection runs, since the caller must learn
-        that it was not exact. Branch and bound calls it with the incumbent,
-        VNS with the best neighbour value so far.
+        assignment that beats it. Branch and bound calls it with the
+        incumbent, VNS with the best neighbour value so far. A selection that
+        runs past ``deadline`` raises ``subproblem._SelectionTimeout``.
         """
         value = self.fast_value(y0)
         if value >= target - EPS:
             return None
         if self.inst.unbounded_capacity:
-            return value, True
+            return value
         choice = self._choice(y0)
         if choice is None:
             return None
         _, items, base = choice
         total = sum(item[4] for item in items)
         floor = None if target == math.inf else value + total - target - EPS
-        selection = self._select(items, base, floor)
+        selection = self._select(items, base, floor, deadline)
         if selection is None:
             return None
-        _, exact, kept = selection
-        value += total - kept
-        if exact and value >= target - EPS:
-            return None
-        return value, exact
+        value += total - selection[1]
+        return value if value < target - EPS else None
 
 
 def _oracle_solution(tables: _Tables, y0) -> Solution | None:
@@ -356,7 +353,7 @@ def _oracle_solution(tables: _Tables, y0) -> Solution | None:
         return None
     if not diag:
         return induced
-    selected, _, _ = subproblem.select_transfers(
+    selected, _ = subproblem.select_transfers(
         inst,
         subproblem.diagonal_candidates_crossdock(inst),
         forced=induced.transfers,
@@ -399,13 +396,12 @@ def branch_and_bound(
 
     ``nodes_explored`` counts the nodes processed: ``Budget(max_nodes=K)``
     processes at most K, and a time limit is checked before every 256th
-    further node.
+    further node and, as a deadline, inside every leaf's selection.
 
     Deterministic: identical inputs give identical node counts and incumbents.
     The status is "optimal" (so ``proven_optimal``) iff the search completed
-    within budget and no heuristic leaf evaluation was needed. With an
-    exhausted budget the best incumbent found so far is still returned
-    (status "budget_exhausted").
+    within budget. With an exhausted budget the best incumbent found so far
+    is still returned (status "budget_exhausted").
     """
     budget = budget or Budget()
     tables = _Tables(inst, form, include_diagonal)
@@ -413,14 +409,15 @@ def branch_and_bound(
     start = time.perf_counter()
     max_nodes = math.inf if budget.max_nodes is None else budget.max_nodes
     time_limit = budget.time_limit
+    deadline = None if time_limit is None else start + time_limit
 
     y0 = [_UNDOCKED] * n
     # the empty assignment is always feasible: a guaranteed incumbent
-    best_value, _ = tables.leaf_value(y0)
+    best_value = tables.leaf_value(y0)
     best_y = tuple(y0)
     trace = [best_value]
     nodes = 0
-    stopped = heuristic = False
+    stopped = False
 
     base = tables.base
     bound_at_root = base + tables.root_opt_rest()
@@ -442,7 +439,7 @@ def branch_and_bound(
         levels.append((u, (m + 1) * (n - 1 - idx), push, unary[u], unary_opt[u], skip))
 
     def recurse(idx: int, committed: float, opt_rest: float, accs):
-        nonlocal best_value, best_y, nodes, stopped, heuristic
+        nonlocal best_value, best_y, nodes, stopped
         # the clock is read once per 256 nodes processed
         if nodes >= max_nodes or (
             time_limit is not None
@@ -459,15 +456,11 @@ def branch_and_bound(
             )
             on_node(decided, base + committed + opt_rest)
         if idx == n:
-            result = tables.leaf_value(y0, best_value)
-            if result is not None:
-                value, exact = result
-                if not exact:
-                    heuristic = True
-                if value < best_value - EPS:
-                    best_value = value
-                    best_y = tuple(y0)
-                    trace.append(value)
+            value = tables.leaf_value(y0, best_value, deadline)
+            if value is not None:
+                best_value = value
+                best_y = tuple(y0)
+                trace.append(value)
             return
         u, at, push_u, unary_u, unary_opt_u, skip_u = levels[idx]
 
@@ -495,17 +488,14 @@ def branch_and_bound(
             if base + committed + opt_rest2 < best_value - EPS:
                 recurse(idx + 1, committed, opt_rest2, accs)
 
-    recurse(0, 0.0, tables.root_opt_rest(), [0.0] * ((m + 1) * n))
+    try:
+        recurse(0, 0.0, tables.root_opt_rest(), [0.0] * ((m + 1) * n))
+    except subproblem._SelectionTimeout:
+        stopped = True
 
-    built = tables.build_solution(list(best_y))
-    solution, _ = built
+    solution = tables.build_solution(list(best_y))
     breakdown = objective_value(inst, solution, form, include_diagonal)
-    if stopped:
-        status = "budget_exhausted"
-    elif heuristic:
-        status = "completed_heuristic"
-    else:
-        status = "optimal"
+    status = "budget_exhausted" if stopped else "optimal"
     return OptimizeResult(
         best=solution,
         objective=breakdown,
@@ -521,7 +511,7 @@ def brute_force(
     inst: Instance, form: Formulation, include_diagonal: bool = False
 ) -> OptimizeResult:
     """Enumerate every dock assignment; transfers solved by exhaustive
-    subset enumeration (never the per-pair shortcut or the greedy path)."""
+    subset enumeration (never the per-pair shortcut)."""
     n, m = inst.n, inst.m
     total_assignments = (m + 1) ** n
     if total_assignments > BRUTE_FORCE_LIMIT:

@@ -358,9 +358,6 @@ class Rules:
       sorted ``events``, which is ``units`` for lo <= r < hi and 0 elsewhere
       (units = -f_ij when d_j comes before a_i). :meth:`load` sums it over a
       transfer set.
-    * ``footprint[i][j]`` is f_ij * (d_j - a_i), never below EPS: the buffer
-      use of transfer i -> j in pallet-hours, the weight of the density
-      greedy in :func:`crossdock.subproblem.select_items`.
     * ``ct[k][l]`` is c_kl * t_kl, ``pf[i][j]`` is p_ij * f_ij and
       ``capacity`` is the effective capacity.
     """
@@ -371,7 +368,6 @@ class Rules:
     overlap: tuple
     allowed: tuple
     hold: tuple
-    footprint: tuple
     ct: tuple
     pf: tuple
     capacity: float
@@ -444,9 +440,6 @@ def compile_rules(
         )
         for i in trucks
     )
-    footprint = tuple(
-        tuple(max(f[i][j] * (d[j] - a[i]), EPS) for j in trucks) for i in trucks
-    )
     return Rules(
         events=events,
         time_ok=tuple(time_ok),
@@ -454,7 +447,6 @@ def compile_rules(
         overlap=overlap,
         allowed=tuple(allowed),
         hold=hold,
-        footprint=footprint,
         ct=tuple(
             tuple(inst.transfer_cost[k][l] * t[k][l] for l in docks) for k in docks
         ),

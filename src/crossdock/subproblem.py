@@ -6,15 +6,17 @@ infeasible, with a witness naming the clash). Under R-CROSS-DOCK transfers
 are optional, so the best set maximizes total gain p_ij*f_ij - c_kl*t_kl
 subject to the model's rules and capacity. Every rule is read from the
 compiled tables of :func:`crossdock.formulations.compile_rules`. The capacity
-choice itself, a knapsack over the transfers' buffer intervals, is made by one
-kernel on plain lists, :func:`select_items`, which :func:`select_transfers`
-and the search's table path in :mod:`crossdock.exact` share. A dock array
-that does not fit the instance (length, a dock outside 0..m) raises
-ValueError.
+choice itself, a knapsack over the transfers' buffer intervals, is made
+exactly by one kernel on plain lists, :func:`select_items`, which
+:func:`select_transfers` and the search's table path in :mod:`crossdock.exact`
+share; a deadline can stop it. A dock array that does not fit the instance
+(length, a dock outside 0..m) raises ValueError.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,10 +29,6 @@ from .formulations import (
     time_margin,
 )
 from .model import EPS, UNASSIGNED, Instance, Solution, _dock_array
-
-#: Largest candidate count for which capacity-constrained selection is exact.
-EXACT_SELECTION_LIMIT = 20
-
 
 @dataclass(frozen=True)
 class CandidatePair:
@@ -56,8 +54,11 @@ class InfeasibilityWitness:
 @dataclass(frozen=True)
 class TransferSelection:
     solution: Solution
-    exact: bool
     total_gain: float
+
+
+class _SelectionTimeout(Exception):
+    """:func:`select_items` passed its deadline before the search ended."""
 
 
 class DockConflictError(ValueError):
@@ -185,52 +186,48 @@ def select_items(
     holds: Sequence[tuple[int, int, float]],
     base: Sequence[float],
     capacity: float,
-    footprints: Sequence[float],
     force_enumeration: bool = False,
     floor: float | None = None,
-) -> tuple[list[int], bool, float] | None:
-    """Best subset of items under the capacity rows: (picked, exact, gain).
+    deadline: float | None = None,
+) -> tuple[list[int], float] | None:
+    """Best subset of items under the capacity rows: (picked, gain).
 
     Item x gains ``gains[x]`` (positive) and adds ``units`` to the buffer at
     the events lo <= r < hi, ``holds[x] = (lo, hi, units)`` (a
     :attr:`Rules.hold` entry); ``base`` is the load of the forced transfers at
-    each event and ``footprints[x]`` the item's weight in the density greedy
-    (a :attr:`Rules.footprint` entry). With ``base`` within capacity + EPS,
-    a subset is taken only if its final load is too, at every event: the
-    search adds the negative-unit items first, so no load it checks as an
-    item is added exceeds the final one. ``picked`` lists item indices in
-    ascending order. When every item fits, all are taken. Otherwise a ``base``
-    above capacity + EPS raises ValueError, and an exact depth-first search
-    runs up to ``EXACT_SELECTION_LIMIT`` items, above which a greedy by gain
-    density takes over and the result is flagged non-exact.
-    ``force_enumeration`` skips the take-everything shortcut and lifts the
-    limit. Ties between optimal subsets go to the lexicographically first, the
-    negative-unit items listed first, so callers that list items in the same
-    order pick the same subset.
+    each event. With ``base`` within capacity + EPS, a subset is taken only
+    if its final load is too, at every event: the search adds the
+    negative-unit items first, so no load it checks as an item is added
+    exceeds the final one. ``picked`` lists item indices in ascending order.
+    When every item fits, all are taken. Otherwise a ``base`` above
+    capacity + EPS raises ValueError, and an exact depth-first search runs,
+    "take" before "leave out". ``force_enumeration`` skips the
+    take-everything shortcut. Ties between optimal subsets go to the
+    lexicographically first, the negative-unit items listed first, so callers
+    that list items in the same order pick the same subset.
 
     Rows: only the events that some subset can overload are checked, those
     where ``base`` plus every positive unit, summed in index order, exceeds
     capacity + EPS, and of the events that one set of items covers only the
     one with the highest ``base``. Every subset passes or fails exactly as
     against every event: float addition is monotone, so a load summed in
-    index order (the search and its greedy seed) never exceeds that sum, and
-    the same items added to a higher base never give a lower load. The
-    density greedy adds in another order, where the same holds on integral
-    data (every partial sum exact, as on generated and bundled instances);
-    on other data its picks can differ only where a load lies within
-    rounding of the limit.
+    index order (as the search sums it) never exceeds that sum, and the same
+    items added to a higher base never give a lower load.
 
-    ``floor``: on an exact result, return only a subset that keeps more than
-    floor + EPS, and None when none does; the greedy path ignores it. Before
-    the search, a per-event fractional bound (Dantzig 1957): at each event,
-    the covering items must shed their excess load (base plus every covering
-    unit, negative ones too, minus the limit: what any subset that fits sheds
-    at least), and the cheapest fractional shed, by gain per unit, bounds the
-    gain lost there. If the worst event leaves no gain above the floor, the
-    result is None at once; otherwise the search starts from the larger of
-    the floor and its greedy seed. Unless two subset gains lie within EPS of
+    ``floor``: return only a subset that keeps more than floor + EPS, and
+    None when none does. Before the search, a per-event fractional bound
+    (Dantzig 1957): at each event, the covering items must shed their excess
+    load (base plus every covering unit, negative ones too, minus the limit:
+    what any subset that fits sheds at least), and the cheapest fractional
+    shed, by gain per unit, bounds the gain lost there. If the worst event
+    leaves no gain above the floor, the result is None at once; otherwise the
+    search starts from the floor. Unless two subset gains lie within EPS of
     each other, a floored result is the unfloored one whenever that keeps
     more than floor + EPS.
+
+    ``deadline``: a :func:`time.perf_counter` reading; the search reads the
+    clock at its first node and every 1,024 nodes after, and raises
+    ``_SelectionTimeout`` once the deadline has passed.
     """
     limit = capacity + EPS
 
@@ -243,7 +240,7 @@ def select_items(
         total = sum(gains)
         if floor is not None and total <= floor + EPS:
             return None
-        return list(range(len(gains))), True, total
+        return list(range(len(gains))), total
     if any(v > limit for v in base):
         raise ValueError("select_items: the base load exceeds capacity")
 
@@ -255,11 +252,11 @@ def select_items(
         if order != list(range(len(gains))):  # search negative units first
             result = select_items(
                 [gains[x] for x in order], [holds[x] for x in order], base, capacity,
-                [footprints[x] for x in order], force_enumeration, floor,
+                force_enumeration, floor, deadline,
             )
             if result is None:
                 return None
-            return sorted(order[x] for x in result[0]), result[1], result[2]
+            return sorted(order[x] for x in result[0]), result[1]
         top = list(base)
         for lo, hi, units in holds:
             if units > 0:
@@ -276,97 +273,72 @@ def select_items(
             if key not in highest or base[r] > base[highest[key]]:
                 highest[key] = r
     keep = sorted(highest.values())
-    occ0 = [base[r] for r in keep]
     # each item adds ``units`` to the buffer at the kept rows of ``rows``
     rows_of = [
         (range(bisect_left(keep, lo), bisect_left(keep, hi)), units)
         for lo, hi, units in holds
     ]
 
-    def fill(order) -> list[int]:
-        """The items of ``order`` taken greedily while they fit."""
-        occ = list(occ0)
-        picked = []
-        for idx in order:
-            rows, units = rows_of[idx]
-            if all(occ[r] + units <= limit for r in rows):
-                for r in rows:
-                    occ[r] += units
-                picked.append(idx)
-        return picked
-
-    if force_enumeration or len(gains) <= EXACT_SELECTION_LIMIT:
-        if floor is not None:
-            # the gain each event forces out, shedding the cheapest units first
-            shedders = sorted(
-                (idx for idx, (_, _, units) in enumerate(holds) if units > 0),
-                key=lambda idx: gains[idx] / holds[idx][2],
-            )
-            lost = 0.0
-            for r in keep:
-                excess = occ_all[r] - limit
-                shed = 0.0
-                for idx in shedders:
-                    if excess <= 0:
-                        break
-                    lo, hi, units = holds[idx]
-                    if lo <= r < hi:
-                        shed += gains[idx] * min(1.0, excess / units)
-                        excess -= units
-                lost = max(lost, shed)
-            if sum(gains) - lost <= floor + EPS:
-                return None
-
-        # a greedy pass seeds the incumbent bound just below its own gain:
-        # the DFS prunes against a near-optimal value from the start, while
-        # every true optimum still strictly beats the seed, so the
-        # lexicographically first optimal subset is reached and kept
-        greedy_gain = sum(gains[idx] for idx in fill(range(len(gains))))
-        best_gain = greedy_gain - 2 * EPS
-        if floor is not None:
-            best_gain = max(best_gain, floor)
-        best_pick: list[int] | None = None
-        suffix = [0.0] * (len(gains) + 1)
-        for idx in range(len(gains) - 1, -1, -1):
-            suffix[idx] = suffix[idx + 1] + gains[idx]
-        occ = list(occ0)
-        pick: list[int] = []
-
-        def dfs(idx, gain):
-            nonlocal best_gain, best_pick
-            if gain + suffix[idx] <= best_gain + EPS:
-                return
-            if idx == len(gains):
-                if gain > best_gain + EPS:
-                    best_gain = gain
-                    best_pick = list(pick)
-                return
-            rows, units = rows_of[idx]
-            for r in rows:
-                if occ[r] + units > limit:
+    if floor is not None:
+        # the gain each event forces out, shedding the cheapest units first
+        shedders = sorted(
+            (idx for idx, (_, _, units) in enumerate(holds) if units > 0),
+            key=lambda idx: gains[idx] / holds[idx][2],
+        )
+        lost = 0.0
+        for r in keep:
+            excess = occ_all[r] - limit
+            shed = 0.0
+            for idx in shedders:
+                if excess <= 0:
                     break
-            else:
-                saved = occ[rows.start : rows.stop]
-                for r in rows:
-                    occ[r] += units
-                pick.append(idx)
-                dfs(idx + 1, gain + gains[idx])
-                pick.pop()
-                occ[rows.start : rows.stop] = saved  # exact, unlike subtracting
-            dfs(idx + 1, gain)
-
-        dfs(0, 0.0)
-        if best_pick is None:
-            assert floor is not None, "an optimum at least matches the greedy seed"
+                lo, hi, units = holds[idx]
+                if lo <= r < hi:
+                    shed += gains[idx] * min(1.0, excess / units)
+                    excess -= units
+            lost = max(lost, shed)
+        if sum(gains) - lost <= floor + EPS:
             return None
-        return best_pick, True, max(best_gain, 0.0)
 
-    # greedy by gain density: gain per pallet-hour of buffer use
-    def rank(idx):
-        return -(gains[idx] / footprints[idx]), idx
+    best_gain = -math.inf if floor is None else floor
+    best_pick: list[int] | None = None
+    suffix = [0.0] * (len(gains) + 1)
+    for idx in range(len(gains) - 1, -1, -1):
+        suffix[idx] = suffix[idx + 1] + gains[idx]
+    occ = [base[r] for r in keep]
+    pick: list[int] = []
+    visits = 0
 
-    picked = sorted(fill(sorted(range(len(gains)), key=rank)))
-    return picked, False, sum(gains[idx] for idx in picked)
+    def dfs(idx, gain):
+        nonlocal best_gain, best_pick, visits
+        if visits & 1023 == 0 and deadline is not None and time.perf_counter() > deadline:
+            raise _SelectionTimeout
+        visits += 1
+        if gain + suffix[idx] <= best_gain + EPS:
+            return
+        if idx == len(gains):
+            if gain > best_gain + EPS:
+                best_gain = gain
+                best_pick = list(pick)
+            return
+        rows, units = rows_of[idx]
+        for r in rows:
+            if occ[r] + units > limit:
+                break
+        else:
+            saved = occ[rows.start : rows.stop]
+            for r in rows:
+                occ[r] += units
+            pick.append(idx)
+            dfs(idx + 1, gain + gains[idx])
+            pick.pop()
+            occ[rows.start : rows.stop] = saved  # exact, unlike subtracting
+        dfs(idx + 1, gain)
+
+    dfs(0, 0.0)
+    if best_pick is None:  # nothing keeps more than the floor
+        return None
+    return best_pick, best_gain
 
 
 def select_transfers(
@@ -375,17 +347,15 @@ def select_transfers(
     forced: Sequence[tuple[int, int, int, int]] = (),
     include_diagonal: bool = False,
     force_enumeration: bool = False,
-) -> tuple[tuple[CandidatePair, ...], bool, float]:
+) -> tuple[tuple[CandidatePair, ...], float]:
     """Best subset of positive-gain candidates under the capacity rows.
 
-    Returns (selected, exact, total_gain). ``forced`` transfers contribute
+    Returns (selected, total_gain). ``forced`` transfers contribute
     occupancy but are not selectable. The feasible candidates with gain above
     EPS, in (i, j, k, l) order, go to :func:`select_items`: when they all fit,
     the per-pair gain rule applies directly; otherwise an exact depth-first
-    search runs up to ``EXACT_SELECTION_LIMIT`` candidates, above which a
-    greedy by gain density takes over and the result is flagged non-exact.
-    ``force_enumeration`` skips the per-pair shortcut and lifts the limit, so
-    oracle callers never share the fast path or the greedy. Gains of exactly
+    search picks the best subset. ``force_enumeration`` skips the per-pair
+    shortcut, so oracle callers never share the fast path. Gains of exactly
     zero are never selected.
     """
     # the capacity rows are the same in both models; the strict-literal
@@ -393,15 +363,14 @@ def select_transfers(
     rules = compile_rules(inst, Formulation.R_CROSS_DOCK, include_diagonal)
     viable = [cp for cp in candidates if cp.feasible and cp.gain > EPS]
     viable.sort(key=lambda cp: (cp.i, cp.j, cp.k, cp.l))
-    picked, exact, total = select_items(
+    picked, total = select_items(
         [cp.gain for cp in viable],
         [rules.hold[cp.i - 1][cp.j - 1] for cp in viable],
         rules.load((i, j) for (i, j, _, _) in forced),
         rules.capacity,
-        [rules.footprint[cp.i - 1][cp.j - 1] for cp in viable],
         force_enumeration,
     )
-    return tuple(viable[idx] for idx in picked), exact, total
+    return tuple(viable[idx] for idx in picked), total
 
 
 def diagonal_candidates_crossdock(inst: Instance) -> list[CandidatePair]:
@@ -442,7 +411,7 @@ def optimal_transfers_rcrossdock(
             conflict, f"dock_conflict: {conflict} blocks this assignment"
         )
     cands = candidate_pairs(inst, y, include_diagonal)
-    selected, exact, total_gain = select_transfers(
+    selected, total_gain = select_transfers(
         inst,
         cands,
         include_diagonal=include_diagonal,
@@ -451,6 +420,5 @@ def optimal_transfers_rcrossdock(
     transfers = tuple((cp.i, cp.j, cp.k, cp.l) for cp in selected)
     return TransferSelection(
         solution=Solution(dock=y, transfers=transfers),
-        exact=exact,
         total_gain=total_gain,
     )

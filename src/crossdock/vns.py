@@ -5,7 +5,9 @@ single-reassignment (N_1) and pairwise-swap (N_2) local search, move and
 reset k on strict improvement, otherwise grow k. Candidates are priced by
 ``exact._Tables.leaf_value``, which B&B shares: under a finite capacity a
 neighbour is priced only as far as it can beat the running best, every other
-query in full. Later visits read a memo.
+query in full. Later visits read a memo. A time budget also stops a buffer
+selection in progress (a deadline passed to the pricing call); the search
+then returns its best fully priced assignment.
 The final incumbent's transfers are built by ``_Tables.build_solution`` from
 the decision that priced it, so the result is a feasible solution of the
 chosen formulation with the value the search compared. Deterministic for a
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import subproblem
 from .exact import OptimizeResult, _Tables, _UNDOCKED
 from .formulations import Formulation, objective_value
 from .model import EPS, Instance
@@ -40,18 +43,18 @@ class VnsConfig:
 def greedy_initial(tables: _Tables, evaluate) -> list[int]:
     """Greedy start: heaviest-penalty trucks first, each to the feasible dock
     with the best immediate gain (strictly improving, lowest index on ties).
-    Candidates are priced by ``evaluate``: (value, exact) of an assignment,
-    as :meth:`_Tables.leaf_value` gives it in full, or None if infeasible."""
+    Candidates are priced by ``evaluate``: the value of an assignment, as
+    :meth:`_Tables.leaf_value` gives it in full, or None if infeasible."""
     n, m, weight = tables.n, tables.m, tables.weight
     y0 = [_UNDOCKED] * n
-    value = evaluate(y0)[0]
+    value = evaluate(y0)
     for i in sorted(range(n), key=lambda i: (-weight[i], i)):
         candidates = []
         for k in range(m):
             y0[i] = k
             result = evaluate(y0)
             if result is not None:
-                candidates.append((result[0], k))
+                candidates.append((result, k))
         y0[i] = _UNDOCKED
         if candidates:
             cand_value, cand_k = min(candidates)
@@ -90,7 +93,9 @@ def vns_solve(
     include_diagonal: bool = False,
 ) -> OptimizeResult:
     """Run VNS from the greedy start and return the best incumbent (never
-    proven optimal).
+    proven optimal). A ``time_budget`` that runs out, even inside a buffer
+    selection, ends the search at the best fully priced assignment: the empty
+    one if the greedy start did not finish.
 
     The result's trace holds the incumbent objective after the greedy start
     and after every iteration; ``nodes_explored`` counts the evaluations of
@@ -112,8 +117,9 @@ def vns_solve(
     n, m = tables.n, tables.m
     rng = np.random.default_rng(cfg.rng_seed)
     start = time.perf_counter()
+    deadline = None if cfg.time_budget is None else start + cfg.time_budget
     evaluations = 0
-    memo: dict[tuple[int, ...], tuple[float, bool] | None] = {}
+    memo: dict[tuple[int, ...], float | None] = {}
     beaten: dict[tuple[int, ...], float] = {}
 
     def timed_out() -> bool:
@@ -134,14 +140,13 @@ def vns_solve(
             target = math.inf  # a full value answers every later visit
         if tables.first_clash(y0) is not None:
             result = None
-        elif (result := tables.leaf_value(y0, target)) is None and target < math.inf:
+        elif (
+            result := tables.leaf_value(y0, target, deadline)
+        ) is None and target < math.inf:
             beaten[key] = target
             return None
         memo[key] = result
         return result
-
-    incumbent = greedy_initial(tables, evaluate)
-    incumbent_value = evaluate(incumbent)[0]
 
     def local_search(y0, value):
         improved = True
@@ -159,8 +164,8 @@ def vns_solve(
                     y0[i] = current
                     if result is None:
                         continue
-                    if result[0] < best_value - EPS:
-                        best_move, best_value = (i, k), result[0]
+                    if result < best_value - EPS:
+                        best_move, best_value = (i, k), result
             if best_move:
                 y0[best_move[0]] = best_move[1]
                 value = best_value
@@ -177,8 +182,8 @@ def vns_solve(
                     y0[i], y0[j] = y0[j], y0[i]
                     if result is None:
                         continue
-                    if result[0] < best_value - EPS:
-                        best_swap, best_value = (i, j), result[0]
+                    if result < best_value - EPS:
+                        best_swap, best_value = (i, j), result
             if best_swap:
                 i, j = best_swap
                 y0[i], y0[j] = y0[j], y0[i]
@@ -186,28 +191,36 @@ def vns_solve(
                 improved = True
         return y0, value
 
-    trace = [incumbent_value]
-    for _ in range(cfg.iter_max):
-        if timed_out():
-            break
-        k = 1
-        while k <= K_MAX and not timed_out():
-            shaken = list(incumbent)
-            for _ in range(k):
-                truck = int(rng.integers(0, n))
-                option = int(rng.integers(0, m + 1))
-                shaken[truck] = _UNDOCKED if option == m else option
-            shaken, (value, _) = _repair(tables, shaken, evaluate)
-            shaken, value = local_search(shaken, value)
-            if value < incumbent_value - EPS:
-                incumbent, incumbent_value = list(shaken), value
-                k = 1
-            else:
-                k += 1
+    trace = []
+    try:
+        incumbent = greedy_initial(tables, evaluate)
+        incumbent_value = evaluate(incumbent)
+        trace.append(incumbent_value)
+        for _ in range(cfg.iter_max):
+            if timed_out():
+                break
+            k = 1
+            while k <= K_MAX and not timed_out():
+                shaken = list(incumbent)
+                for _ in range(k):
+                    truck = int(rng.integers(0, n))
+                    option = int(rng.integers(0, m + 1))
+                    shaken[truck] = _UNDOCKED if option == m else option
+                shaken, value = _repair(tables, shaken, evaluate)
+                shaken, value = local_search(shaken, value)
+                if value < incumbent_value - EPS:
+                    incumbent, incumbent_value = list(shaken), value
+                    k = 1
+                else:
+                    k += 1
+            trace.append(incumbent_value)
+    except subproblem._SelectionTimeout:
+        if not trace:  # the greedy start did not finish
+            incumbent = [_UNDOCKED] * n
+            incumbent_value = tables.leaf_value(incumbent)
         trace.append(incumbent_value)
 
-    built = tables.build_solution(incumbent)
-    solution, _ = built
+    solution = tables.build_solution(incumbent)
     breakdown = objective_value(inst, solution, form, include_diagonal)
     return OptimizeResult(
         best=solution,

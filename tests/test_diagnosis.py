@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from crossdock.diagnosis import ConflictSet, _narrative, explain_pair, find_conflict
 from crossdock.formulations import ConstraintFamily, ConstraintId, Formulation, compile_rules
@@ -145,6 +146,17 @@ def test_explain_pair_no_anomaly():
         capacity=None,
     )
     assert explain_pair(inst, 1, 2, 1, 2, CD).startswith("no anomaly")
+
+
+@pytest.mark.parametrize(
+    "i, j, k, l",
+    [(0, 2, 0, 1), (1, 2, 0, 1), (1, 2, 1, 7), (12, 2, 1, 1), (1, -1, 1, 1)],
+)
+def test_explain_pair_rejects_indices_outside_the_instance(nine_truck, i, j, k, l):
+    # 1-based trucks 1..9 and docks 1..6: a 0 or -1 would read arrival[-1]
+    # or a wrapped dock, a 7 or 12 would raise IndexError
+    with pytest.raises(ValueError, match="outside trucks 1..9 or docks 1..6"):
+        explain_pair(nine_truck, i, j, k, l, CD)
 
 
 def test_rcrossdock_consistency_iff_no_dock_conflicts():

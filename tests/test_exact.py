@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -151,37 +152,36 @@ def _gain_within_eps() -> Instance:
 
 
 def _built_by_subproblem(tables, y0):
-    """(solution, exact) that the subproblem functions build for a clash-free
+    """The solution that the subproblem functions build for a clash-free
     assignment, or None when the CROSS-DOCK forced load overflows: the slow
     twin of ``tables.build_solution``, which never reads the tables."""
     inst, include_diagonal = tables.inst, tables.diag
     dock = tables.to_public(y0)
     if not tables.cd:
         sel = subproblem.optimal_transfers_rcrossdock(inst, dock, include_diagonal)
-        return sel.solution, sel.exact
+        return sel.solution
     induced = subproblem.induced_transfers_crossdock(inst, dock, include_diagonal)
     if isinstance(induced, subproblem.InfeasibilityWitness):
         return None
     if not include_diagonal:
-        return induced, True
-    selected, exact, _ = subproblem.select_transfers(
+        return induced
+    selected, _ = subproblem.select_transfers(
         inst,
         subproblem.diagonal_candidates_crossdock(inst),
         forced=induced.transfers,
         include_diagonal=True,
     )
     free = tuple((cp.i, cp.j, cp.k, cp.l) for cp in selected)
-    return Solution(dock=dock, transfers=induced.transfers + free), exact
+    return Solution(dock=dock, transfers=induced.transfers + free)
 
 
-def _check_leaf_value_against_built(inst, assignments) -> tuple[int, int]:
+def _check_leaf_value_against_built(inst, assignments) -> int:
     """Assert that the full ``leaf_value`` of every clash-free assignment
     agrees with objective_value of the solution the subproblem functions
     build, and that ``build_solution`` builds that very solution, in both
     models and diagonal modes. Returns how many values capacity changed from
-    the uncapped table value (an overflow included) and how many were
-    inexact."""
-    changed = inexact = 0
+    the uncapped table value (an overflow included)."""
+    changed = 0
     for form, include_diagonal in itertools.product((CD, RCD), (False, True)):
         tables = _Tables(inst, form, include_diagonal)
         for y0 in assignments:
@@ -196,14 +196,10 @@ def _check_leaf_value_against_built(inst, assignments) -> tuple[int, int]:
             if built is None:  # the forced transfers overflow the buffer
                 changed += 1
                 continue
-            sol, exact = built
-            value, fast_exact = result
-            expected = objective_value(inst, sol, form, include_diagonal).total
-            assert value == pytest.approx(expected, rel=1e-12), where
-            assert fast_exact == exact, where
-            changed += value != pytest.approx(tables.fast_value(y0), rel=1e-12)
-            inexact += not exact
-    return changed, inexact
+            expected = objective_value(inst, built, form, include_diagonal).total
+            assert result == pytest.approx(expected, rel=1e-12), where
+            changed += result != pytest.approx(tables.fast_value(y0), rel=1e-12)
+    return changed
 
 
 def test_fast_path_matches_the_built_solution():
@@ -216,28 +212,22 @@ def test_fast_path_matches_the_built_solution():
     for inst in instances:
         options = list(range(inst.m)) + [_UNDOCKED]
         assignments = list(itertools.product(options, repeat=inst.n))
-        changed, _ = _check_leaf_value_against_built(inst, assignments)
-        assert changed == 0
+        assert _check_leaf_value_against_built(inst, assignments) == 0
     tables = _Tables(_gain_within_eps(), RCD, False)
-    assert tables.leaf_value([0, 1]) == (1.0000000005, True)
+    assert tables.leaf_value([0, 1]) == 1.0000000005
 
 
-@pytest.mark.parametrize("limit", [None, 2])
-def test_capacity_value_matches_the_built_solution(limit, nine_truck, monkeypatch):
+def test_capacity_value_matches_the_built_solution(nine_truck):
     # under a binding capacity the table value plus the gain the selection
-    # gives up equals the built solution's objective; a limit of 2 sends
-    # most selections down the greedy path
-    if limit is not None:
-        monkeypatch.setattr(subproblem, "EXACT_SELECTION_LIMIT", limit)
-    changed = inexact = 0
+    # gives up equals the built solution's objective
+    changed = 0
     shapes = ((1, 1), (2, 1), (3, 2), (4, 2))
     for seed, (n, m), ratio in itertools.product(range(3), shapes, (0.05, 0.1)):
         inst = generate(seed, n, m, capacity_ratio=ratio)
         options = list(range(inst.m)) + [_UNDOCKED]
-        counts = _check_leaf_value_against_built(
+        changed += _check_leaf_value_against_built(
             inst, list(itertools.product(options, repeat=n))
         )
-        changed, inexact = changed + counts[0], inexact + counts[1]
     # the fixture has (m+1)^n = 7^9 assignments: a seeded sample, half the
     # trucks docked on average
     rng = random.Random(0)
@@ -246,11 +236,8 @@ def test_capacity_value_matches_the_built_solution(limit, nine_truck, monkeypatc
         [rng.randrange(fixture.m) if rng.random() < 0.5 else _UNDOCKED for _ in range(fixture.n)]
         for _ in range(150)
     ]
-    counts = _check_leaf_value_against_built(fixture, sample)
-    changed, inexact = changed + counts[0], inexact + counts[1]
+    changed += _check_leaf_value_against_built(fixture, sample)
     assert changed > 0, "capacity never changes a value; the test is vacuous"
-    if limit is not None:
-        assert inexact > 0, "the greedy path never ran"
 
 
 def _non_integer(inst: Instance) -> Instance:
@@ -265,9 +252,9 @@ def _non_integer(inst: Instance) -> Instance:
 def test_leaf_value_drops_exactly_the_leaves_that_cannot_beat_the_target():
     # for every clash-free assignment: None iff the full value misses
     # target - EPS (or the CROSS-DOCK forced load overflows), and the full
-    # (value, exact) otherwise, for targets on both sides of the value. The
-    # full value comes from fresh tables, which share no selection memo with
-    # the tables under test
+    # value otherwise, for targets on both sides of the value. The full value
+    # comes from fresh tables, which share no selection memo with the tables
+    # under test
     priced = changed = 0
     for seed, n, ratio in itertools.product(range(3), (3, 4), (0.05, 0.1)):
         generated = generate(seed, n, 2, capacity_ratio=ratio)
@@ -280,14 +267,13 @@ def test_leaf_value_drops_exactly_the_leaves_that_cannot_beat_the_target():
                     y0 = list(y0)
                     if tables.first_clash(y0) is not None:
                         continue
-                    result = full.leaf_value(y0)
+                    value = full.leaf_value(y0)
                     where = (inst.name, inst.flow[0], form, include_diagonal, y0)
-                    if result is None:
+                    if value is None:
                         assert tables.leaf_value(y0, math.inf) is None, where
                         continue
-                    value = result[0]
                     for target in (value - 1, value, value + EPS / 2, value + 1):
-                        expected = None if value >= target - EPS else result
+                        expected = None if value >= target - EPS else value
                         assert tables.leaf_value(y0, target) == expected, (where, target)
                     priced += 1
                     changed += value != tables.fast_value(y0)
@@ -326,15 +312,11 @@ def test_a_target_the_table_value_misses_is_dropped_before_the_buffer(nine_truck
     assert checked > 50, checked
 
 
-@pytest.mark.parametrize("limit", [None, 2])
-def test_selection_memo_answers_as_a_fresh_selection(limit, monkeypatch):
+def test_selection_memo_answers_as_a_fresh_selection(monkeypatch):
     # the slow twin of _Tables._select's memo: every answer, under rising,
     # falling and absent floors, equals a fresh select_items call. Two tables
     # over the same instance at two capacities get the same buffer problems,
-    # so a memo shared between them answers one from the other's entries. A
-    # limit of 2 sends most selections down the greedy path
-    if limit is not None:
-        monkeypatch.setattr(subproblem, "EXACT_SELECTION_LIMIT", limit)
+    # so a memo shared between them answers one from the other's entries
     fresh = subproblem.select_items
     kernel_calls = []
 
@@ -351,7 +333,6 @@ def test_selection_memo_answers_as_a_fresh_selection(limit, monkeypatch):
             [rules.hold[i][j] for i, j, _, _, _ in items],
             base,
             rules.capacity,
-            [rules.footprint[i][j] for i, j, _, _, _ in items],
             floor=floor,
         )
 
@@ -382,7 +363,7 @@ def test_selection_memo_answers_as_a_fresh_selection(limit, monkeypatch):
                 for table in tables:
                     floor = None
                     if offset is not None:
-                        floor = expected(table, items, base, None)[2] + offset
+                        floor = expected(table, items, base, None)[1] + offset
                     want = expected(table, items, base, floor)
                     assert table._select(items, base, floor) == want, (offset, items)
                     calls += 1
@@ -425,7 +406,7 @@ def test_searches_compile_one_rule_set_and_call_no_subproblem(form, monkeypatch)
     compile_rules.cache_clear()
     bb = branch_and_bound(inst, form, include_diagonal=True)
     heuristic = vns_solve(inst, form, VnsConfig(iter_max=3), include_diagonal=True)
-    assert bb.status in ("optimal", "completed_heuristic")
+    assert bb.status == "optimal"
     assert heuristic.objective.total >= bb.objective.total
     assert compile_rules.cache_info().misses == 1
 
@@ -478,8 +459,7 @@ def test_node_bounds_admissible_by_subtree_completion():
                     y0[truck1 - 1] = dock1 - 1 if dock1 else _UNDOCKED
                 for u, k in zip(free, combo):
                     y0[u] = k
-                if tables.first_clash(y0) is None and (outcome := tables.leaf_value(y0)):
-                    value = outcome[0]
+                if tables.first_clash(y0) is None and (value := tables.leaf_value(y0)) is not None:
                     best = value if best is None else min(best, value)
             if best is not None:
                 assert bound <= best + 1e-9
@@ -492,6 +472,65 @@ def test_budget_exhaustion_still_returns_incumbent():
     assert not result.proven_optimal
     assert result.best is not None
     assert result.objective.total >= 0.0
+
+
+def _runaway_selection() -> Instance:
+    """Eight trucks whose windows all overlap, so R-CROSS-DOCK docks each at
+    its own dock, and a buffer of 20 against 56 small transfers of 1-5
+    units: the leaf with every truck docked is a selection over 56 items,
+    which the exact search cannot finish within minutes."""
+    n = m = 8
+    return Instance(
+        n=n,
+        m=m,
+        arrival=tuple(float(i) for i in range(n)),
+        departure=tuple(100.0 + i for i in range(n)),
+        transfer_time=((1.0,) * m,) * m,
+        transfer_cost=((1.0,) * m,) * m,
+        flow=tuple(
+            tuple(0.0 if i == j else 1.0 + (7 * i + 3 * j) % 5 for j in range(n))
+            for i in range(n)
+        ),
+        penalty=((10.0,) * n,) * n,
+        capacity=20.0,
+    )
+
+
+def test_a_time_limit_stops_a_runaway_selection():
+    inst = _runaway_selection()
+    result = branch_and_bound(inst, RCD, Budget(time_limit=1))
+    assert result.status == "budget_exhausted"
+    assert result.wall_time < 1.5, result.wall_time
+    assert check_solution(inst, result.best, RCD).feasible
+
+
+def test_a_vns_time_budget_stops_a_runaway_selection():
+    inst = _runaway_selection()
+    start = time.perf_counter()
+    result = vns_solve(inst, RCD, VnsConfig(time_budget=1))
+    assert time.perf_counter() - start < 1.5
+    assert check_solution(inst, result.best, RCD).feasible
+    assert result.objective.total == result.trace[-1]
+
+
+def test_a_deadline_stops_the_selection_kernel_only_once_passed():
+    # a deadline already past stops the 56-item selection; one a minute
+    # ahead leaves a 12-item selection, where capacity binds, as it was
+    tables = _Tables(_runaway_selection(), RCD, False)
+
+    def select(docked, deadline):
+        _, items, base = tables._choice(list(range(docked)) + [_UNDOCKED] * (8 - docked))
+        return subproblem.select_items(
+            [item[4] for item in items],
+            [tables.rules.hold[i][j] for i, j, _, _, _ in items],
+            base,
+            tables.rules.capacity,
+            deadline=deadline,
+        )
+
+    with pytest.raises(subproblem._SelectionTimeout):
+        select(8, time.perf_counter() - 1)
+    assert select(4, time.perf_counter() + 60) == select(4, None) == ([0, 1, 2, 4, 6], 195.0)
 
 
 def test_max_nodes_counts_the_nodes_processed(nine_truck):
@@ -677,8 +716,7 @@ def test_node_bounds_admissible_in_strict_mode():
                     y0[truck1 - 1] = dock1 - 1 if dock1 else _UNDOCKED
                 for u, k in zip(free, combo):
                     y0[u] = k
-                if tables.first_clash(y0) is None and (outcome := tables.leaf_value(y0)):
-                    value = outcome[0]
+                if tables.first_clash(y0) is None and (value := tables.leaf_value(y0)) is not None:
                     best = value if best is None else min(best, value)
             if best is not None:
                 assert bound <= best + 1e-9

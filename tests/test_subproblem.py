@@ -79,7 +79,6 @@ class TestGainRule:
         sel = optimal_transfers_rcrossdock(inst, (1, 1))
         assert sel.solution.transfers == ((1, 2, 1, 1),)
         assert sel.total_gain == 7.0
-        assert sel.exact
 
     def test_nonpositive_margin_never_selected(self):
         # d_2 - a_1 - t_11 = 3 - 0 - 3 = 0: closed boundary forbids it
@@ -139,7 +138,6 @@ class TestSelectionAgainstEnumeration:
             inst = generate(seed, n=4, m=2, capacity_ratio=0.25)
             dock = _repaired_dock(inst, seed)
             sel = optimal_transfers_rcrossdock(inst, dock)
-            assert sel.exact
             oracle_sol, oracle_gain = _exhaustive_best(inst, dock)
             assert sel.total_gain == pytest.approx(oracle_gain)
             unconstrained = optimal_transfers_rcrossdock(
@@ -188,26 +186,13 @@ class TestCapacityMonotonicity:
 
 
 class TestSelectionMachinery:
-    def test_greedy_path_flags_inexact(self, nine_truck, monkeypatch):
-        # 30+ candidates with a binding capacity and a tiny exact limit
-        monkeypatch.setattr(subproblem, "EXACT_SELECTION_LIMIT", 2)
-        capped = nine_truck.with_capacity(500.0)
-        dock = (1, 2, 3, 4, 5, 6, 2, 0, 0)
-        assert check_dock_conflicts(capped, dock) is None
-        cands = candidate_pairs(capped, dock)
-        viable = [cp for cp in cands if cp.feasible and cp.gain > 0]
-        assert len(viable) > 3
-        selected, exact, gain = select_transfers(capped, cands)
-        assert not exact
-        assert gain <= sum(cp.gain for cp in viable)
-
     def test_forced_transfers_consume_capacity(self):
         inst = tiny_two_truck(t11=0.0, c11=1.0, f12=5.0, p12=2.0, capacity=5.0)
         cands = candidate_pairs(inst, (1, 1))
         # without the forced load the pair fits; with it the buffer is full
-        selected, exact, _ = select_transfers(inst, cands)
+        selected, _ = select_transfers(inst, cands)
         assert [cp.gain for cp in selected] == [10.0]
-        selected2, exact2, _ = select_transfers(
+        selected2, _ = select_transfers(
             inst, cands, forced=((1, 2, 1, 1),)
         )
         assert selected2 == ()
@@ -262,15 +247,10 @@ def _assert_selection_matches_enumeration(gains, holds, base, capacity):
     """The kernel against its twin, without a floor and with floors on both
     sides of the optimum; True if the capacity binds."""
     picked, gain = _first_best_subset(gains, holds, base, capacity)
-    footprints = [1.0] * len(gains)
-    assert subproblem.select_items(gains, holds, base, capacity, footprints) == (
-        picked, True, gain
-    )
+    assert subproblem.select_items(gains, holds, base, capacity) == (picked, gain)
     for floor in (-1.0, 0.0, gain - 1.0, gain - 0.25, gain, gain + 0.5):
-        result = subproblem.select_items(
-            gains, holds, base, capacity, footprints, floor=floor
-        )
-        assert result == (None if gain <= floor + EPS else (picked, True, gain)), floor
+        result = subproblem.select_items(gains, holds, base, capacity, floor=floor)
+        assert result == (None if gain <= floor + EPS else (picked, gain)), floor
     return gain < sum(gains)
 
 
@@ -327,4 +307,5 @@ def test_select_items_rejects_a_base_load_above_capacity():
     # covers it: no subset is feasible, so the precondition is enforced
     # rather than the overload ignored
     with pytest.raises(ValueError, match="base load exceeds capacity"):
-        subproblem.select_items([1.0], [(0, 1, 1.0)], [0.0, 10.0], 5.0, [1.0])
+        subproblem.select_items([1.0], [(0, 1, 1.0)], [0.0, 10.0], 5.0)
+

@@ -131,11 +131,11 @@ def test_targeted_pricing_matches_full_pricing(nine_truck, monkeypatch):
     # the unpatched method at its default target, never through the patch
     fast = _Tables.leaf_value
 
-    def reference(self, y0, target):
-        result = fast(self, y0)
-        return result if result is not None and result[0] < target - EPS else None
+    def reference(self, y0, target, deadline):
+        value = fast(self, y0)
+        return value if value is not None and value < target - EPS else None
 
-    def full(self, y0, target):
+    def full(self, y0, target, deadline):
         return fast(self, y0)
 
     def signature(result):
@@ -153,10 +153,10 @@ def test_targeted_pricing_matches_full_pricing(nine_truck, monkeypatch):
     ]
     targeted = 0
 
-    def counted(self, y0, target):
+    def counted(self, y0, target, deadline):
         nonlocal targeted
         targeted += 1
-        return fast(self, y0, target)
+        return fast(self, y0, target, deadline)
 
     for inst, form, include_diagonal in itertools.product(instances, (CD, RCD), (False, True)):
         cfg = VnsConfig(iter_max=4, rng_seed=3)
