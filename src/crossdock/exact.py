@@ -41,10 +41,13 @@ from the same transfer decision (``_Tables.build_solution``) and priced by
 returns come from one route.
 
 The brute-force oracle enumerates every assignment, builds its transfers
-through the subproblem module by exhaustive subset enumeration (never the
-per-pair shortcut) and prices them with ``objective_value``. It
-shares only the clash test with the tables, so the two solvers cross-validate
-each other.
+through the subproblem module (``_oracle_solution``) and prices them with
+``objective_value``. It shares with the tables the clash test, the
+strict-literal CROSS-DOCK candidates
+(:func:`crossdock.subproblem.diagonal_candidates_crossdock`) and the
+selection kernel, but derives the items, forced loads and values on its own
+route, so the two solvers cross-validate each other; the kernel has its own
+plain-enumeration twin in the tests.
 """
 
 from __future__ import annotations
@@ -339,15 +342,13 @@ class _Tables:
 
 def _oracle_solution(tables: _Tables, y0) -> Solution | None:
     """The subproblem module's transfer set for an assignment that passes
-    :meth:`_Tables.first_clash`, selected by exhaustive enumeration: the
-    oracle's route, independent of the tables' pricing. None when the
-    CROSS-DOCK forced load overflows the buffer."""
+    :meth:`_Tables.first_clash`: the oracle's route, which never reads the
+    tables' pair, unary or choice data. None when the CROSS-DOCK forced load
+    overflows the buffer."""
     inst, diag = tables.inst, tables.diag
     y1 = tables.to_public(y0)
     if not tables.cd:
-        return subproblem.optimal_transfers_rcrossdock(
-            inst, y1, include_diagonal=diag, force_enumeration=True
-        ).solution
+        return subproblem.optimal_transfers_rcrossdock(inst, y1, diag).solution
     induced = subproblem.induced_transfers_crossdock(inst, y1, diag)
     if isinstance(induced, subproblem.InfeasibilityWitness):
         return None
@@ -358,7 +359,6 @@ def _oracle_solution(tables: _Tables, y0) -> Solution | None:
         subproblem.diagonal_candidates_crossdock(inst),
         forced=induced.transfers,
         include_diagonal=True,
-        force_enumeration=True,
     )
     transfers = induced.transfers + tuple((cp.i, cp.j, cp.k, cp.l) for cp in selected)
     return Solution(dock=y1, transfers=transfers)
@@ -408,8 +408,7 @@ def branch_and_bound(
     n, m = tables.n, tables.m
     start = time.perf_counter()
     max_nodes = math.inf if budget.max_nodes is None else budget.max_nodes
-    time_limit = budget.time_limit
-    deadline = None if time_limit is None else start + time_limit
+    deadline = None if budget.time_limit is None else start + budget.time_limit
 
     y0 = [_UNDOCKED] * n
     # the empty assignment is always feasible: a guaranteed incumbent
@@ -442,10 +441,10 @@ def branch_and_bound(
         nonlocal best_value, best_y, nodes, stopped
         # the clock is read once per 256 nodes processed
         if nodes >= max_nodes or (
-            time_limit is not None
+            deadline is not None
             and nodes
             and nodes % 256 == 0
-            and time.perf_counter() - start > time_limit
+            and time.perf_counter() > deadline
         ):
             stopped = True
             return
@@ -510,8 +509,9 @@ def branch_and_bound(
 def brute_force(
     inst: Instance, form: Formulation, include_diagonal: bool = False
 ) -> OptimizeResult:
-    """Enumerate every dock assignment; transfers solved by exhaustive
-    subset enumeration (never the per-pair shortcut)."""
+    """Enumerate every dock assignment; each one's transfers come from the
+    subproblem module (``_oracle_solution``), its value from
+    ``objective_value``."""
     n, m = inst.n, inst.m
     total_assignments = (m + 1) ** n
     if total_assignments > BRUTE_FORCE_LIMIT:

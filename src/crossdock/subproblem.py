@@ -186,44 +186,42 @@ def select_items(
     holds: Sequence[tuple[int, int, float]],
     base: Sequence[float],
     capacity: float,
-    force_enumeration: bool = False,
     floor: float | None = None,
     deadline: float | None = None,
 ) -> tuple[list[int], float] | None:
     """Best subset of items under the capacity rows: (picked, gain).
 
-    Item x gains ``gains[x]`` (positive) and adds ``units`` to the buffer at
-    the events lo <= r < hi, ``holds[x] = (lo, hi, units)`` (a
+    Item x gains ``gains[x]`` (positive) and adds ``units`` >= 0 to the
+    buffer at the events lo <= r < hi, ``holds[x] = (lo, hi, units)`` (a
     :attr:`Rules.hold` entry); ``base`` is the load of the forced transfers at
-    each event. With ``base`` within capacity + EPS, a subset is taken only
-    if its final load is too, at every event: the search adds the
-    negative-unit items first, so no load it checks as an item is added
-    exceeds the final one. ``picked`` lists item indices in ascending order.
-    When every item fits, all are taken. Otherwise a ``base`` above
-    capacity + EPS raises ValueError, and an exact depth-first search runs,
-    "take" before "leave out". ``force_enumeration`` skips the
-    take-everything shortcut. Ties between optimal subsets go to the
-    lexicographically first, the negative-unit items listed first, so callers
-    that list items in the same order pick the same subset.
+    each event. A negative unit raises ValueError: every transfer that can be
+    selected holds a forward interval (an allowed R-CROSS-DOCK transfer has
+    d_j - a_i - t_kl > EPS, a strict-literal self-flow has a_i < d_i), so
+    loads only grow along a search path and a load checked as an item is
+    added never exceeds the final one. ``picked`` lists item indices in
+    ascending order. When every item fits, all are taken. Otherwise a
+    ``base`` above capacity + EPS raises ValueError, and an exact
+    depth-first search runs, "take" before "leave out". Ties between optimal
+    subsets go to the lexicographically first, so callers that list items in
+    the same order pick the same subset.
 
     Rows: only the events that some subset can overload are checked, those
-    where ``base`` plus every positive unit, summed in index order, exceeds
-    capacity + EPS, and of the events that one set of items covers only the
-    one with the highest ``base``. Every subset passes or fails exactly as
-    against every event: float addition is monotone, so a load summed in
-    index order (as the search sums it) never exceeds that sum, and the same
-    items added to a higher base never give a lower load.
+    where ``base`` plus every unit, summed in index order, exceeds capacity +
+    EPS, and of the events that one set of items covers only the one with the
+    highest ``base``. Every subset passes or fails exactly as against every
+    event: float addition is monotone, so a load summed in index order (as
+    the search sums it) never exceeds that sum, and the same items added to a
+    higher base never give a lower load.
 
     ``floor``: return only a subset that keeps more than floor + EPS, and
     None when none does. Before the search, a per-event fractional bound
     (Dantzig 1957): at each event, the covering items must shed their excess
-    load (base plus every covering unit, negative ones too, minus the limit:
-    what any subset that fits sheds at least), and the cheapest fractional
-    shed, by gain per unit, bounds the gain lost there. If the worst event
-    leaves no gain above the floor, the result is None at once; otherwise the
-    search starts from the floor. Unless two subset gains lie within EPS of
-    each other, a floored result is the unfloored one whenever that keeps
-    more than floor + EPS.
+    load (base plus every covering unit minus the limit: what any subset that
+    fits sheds at least), and the cheapest fractional shed, by gain per unit,
+    bounds the gain lost there. If the worst event leaves no gain above the
+    floor, the result is None at once; otherwise the search starts from the
+    floor. Unless two subset gains lie within EPS of each other, a floored
+    result is the unfloored one whenever that keeps more than floor + EPS.
 
     ``deadline``: a :func:`time.perf_counter` reading; the search reads the
     clock at its first node and every 1,024 nodes after, and raises
@@ -234,9 +232,11 @@ def select_items(
     # per-pair rule: take everything if capacity never binds
     occ_all = list(base)
     for lo, hi, units in holds:
+        if units < 0:
+            raise ValueError("select_items: an item has negative buffer units")
         for r in range(lo, hi):
             occ_all[r] += units
-    if not force_enumeration and all(v <= limit for v in occ_all):
+    if all(v <= limit for v in occ_all):
         total = sum(gains)
         if floor is not None and total <= floor + EPS:
             return None
@@ -245,23 +245,7 @@ def select_items(
         raise ValueError("select_items: the base load exceeds capacity")
 
     # the rows: per set of covering items (a bit mask), the highest-base event
-    # that base plus every positive unit overloads
-    top = occ_all
-    if any(units < 0 for _, _, units in holds):
-        order = sorted(range(len(gains)), key=lambda x: holds[x][2] >= 0)
-        if order != list(range(len(gains))):  # search negative units first
-            result = select_items(
-                [gains[x] for x in order], [holds[x] for x in order], base, capacity,
-                force_enumeration, floor, deadline,
-            )
-            if result is None:
-                return None
-            return sorted(order[x] for x in result[0]), result[1]
-        top = list(base)
-        for lo, hi, units in holds:
-            if units > 0:
-                for r in range(lo, hi):
-                    top[r] += units
+    # that base plus every unit overloads
     cover = [0] * len(base)
     for idx, (lo, hi, _) in enumerate(holds):
         bit = 1 << idx
@@ -269,7 +253,7 @@ def select_items(
             cover[r] |= bit
     highest: dict[int, int] = {}
     for r, key in enumerate(cover):
-        if key and top[r] > limit:
+        if key and occ_all[r] > limit:
             if key not in highest or base[r] > base[highest[key]]:
                 highest[key] = r
     keep = sorted(highest.values())
@@ -346,7 +330,6 @@ def select_transfers(
     candidates: Sequence[CandidatePair],
     forced: Sequence[tuple[int, int, int, int]] = (),
     include_diagonal: bool = False,
-    force_enumeration: bool = False,
 ) -> tuple[tuple[CandidatePair, ...], float]:
     """Best subset of positive-gain candidates under the capacity rows.
 
@@ -354,9 +337,9 @@ def select_transfers(
     occupancy but are not selectable. The feasible candidates with gain above
     EPS, in (i, j, k, l) order, go to :func:`select_items`: when they all fit,
     the per-pair gain rule applies directly; otherwise an exact depth-first
-    search picks the best subset. ``force_enumeration`` skips the per-pair
-    shortcut, so oracle callers never share the fast path. Gains of exactly
-    zero are never selected.
+    search picks the best subset. Gains of exactly zero are never selected.
+    A candidate that holds a backward interval (possible only on an instance
+    that fails validation) raises ValueError.
     """
     # the capacity rows are the same in both models; the strict-literal
     # CROSS-DOCK self-transfers are selected exactly like R-CROSS-DOCK's
@@ -368,7 +351,6 @@ def select_transfers(
         [rules.hold[cp.i - 1][cp.j - 1] for cp in viable],
         rules.load((i, j) for (i, j, _, _) in forced),
         rules.capacity,
-        force_enumeration,
     )
     return tuple(viable[idx] for idx in picked), total
 
@@ -397,7 +379,6 @@ def optimal_transfers_rcrossdock(
     inst: Instance,
     dock,
     include_diagonal: bool = False,
-    force_enumeration: bool = False,
 ) -> TransferSelection:
     """Best R-CROSS-DOCK transfer set for an assignment.
 
@@ -412,10 +393,7 @@ def optimal_transfers_rcrossdock(
         )
     cands = candidate_pairs(inst, y, include_diagonal)
     selected, total_gain = select_transfers(
-        inst,
-        cands,
-        include_diagonal=include_diagonal,
-        force_enumeration=force_enumeration,
+        inst, cands, include_diagonal=include_diagonal
     )
     transfers = tuple((cp.i, cp.j, cp.k, cp.l) for cp in selected)
     return TransferSelection(

@@ -123,10 +123,7 @@ def vns_solve(
     beaten: dict[tuple[int, ...], float] = {}
 
     def timed_out() -> bool:
-        return (
-            cfg.time_budget is not None
-            and time.perf_counter() - start > cfg.time_budget
-        )
+        return deadline is not None and time.perf_counter() > deadline
 
     def evaluate(y0, target=math.inf):
         nonlocal evaluations

@@ -15,6 +15,7 @@ from crossdock.exact import (
     compare_models,
     _Tables,
     _UNDOCKED,
+    _oracle_solution,
 )
 from crossdock.formulations import (
     Formulation,
@@ -25,6 +26,8 @@ from crossdock.formulations import (
 from crossdock.instance_io import generate
 from crossdock.model import EPS, Instance, Solution, total_penalty_constant
 from crossdock.vns import VnsConfig, vns_solve
+
+from conftest import touching_windows, within_eps
 
 CD = Formulation.CROSS_DOCK
 RCD = Formulation.R_CROSS_DOCK
@@ -135,6 +138,31 @@ def test_strict_literal_mode_oracle_equivalence():
             assert optima[0] < optima[1] < nothing_ships, (seed, form)
 
 
+@pytest.mark.parametrize(
+    "build, rcd_optima",
+    [(touching_windows, (32.5, 42.0, 42.0)), (within_eps, (11.5, 26.5, 24.5))],
+    ids=["touching", "within-eps"],
+)
+def test_bnb_matches_brute_force_at_the_eps_boundary_under_a_binding_buffer(
+    build, rcd_optima
+):
+    # margins of exactly 0 and events within EPS of each other, unbounded and
+    # at capacities 2 and 4, where the R-CROSS-DOCK optimum rises; every
+    # selectable transfer holds a forward interval, so the selection kernel,
+    # which rejects a negative unit, accepts the items of both solvers
+    for form, include_diagonal in itertools.product((CD, RCD), (False, True)):
+        optima = []
+        for capacity in (None, 2.0, 4.0):
+            inst = build().with_capacity(capacity)
+            bb = branch_and_bound(inst, form, include_diagonal=include_diagonal)
+            brute = brute_force(inst, form, include_diagonal=include_diagonal)
+            assert bb.proven_optimal
+            assert bb.objective.total == brute.objective.total, (capacity, form)
+            optima.append(bb.objective.total)
+        if form is RCD:
+            assert tuple(optima) == rcd_optima, include_diagonal
+
+
 def _gain_within_eps() -> Instance:
     """Shipping 1 -> 2 from dock 1 to dock 2 gains 5e-10, below EPS: the
     selection never ships it, so neither may the tables."""
@@ -151,30 +179,6 @@ def _gain_within_eps() -> Instance:
     )
 
 
-def _built_by_subproblem(tables, y0):
-    """The solution that the subproblem functions build for a clash-free
-    assignment, or None when the CROSS-DOCK forced load overflows: the slow
-    twin of ``tables.build_solution``, which never reads the tables."""
-    inst, include_diagonal = tables.inst, tables.diag
-    dock = tables.to_public(y0)
-    if not tables.cd:
-        sel = subproblem.optimal_transfers_rcrossdock(inst, dock, include_diagonal)
-        return sel.solution
-    induced = subproblem.induced_transfers_crossdock(inst, dock, include_diagonal)
-    if isinstance(induced, subproblem.InfeasibilityWitness):
-        return None
-    if not include_diagonal:
-        return induced
-    selected, _ = subproblem.select_transfers(
-        inst,
-        subproblem.diagonal_candidates_crossdock(inst),
-        forced=induced.transfers,
-        include_diagonal=True,
-    )
-    free = tuple((cp.i, cp.j, cp.k, cp.l) for cp in selected)
-    return Solution(dock=dock, transfers=induced.transfers + free)
-
-
 def _check_leaf_value_against_built(inst, assignments) -> int:
     """Assert that the full ``leaf_value`` of every clash-free assignment
     agrees with objective_value of the solution the subproblem functions
@@ -189,7 +193,9 @@ def _check_leaf_value_against_built(inst, assignments) -> int:
             if tables.first_clash(y0) is not None:
                 continue
             result = tables.leaf_value(y0)
-            built = _built_by_subproblem(tables, y0)
+            # the slow twin of build_solution: the oracle's route, which
+            # never reads the tables' pair, unary or choice data
+            built = _oracle_solution(tables, y0)
             where = (inst.name, inst.capacity, form, include_diagonal, y0)
             assert tables.build_solution(y0) == built, where
             assert (result is None) == (built is None), where

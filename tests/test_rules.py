@@ -16,51 +16,13 @@ from crossdock.formulations import (
 from crossdock.instance_io import generate, load_fixture_instance
 from crossdock.model import Instance, Solution, event_times
 
-from conftest import tiny_two_truck
+from conftest import tiny_two_truck, touching_windows, within_eps
 
 MODES = [
     (form, include_diagonal)
     for form in (Formulation.CROSS_DOCK, Formulation.R_CROSS_DOCK)
     for include_diagonal in (False, True)
 ]
-
-
-def _touching_windows() -> Instance:
-    """Truck 1 departs exactly when truck 2 arrives; truck 3 overlaps both.
-
-    d_2 - a_1 = 4, so the dock pairs give the pair (1, 2) margins of exactly
-    0, +0.01 and -0.01. Every off-diagonal flow is positive.
-    """
-    return Instance(
-        n=3,
-        m=2,
-        arrival=(0.0, 2.0, 1.0),
-        departure=(2.0, 4.0, 3.0),
-        transfer_time=((4.0, 3.99), (4.01, 0.5)),
-        transfer_cost=((1.0, 2.0), (2.0, 1.0)),
-        flow=((0.0, 5.0, 3.0), (4.0, 0.0, 2.0), (6.0, 1.0, 0.0)),
-        penalty=((0.0, 2.0, 2.0), (2.0, 0.0, 2.0), (2.0, 2.0, 0.0)),
-        capacity=None,
-        name="touching",
-    )
-
-
-def _within_eps() -> Instance:
-    """Events apart by less than EPS: truck 2 arrives 5e-10 before truck 1
-    departs, truck 3 arrives 5e-10 after truck 2 departs. The tolerance alone
-    decides precedence and occupancy at those events."""
-    return Instance(
-        n=3,
-        m=1,
-        arrival=(0.0, 1.0 - 5e-10, 3.0 + 5e-10),
-        departure=(1.0, 3.0, 4.0),
-        transfer_time=((0.5,),),
-        transfer_cost=((1.0,),),
-        flow=((0.0, 5.0, 3.0), (4.0, 0.0, 2.0), (0.0, 1.0, 0.0)),
-        penalty=((0.0, 2.0, 2.0), (2.0, 0.0, 2.0), (2.0, 2.0, 0.0)),
-        capacity=None,
-        name="within-eps",
-    )
 
 
 def _everything(inst: Instance, include_diagonal: bool) -> Solution:
@@ -73,7 +35,7 @@ def _everything(inst: Instance, include_diagonal: bool) -> Solution:
 
 
 def _instances() -> list[Instance]:
-    out = [load_fixture_instance(), _touching_windows(), _within_eps()]
+    out = [load_fixture_instance(), touching_windows(), within_eps()]
     # d_2 - a_1 - t_11 = 3 - t11: margins of exactly 0, +0.01 and -0.01,
     # with and without flow on the pair
     for t11 in (3.0, 2.99, 3.01):

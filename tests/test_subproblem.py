@@ -262,12 +262,6 @@ SELECTION_CASES = [
     ([3.0, 2.0, 1.5], [(0, 2, 4.0), (0, 2, 1.0), (2, 3, 1.25)], [2.0, 3.0, 0.0], 6.0),
     # overlapping intervals with non-integer gains, units and base
     ([2.5, 1.75, 3.25, 0.5], [(0, 2, 1.5), (1, 3, 2.25), (0, 3, 0.75), (2, 3, 3.5)], [0.0, 0.5, 1.0, 0.0], 3.0),
-    # one negative-unit item (a reversed window): it makes room for item 1 at
-    # event 0, so the excess there must count it
-    ([1.0, 10.0, 4.0, 3.0], [(0, 1, -5.0), (0, 1, 10.0), (1, 2, 4.0), (1, 2, 3.0)], [0.0, 0.0], 5.0),
-    # the same items with the negative one second: the subset {0, 1, 2} keeps
-    # 15 in either order, although item 0 alone overloads event 0
-    ([10.0, 1.0, 4.0, 3.0], [(0, 1, 10.0), (0, 1, -5.0), (1, 2, 4.0), (1, 2, 3.0)], [0.0, 0.0], 5.0),
 ]
 
 
@@ -300,6 +294,23 @@ def test_select_items_matches_plain_enumeration_on_decide_items():
                 )
                 checked += 1
     assert binding > 100, (checked, binding)
+
+
+@pytest.mark.parametrize(
+    "gains, holds",
+    [
+        # a negative-unit item that would make room for item 1 at event 0
+        ([1.0, 10.0, 4.0], [(0, 1, -5.0), (0, 1, 10.0), (1, 2, 4.0)]),
+        # every item fits: the check comes before the take-everything rule
+        ([1.0, 2.0], [(0, 1, 1.0), (0, 1, -1.0)]),
+    ],
+    ids=["binding", "fits"],
+)
+def test_select_items_rejects_a_negative_unit(gains, holds):
+    # a backward hold (d_j before a_i) comes only from an instance that fails
+    # validation: no allowed transfer or self-flow of a valid one holds one
+    with pytest.raises(ValueError, match="negative buffer units"):
+        subproblem.select_items(gains, holds, [0.0, 0.0], 5.0)
 
 
 def test_select_items_rejects_a_base_load_above_capacity():
