@@ -43,11 +43,13 @@ returns come from one route.
 The brute-force oracle enumerates every assignment, builds its transfers
 through the subproblem module (``_oracle_solution``) and prices them with
 ``objective_value``. It shares with the tables the clash test, the
-strict-literal CROSS-DOCK candidates
+strict-literal CROSS-DOCK items
 (:func:`crossdock.subproblem.diagonal_candidates_crossdock`) and the
 selection kernel, but derives the items, forced loads and values on its own
 route, so the two solvers cross-validate each other; the kernel has its own
-plain-enumeration twin in the tests.
+plain-enumeration twin in the tests. Every solver validates its instance
+first and reads its clock before it builds the tables, so a time limit and
+the reported wall time include the build.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .formulations import (
     compile_rules,
     objective_value,
 )
-from .model import EPS, Instance, Solution, total_penalty_constant
+from .model import EPS, Instance, Solution, total_penalty_constant, validate_instance
 
 BRUTE_FORCE_LIMIT = 10**6
 
@@ -181,9 +183,9 @@ class _Tables:
         self.unary = [[0.0] * m for _ in range(n)]
         if include_diagonal and self.cd:
             self.free_items = [
-                (cp.i - 1, cp.i - 1, cp.k - 1, cp.l - 1, cp.gain)
-                for cp in subproblem.diagonal_candidates_crossdock(inst)
-                if cp.gain > EPS
+                (i - 1, i - 1, k - 1, l - 1, gain)
+                for i, _, k, l, gain in subproblem.diagonal_candidates_crossdock(inst)
+                if gain > EPS
             ]
         elif include_diagonal:
             self.unary = [[_shipped(ct[k][k] - pf[i][i]) for k in range(m)] for i in range(n)]
@@ -354,14 +356,9 @@ def _oracle_solution(tables: _Tables, y0) -> Solution | None:
         return None
     if not diag:
         return induced
-    selected, _ = subproblem.select_transfers(
-        inst,
-        subproblem.diagonal_candidates_crossdock(inst),
-        forced=induced.transfers,
-        include_diagonal=True,
-    )
-    transfers = induced.transfers + tuple((cp.i, cp.j, cp.k, cp.l) for cp in selected)
-    return Solution(dock=y1, transfers=transfers)
+    items = subproblem.diagonal_candidates_crossdock(inst)
+    selected, _ = subproblem.select_transfers(inst, items, induced.transfers, diag)
+    return Solution(dock=y1, transfers=induced.transfers + selected)
 
 
 def branch_and_bound(
@@ -403,10 +400,11 @@ def branch_and_bound(
     within budget. With an exhausted budget the best incumbent found so far
     is still returned (status "budget_exhausted").
     """
+    start = time.perf_counter()
+    validate_instance(inst)
     budget = budget or Budget()
     tables = _Tables(inst, form, include_diagonal)
     n, m = tables.n, tables.m
-    start = time.perf_counter()
     max_nodes = math.inf if budget.max_nodes is None else budget.max_nodes
     deadline = None if budget.time_limit is None else start + budget.time_limit
 
@@ -512,6 +510,8 @@ def brute_force(
     """Enumerate every dock assignment; each one's transfers come from the
     subproblem module (``_oracle_solution``), its value from
     ``objective_value``."""
+    start = time.perf_counter()
+    validate_instance(inst)
     n, m = inst.n, inst.m
     total_assignments = (m + 1) ** n
     if total_assignments > BRUTE_FORCE_LIMIT:
@@ -520,7 +520,6 @@ def brute_force(
             f"{BRUTE_FORCE_LIMIT}"
         )
     tables = _Tables(inst, form, include_diagonal)
-    start = time.perf_counter()
     options = list(range(m)) + [_UNDOCKED]
 
     best = None

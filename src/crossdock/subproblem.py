@@ -5,12 +5,14 @@ transfer set is a *function* of the assignment (or the assignment is
 infeasible, with a witness naming the clash). Under R-CROSS-DOCK transfers
 are optional, so the best set maximizes total gain p_ij*f_ij - c_kl*t_kl
 subject to the model's rules and capacity. Every rule is read from the
-compiled tables of :func:`crossdock.formulations.compile_rules`. The capacity
-choice itself, a knapsack over the transfers' buffer intervals, is made
-exactly by one kernel on plain lists, :func:`select_items`, which
-:func:`select_transfers` and the search's table path in :mod:`crossdock.exact`
-share; a deadline can stop it. A dock array that does not fit the instance
-(length, a dock outside 0..m) raises ValueError.
+compiled tables of :func:`crossdock.formulations.compile_rules`. A choosable
+transfer is an item, a 1-based (i, j, k, l, gain) tuple; items go in (i, j)
+order, the form (0-based there) that the search's tables in
+:mod:`crossdock.exact` use. The capacity choice itself, a knapsack over the
+items' buffer intervals, is made exactly by one kernel on plain lists,
+:func:`select_items`, which :func:`select_transfers` and the tables share; a
+deadline can stop it. A dock array that does not fit the instance (length, a
+dock outside 0..m) raises ValueError.
 """
 
 from __future__ import annotations
@@ -29,18 +31,6 @@ from .formulations import (
     time_margin,
 )
 from .model import EPS, UNASSIGNED, Instance, Solution, _dock_array
-
-@dataclass(frozen=True)
-class CandidatePair:
-    """One dockable transfer with its net gain and time-feasibility flag."""
-
-    i: int
-    j: int
-    k: int
-    l: int
-    gain: float
-    feasible: bool
-
 
 @dataclass(frozen=True)
 class InfeasibilityWitness:
@@ -130,41 +120,6 @@ def induced_transfers_crossdock(
                     ),
                 )
     return solution
-
-
-def candidate_pairs(
-    inst: Instance, dock, include_diagonal: bool = False
-) -> list[CandidatePair]:
-    """R-CROSS-DOCK candidates: docked ordered pairs with gain and feasibility.
-
-    A candidate is feasible when the R-CROSS-DOCK rules allow its transfer.
-    Diagonal candidates (strict-literal mode) sit at the truck's own dock and
-    face no time or precedence rule.
-    """
-    rules = compile_rules(inst, Formulation.R_CROSS_DOCK, include_diagonal)
-    y = _dock_array(inst, dock)
-    ct, pf = rules.ct, rules.pf
-    out: list[CandidatePair] = []
-    for i in inst.trucks():
-        k = y[i - 1]
-        if k == UNASSIGNED:
-            continue
-        if include_diagonal:
-            gain = pf[i - 1][i - 1] - ct[k - 1][k - 1]
-            out.append(CandidatePair(i, i, k, k, gain, True))
-        allowed = rules.allowed[i - 1]
-        for j in inst.trucks():
-            if j == i:
-                continue
-            l = y[j - 1]
-            if l == UNASSIGNED:
-                continue
-            gain = pf[i - 1][j - 1] - ct[k - 1][l - 1]
-            out.append(
-                CandidatePair(i, j, k, l, gain, allowed[j - 1][k - 1][l - 1])
-            )
-    out.sort(key=lambda cp: (cp.i, cp.j))
-    return out
 
 
 def check_dock_conflicts(inst: Instance, dock) -> ConstraintId | None:
@@ -327,52 +282,47 @@ def select_items(
 
 def select_transfers(
     inst: Instance,
-    candidates: Sequence[CandidatePair],
+    items: Sequence[tuple[int, int, int, int, float]],
     forced: Sequence[tuple[int, int, int, int]] = (),
     include_diagonal: bool = False,
-) -> tuple[tuple[CandidatePair, ...], float]:
-    """Best subset of positive-gain candidates under the capacity rows.
+) -> tuple[tuple[tuple[int, int, int, int], ...], float]:
+    """Best subset of 1-based (i, j, k, l, gain) ``items`` under the capacity
+    rows: (transfers, total_gain).
 
-    Returns (selected, total_gain). ``forced`` transfers contribute
-    occupancy but are not selectable. The feasible candidates with gain above
-    EPS, in (i, j, k, l) order, go to :func:`select_items`: when they all fit,
-    the per-pair gain rule applies directly; otherwise an exact depth-first
-    search picks the best subset. Gains of exactly zero are never selected.
-    A candidate that holds a backward interval (possible only on an instance
-    that fails validation) raises ValueError.
+    ``forced`` transfers contribute occupancy but are not selectable. The
+    items with gain above EPS, in (i, j) order, go to :func:`select_items`:
+    when they all fit, the per-pair gain rule applies directly; otherwise an
+    exact depth-first search picks the best subset. Gains of exactly zero are
+    never selected. An item that holds a backward interval (possible only on
+    an instance that fails validation) raises ValueError.
     """
     # the capacity rows are the same in both models; the strict-literal
     # CROSS-DOCK self-transfers are selected exactly like R-CROSS-DOCK's
     rules = compile_rules(inst, Formulation.R_CROSS_DOCK, include_diagonal)
-    viable = [cp for cp in candidates if cp.feasible and cp.gain > EPS]
-    viable.sort(key=lambda cp: (cp.i, cp.j, cp.k, cp.l))
+    viable = sorted(item for item in items if item[4] > EPS)
     picked, total = select_items(
-        [cp.gain for cp in viable],
-        [rules.hold[cp.i - 1][cp.j - 1] for cp in viable],
-        rules.load((i, j) for (i, j, _, _) in forced),
+        [item[4] for item in viable],
+        [rules.hold[i - 1][j - 1] for i, j, _, _, _ in viable],
+        rules.load((i, j) for i, j, _, _ in forced),
         rules.capacity,
     )
-    return tuple(viable[idx] for idx in picked), total
+    return tuple(viable[x][:4] for x in picked), total
 
 
-def diagonal_candidates_crossdock(inst: Instance) -> list[CandidatePair]:
-    """Strict-literal CROSS-DOCK self-transfers.
+def diagonal_candidates_crossdock(
+    inst: Instance,
+) -> list[tuple[int, int, int, int, float]]:
+    """Strict-literal CROSS-DOCK self-transfers, as 1-based
+    (i, i, k, l, gain) items in truck order.
 
     Nothing in the printed model constrains z_iikl (every constraint
     quantifies j != i), so each truck's self-flow can ship through the
     cheapest dock pair regardless of the assignment.
     """
-    best_kl = min(
-        ((inst.c(k, l) * inst.t(k, l), k, l) for k in inst.docks() for l in inst.docks()),
-        default=None,
+    cost, k, l = min(
+        (inst.c(k, l) * inst.t(k, l), k, l) for k in inst.docks() for l in inst.docks()
     )
-    if best_kl is None:
-        return []
-    cost, k, l = best_kl
-    return [
-        CandidatePair(i, i, k, l, inst.p(i, i) * inst.f(i, i) - cost, True)
-        for i in inst.trucks()
-    ]
+    return [(i, i, k, l, inst.p(i, i) * inst.f(i, i) - cost) for i in inst.trucks()]
 
 
 def optimal_transfers_rcrossdock(
@@ -382,8 +332,11 @@ def optimal_transfers_rcrossdock(
 ) -> TransferSelection:
     """Best R-CROSS-DOCK transfer set for an assignment.
 
-    The assignment must satisfy the dock-conflict constraints; otherwise
-    DockConflictError is raised.
+    The items are the docked ordered pairs whose transfer the R-CROSS-DOCK
+    rules allow, and in strict-literal mode each docked truck's self-transfer
+    at its own dock, which faces no time or precedence rule. The assignment
+    must satisfy the dock-conflict constraints; otherwise DockConflictError
+    is raised.
     """
     y = _dock_array(inst, dock)
     conflict = check_dock_conflicts(inst, y)
@@ -391,12 +344,14 @@ def optimal_transfers_rcrossdock(
         raise DockConflictError(
             conflict, f"dock_conflict: {conflict} blocks this assignment"
         )
-    cands = candidate_pairs(inst, y, include_diagonal)
-    selected, total_gain = select_transfers(
-        inst, cands, include_diagonal=include_diagonal
-    )
-    transfers = tuple((cp.i, cp.j, cp.k, cp.l) for cp in selected)
-    return TransferSelection(
-        solution=Solution(dock=y, transfers=transfers),
-        total_gain=total_gain,
-    )
+    rules = compile_rules(inst, Formulation.R_CROSS_DOCK, include_diagonal)
+    ct, pf, allowed = rules.ct, rules.pf, rules.allowed
+    docked = [(i, k) for i, k in enumerate(y, 1) if k != UNASSIGNED]
+    items = [
+        (i, j, k, l, pf[i - 1][j - 1] - ct[k - 1][l - 1])
+        for i, k in docked
+        for j, l in docked
+        if (i != j or include_diagonal) and allowed[i - 1][j - 1][k - 1][l - 1]
+    ]
+    transfers, total_gain = select_transfers(inst, items, (), include_diagonal)
+    return TransferSelection(Solution(dock=y, transfers=transfers), total_gain)

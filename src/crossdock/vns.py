@@ -25,7 +25,7 @@ import numpy as np
 from . import subproblem
 from .exact import OptimizeResult, _Tables, _UNDOCKED
 from .formulations import Formulation, objective_value
-from .model import EPS, Instance
+from .model import EPS, Instance, validate_instance
 
 RNG_ALGORITHM = "PCG64"
 
@@ -112,11 +112,12 @@ def vns_solve(
     query is priced in full, one table sum, so the memo answers every
     revisit.
     """
+    start = time.perf_counter()
+    validate_instance(inst)
     cfg = cfg or VnsConfig()
     tables = _Tables(inst, form, include_diagonal)
     n, m = tables.n, tables.m
     rng = np.random.default_rng(cfg.rng_seed)
-    start = time.perf_counter()
     deadline = None if cfg.time_budget is None else start + cfg.time_budget
     evaluations = 0
     memo: dict[tuple[int, ...], float | None] = {}

@@ -24,7 +24,13 @@ from crossdock.formulations import (
     objective_value,
 )
 from crossdock.instance_io import generate
-from crossdock.model import EPS, Instance, Solution, total_penalty_constant
+from crossdock.model import (
+    EPS,
+    Instance,
+    InvalidInstanceError,
+    Solution,
+    total_penalty_constant,
+)
 from crossdock.vns import VnsConfig, vns_solve
 
 from conftest import touching_windows, within_eps
@@ -537,6 +543,45 @@ def test_a_deadline_stops_the_selection_kernel_only_once_passed():
     with pytest.raises(subproblem._SelectionTimeout):
         select(8, time.perf_counter() - 1)
     assert select(4, time.perf_counter() + 60) == select(4, None) == ([0, 1, 2, 4, 6], 195.0)
+
+
+def test_wall_time_and_budgets_count_the_table_build(monkeypatch):
+    # each solver reads its clock before it builds the tables, so a slow
+    # build shows in wall_time and uses up a time budget
+    build = _Tables.__init__
+
+    def slow_build(self, *args):
+        time.sleep(0.2)
+        build(self, *args)
+
+    monkeypatch.setattr(_Tables, "__init__", slow_build)
+    inst = generate(0, 4, 2)
+    for result in (
+        branch_and_bound(inst, RCD),
+        brute_force(inst, RCD),
+        vns_solve(inst, RCD, VnsConfig(iter_max=1)),
+    ):
+        assert result.wall_time >= 0.2, result.wall_time
+
+
+def test_solvers_reject_an_invalid_instance():
+    # a_1 = 5 > d_1 = 3 with a self-flow: the solvers name the instance's
+    # fault before any search, not a negative buffer unit deep inside one
+    inst = Instance(
+        n=2,
+        m=1,
+        arrival=(5.0, 0.0),
+        departure=(3.0, 4.0),
+        transfer_time=((0.0,),),
+        transfer_cost=((0.0,),),
+        flow=((1.0, 0.0), (0.0, 0.0)),
+        penalty=((3.0, 0.0), (0.0, 0.0)),
+        capacity=1.0,
+    )
+    for solve in (branch_and_bound, brute_force, vns_solve):
+        with pytest.raises(InvalidInstanceError) as err:
+            solve(inst, RCD, include_diagonal=True)
+        assert [issue.code for issue in err.value.issues] == ["window_inverted"]
 
 
 def test_max_nodes_counts_the_nodes_processed(nine_truck):

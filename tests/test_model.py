@@ -291,7 +291,6 @@ def test_dock_arrays_outside_the_instance_are_rejected(nine_truck, s_star):
         for call in (
             subproblem.optimal_transfers_rcrossdock,
             subproblem.induced_transfers_crossdock,
-            subproblem.candidate_pairs,
             subproblem.check_dock_conflicts,
         ):
             with pytest.raises(ValueError):

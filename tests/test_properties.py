@@ -27,7 +27,7 @@ def test_branch_and_bound_matches_brute_force(
     inst = generate(seed, n, m, capacity_ratio=ratio)
     oracle = brute_force(inst, form, include_diagonal).objective.total
     result = branch_and_bound(inst, form, include_diagonal=include_diagonal)
-    # at most 16 candidates per leaf, so transfer selection stays exact
+    # every transfer selection is exact, so an unbudgeted search is proven
     assert result.proven_optimal
     assert result.objective.total == pytest.approx(oracle, abs=1e-6)
     assert check_solution(inst, result.best, form, include_diagonal).feasible

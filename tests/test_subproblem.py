@@ -15,7 +15,6 @@ from crossdock.model import EPS, Solution
 from crossdock.subproblem import (
     DockConflictError,
     InfeasibilityWitness,
-    candidate_pairs,
     check_dock_conflicts,
     induced_transfers_crossdock,
     optimal_transfers_rcrossdock,
@@ -99,26 +98,33 @@ class TestGainRule:
 
 
 def _exhaustive_best(inst, dock, include_diagonal=False):
-    """Independent oracle: try every subset of feasible positive-gain pairs."""
+    """Independent oracle: try every subset of the docked ordered pairs whose
+    gain p_ij*f_ij - c_kl*t_kl is positive and that the checker accepts alone;
+    the checker judges each subset."""
+
+    def feasible(transfers):
+        sol = Solution(dock=dock, transfers=transfers)
+        return check_solution(inst, sol, Formulation.R_CROSS_DOCK, include_diagonal)
+
+    docked = [(i, k) for i, k in enumerate(dock, 1) if k]
     cands = [
-        cp
-        for cp in candidate_pairs(inst, dock, include_diagonal)
-        if cp.feasible and cp.gain > 0
+        ((i, j, k, l), inst.p(i, j) * inst.f(i, j) - inst.c(k, l) * inst.t(k, l))
+        for i, k in docked
+        for j, l in docked
+        if i != j or include_diagonal
     ]
+    cands = [(z, gain) for z, gain in cands if gain > 0 and feasible((z,)).feasible]
     best = None
     best_gain = -1.0
     for size in range(len(cands) + 1):
         for combo in itertools.combinations(cands, size):
-            transfers = tuple((cp.i, cp.j, cp.k, cp.l) for cp in combo)
-            sol = Solution(dock=dock, transfers=transfers)
-            if not check_solution(
-                inst, sol, Formulation.R_CROSS_DOCK, include_diagonal
-            ).feasible:
+            transfers = tuple(z for z, _ in combo)
+            if not feasible(transfers).feasible:
                 continue
-            gain = sum(cp.gain for cp in combo)
+            gain = sum(g for _, g in combo)
             if gain > best_gain + 1e-9:
                 best_gain = gain
-                best = sol
+                best = Solution(dock=dock, transfers=transfers)
     return best, best_gain
 
 
@@ -188,20 +194,19 @@ class TestCapacityMonotonicity:
 class TestSelectionMachinery:
     def test_forced_transfers_consume_capacity(self):
         inst = tiny_two_truck(t11=0.0, c11=1.0, f12=5.0, p12=2.0, capacity=5.0)
-        cands = candidate_pairs(inst, (1, 1))
+        sel = optimal_transfers_rcrossdock(inst, (1, 1))
+        assert sel.solution.transfers == ((1, 2, 1, 1),)
+        items = [(1, 2, 1, 1, sel.total_gain)]
         # without the forced load the pair fits; with it the buffer is full
-        selected, _ = select_transfers(inst, cands)
-        assert [cp.gain for cp in selected] == [10.0]
-        selected2, _ = select_transfers(
-            inst, cands, forced=((1, 2, 1, 1),)
-        )
-        assert selected2 == ()
+        assert select_transfers(inst, items) == (((1, 2, 1, 1),), 10.0)
+        assert select_transfers(inst, items, forced=((1, 2, 1, 1),)) == ((), 0.0)
 
     def test_diagonal_candidates_respect_flag(self, nine_truck):
-        with_diag = candidate_pairs(nine_truck, (1,) + (0,) * 8, include_diagonal=True)
-        assert any(cp.i == cp.j for cp in with_diag)
-        without = candidate_pairs(nine_truck, (1,) + (0,) * 8)
-        assert all(cp.i != cp.j for cp in without)
+        dock = (1,) + (0,) * 8
+        with_diag = optimal_transfers_rcrossdock(nine_truck, dock, include_diagonal=True)
+        assert with_diag.solution.transfers == ((1, 1, 1, 1),)
+        without = optimal_transfers_rcrossdock(nine_truck, dock)
+        assert without.solution.transfers == ()
 
 
 def test_induced_solutions_always_pass_the_checker():
