@@ -20,9 +20,10 @@ what the pair adds in both directions, infinite where the two may not both
 be docked that way (CROSS-DOCK: a forced transfer fails; R-CROSS-DOCK: a
 shared dock with overlapping windows), and one per truck for its
 strict-literal self-flow at its dock (a unary term, or a constant in the base
-under CROSS-DOCK). A clash therefore makes a child's bound infinite. The
-search reads these tables and never branches on the model or the diagonal
-mode. Leaves are priced from the tables too, by one route,
+under CROSS-DOCK). A clash therefore makes a child's bound infinite, and an
+assignment's table value (``_Tables.fast_value``) too: every solver's clash
+test asks whether that value is finite. The search reads these tables and
+never branches on the model or the diagonal mode. Leaves are priced from the tables too, by one route,
 ``_Tables.leaf_value``: the table value, plus under a finite capacity the
 gain that the buffer forces the assignment to give up, chosen by the
 selection kernel of the subproblem module
@@ -42,8 +43,8 @@ returns come from one route.
 
 The brute-force oracle enumerates every assignment, builds its transfers
 through the subproblem module (``_oracle_solution``) and prices them with
-``objective_value``. It shares with the tables the clash test, the
-strict-literal CROSS-DOCK items
+``objective_value``. It shares with the tables the clash test (a finite
+table value), the strict-literal CROSS-DOCK items
 (:func:`crossdock.subproblem.diagonal_candidates_crossdock`) and the
 selection kernel, but derives the items, forced loads and values on its own
 route, so the two solvers cross-validate each other; the kernel has its own
@@ -203,33 +204,28 @@ class _Tables:
         )
         return total + sum(self.unary_opt)
 
-    def first_clash(self, y0) -> tuple[int, int] | None:
-        """The first two docked trucks that cannot coexist, if any."""
-        docked = [(i, y0[i]) for i in range(self.n) if y0[i] != _UNDOCKED]
-        for idx, (i, ki) in enumerate(docked):
-            for (j, kj) in docked[idx + 1 :]:
-                if self.pair[i][j][ki][kj] == math.inf:
-                    return i, j
-        return None
-
     def to_public(self, y0) -> tuple[int, ...]:
         return tuple(0 if k == _UNDOCKED else k + 1 for k in y0)
 
     def fast_value(self, y0) -> float:
-        """Exact objective of a feasible assignment when capacity cannot bind."""
+        """Exact objective of an assignment when capacity cannot bind;
+        ``math.inf`` at the first two docked trucks that cannot coexist, the
+        one clash test of every solver."""
         docked = [(i, y0[i]) for i in range(self.n) if y0[i] != _UNDOCKED]
         value = self.base
         for idx, (i, ki) in enumerate(docked):
             for (j, kj) in docked[idx + 1 :]:
-                value += self.pair[i][j][ki][kj]
+                entry = self.pair[i][j][ki][kj]
+                if entry == math.inf:
+                    return entry
+                value += entry
         for (i, ki) in docked:
             value += self.unary[i][ki]
         return value
 
     def _choice(self, y0):
-        """(forced, items, base) of an assignment that passes
-        :meth:`first_clash`, or None when the forced load overflows the
-        buffer.
+        """(forced, items, base) of an assignment that has a finite table
+        value, or None when the forced load overflows the buffer.
 
         ``forced`` lists the transfers that docking forces (CROSS-DOCK: every
         docked pair; R-CROSS-DOCK: none) and ``items`` the choosable transfers
@@ -292,7 +288,7 @@ class _Tables:
         return selection
 
     def build_solution(self, y0):
-        """The solution of an assignment that passes :meth:`first_clash`,
+        """The solution of an assignment that has a finite table value,
         built from the decision that :meth:`leaf_value` prices: the forced
         transfers and the items that :meth:`_select` ships; None when the
         forced load overflows the buffer."""
@@ -306,10 +302,11 @@ class _Tables:
         return Solution(dock=self.to_public(y0), transfers=transfers)
 
     def leaf_value(self, y0, target=math.inf, deadline=None):
-        """The value of an assignment that passes :meth:`first_clash`, if it
-        beats ``target`` by more than EPS; None when it does not, or when the
-        CROSS-DOCK forced load overflows the buffer. The default target asks
-        for the full value.
+        """The value of an assignment that has a finite table value, if it
+        beats ``target`` by more than EPS; None when it does not, when two
+        docked trucks clash (an infinite table value) or when the CROSS-DOCK
+        forced load overflows the buffer. The default target asks for the
+        full value.
 
         The value comes from the tables alone: :meth:`fast_value`, which
         ships every transfer worth more than EPS, plus, under a finite
@@ -343,9 +340,9 @@ class _Tables:
 
 
 def _oracle_solution(tables: _Tables, y0) -> Solution | None:
-    """The subproblem module's transfer set for an assignment that passes
-    :meth:`_Tables.first_clash`: the oracle's route, which never reads the
-    tables' pair, unary or choice data. None when the CROSS-DOCK forced load
+    """The subproblem module's transfer set for an assignment that has a
+    finite table value: the oracle's route, which never reads the tables'
+    pair, unary or choice data. None when the CROSS-DOCK forced load
     overflows the buffer."""
     inst, diag = tables.inst, tables.diag
     y1 = tables.to_public(y0)
@@ -527,7 +524,7 @@ def brute_force(
     nodes = 0
     for assignment in itertools.product(options, repeat=n):
         nodes += 1
-        if tables.first_clash(assignment) is not None:
+        if tables.fast_value(assignment) == math.inf:
             continue
         solution = _oracle_solution(tables, assignment)
         if solution is None:

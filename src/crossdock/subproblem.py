@@ -245,36 +245,38 @@ def select_items(
     for idx in range(len(gains) - 1, -1, -1):
         suffix[idx] = suffix[idx + 1] + gains[idx]
     occ = [base[r] for r in keep]
-    pick: list[int] = []
-    visits = 0
-
-    def dfs(idx, gain):
-        nonlocal best_gain, best_pick, visits
+    # the search, without recursion: one (item, gain before it, loads of its
+    # rows before it) entry per item taken on the path to node (idx, gain)
+    taken: list[tuple[int, float, list[float]]] = []
+    idx, gain, visits = 0, 0.0, 0
+    while True:
         if visits & 1023 == 0 and deadline is not None and time.perf_counter() > deadline:
             raise _SelectionTimeout
         visits += 1
-        if gain + suffix[idx] <= best_gain + EPS:
-            return
-        if idx == len(gains):
-            if gain > best_gain + EPS:
+        if gain + suffix[idx] > best_gain + EPS:
+            if idx == len(gains):  # a leaf that keeps more than the best
                 best_gain = gain
-                best_pick = list(pick)
-            return
-        rows, units = rows_of[idx]
-        for r in rows:
-            if occ[r] + units > limit:
-                break
-        else:
-            saved = occ[rows.start : rows.stop]
-            for r in rows:
-                occ[r] += units
-            pick.append(idx)
-            dfs(idx + 1, gain + gains[idx])
-            pick.pop()
-            occ[rows.start : rows.stop] = saved  # exact, unlike subtracting
-        dfs(idx + 1, gain)
+                best_pick = [entry[0] for entry in taken]
+            else:
+                rows, units = rows_of[idx]
+                for r in rows:
+                    if occ[r] + units > limit:
+                        break
+                else:
+                    taken.append((idx, gain, occ[rows.start : rows.stop]))
+                    for r in rows:
+                        occ[r] += units
+                    gain += gains[idx]
+                idx += 1
+                continue
+        # this node's subtree is done: leave out the latest item taken
+        if not taken:
+            break
+        idx, gain, saved = taken.pop()
+        rows = rows_of[idx][0]
+        occ[rows.start : rows.stop] = saved  # exact, unlike subtracting
+        idx += 1
 
-    dfs(0, 0.0)
     if best_pick is None:  # nothing keeps more than the floor
         return None
     return best_pick, best_gain

@@ -16,6 +16,7 @@ fixed seed; the RNG algorithm identifier is recorded in the result.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -67,16 +68,14 @@ def greedy_initial(tables: _Tables, evaluate) -> list[int]:
 
 
 def _repair(tables: _Tables, y0, evaluate):
-    """Undock the later-arriving truck of each clashing pair until feasible;
-    returns the repaired assignment and its ``evaluate`` result."""
-    inst = tables.inst
-    while True:
-        pair = tables.first_clash(y0)
-        if pair is None:
-            break
-        i, j = pair
-        later = max(i, j, key=lambda u: (inst.arrival[u], u))
-        y0[later] = _UNDOCKED
+    """Undock the later-arriving truck of each clashing pair, in (i, j) order
+    (undocking never makes a clash), until feasible; returns the repaired
+    assignment and its ``evaluate`` result."""
+    inst, pair = tables.inst, tables.pair
+    for i, j in itertools.combinations(range(tables.n), 2):
+        ki, kj = y0[i], y0[j]
+        if _UNDOCKED not in (ki, kj) and pair[i][j][ki][kj] == math.inf:
+            y0[max(i, j, key=lambda u: (inst.arrival[u], u))] = _UNDOCKED
     # capacity can still bite under CROSS-DOCK with finite C: the forced
     # transfers may overflow; shed the latest-arriving docked truck
     while (result := evaluate(y0)) is None:
@@ -101,14 +100,14 @@ def vns_solve(
     and after every iteration; ``nodes_explored`` counts the evaluations of
     the greedy start, the repairs and the search, repeats included.
 
-    Every query makes one pricing call, :meth:`_Tables.leaf_value`, after
-    the clash test. The run memo holds, per assignment visited, its full
-    result (None for an infeasible assignment) or the highest target it
-    failed to beat. Under a finite capacity the N_1 and N_2 moves pass the
-    running best as that target, and a neighbour that cannot beat it is
-    priced no further: a later visit at a target no higher is answered from
-    the memo, a higher target or a full query (the greedy start, ``_repair``
-    and the final value) prices it again. Under an unbounded capacity every
+    Every query makes one pricing call, :meth:`_Tables.leaf_value`, which
+    answers None for a clash too. The run memo holds, per assignment
+    visited, its full result (None for an infeasible assignment) or the
+    highest target it failed to beat. Under a finite capacity the N_1 and
+    N_2 moves pass the running best as that target, and a neighbour that
+    cannot beat it is priced no further: a later visit at a target no higher
+    is answered from the memo, a higher target or a full query (the greedy
+    start, ``_repair`` and the final value) prices it again. Under an unbounded capacity every
     query is priced in full, one table sum, so the memo answers every
     revisit.
     """
@@ -136,11 +135,8 @@ def vns_solve(
             return None
         if inst.unbounded_capacity:
             target = math.inf  # a full value answers every later visit
-        if tables.first_clash(y0) is not None:
-            result = None
-        elif (
-            result := tables.leaf_value(y0, target, deadline)
-        ) is None and target < math.inf:
+        result = tables.leaf_value(y0, target, deadline)
+        if result is None and target < math.inf:
             beaten[key] = target
             return None
         memo[key] = result

@@ -31,7 +31,7 @@ from crossdock.model import (
     Solution,
     total_penalty_constant,
 )
-from crossdock.vns import VnsConfig, vns_solve
+from crossdock.vns import VnsConfig, _repair, vns_solve
 
 from conftest import touching_windows, within_eps
 
@@ -196,7 +196,7 @@ def _check_leaf_value_against_built(inst, assignments) -> int:
         tables = _Tables(inst, form, include_diagonal)
         for y0 in assignments:
             y0 = list(y0)
-            if tables.first_clash(y0) is not None:
+            if tables.fast_value(y0) == math.inf:
                 continue
             result = tables.leaf_value(y0)
             # the slow twin of build_solution: the oracle's route, which
@@ -277,7 +277,7 @@ def test_leaf_value_drops_exactly_the_leaves_that_cannot_beat_the_target():
                 full = _Tables(inst, form, include_diagonal)
                 for y0 in itertools.product(options, repeat=n):
                     y0 = list(y0)
-                    if tables.first_clash(y0) is not None:
+                    if tables.fast_value(y0) == math.inf:
                         continue
                     value = full.leaf_value(y0)
                     where = (inst.name, inst.flow[0], form, include_diagonal, y0)
@@ -311,9 +311,9 @@ def test_a_target_the_table_value_misses_is_dropped_before_the_buffer(nine_truck
         tables = _Tables(fixture, form, include_diagonal)
         for _ in range(100):
             y0 = [rng.randrange(fixture.m) if rng.random() < 0.5 else _UNDOCKED for _ in range(fixture.n)]
-            if tables.first_clash(y0) is not None:
-                continue
             value = tables.fast_value(y0)
+            if value == math.inf:
+                continue
             for target in (value - 1, value, value + EPS / 2):
                 assert tables.leaf_value(y0, target) is None, (form, y0, target)
             assert not built, (form, include_diagonal, y0)
@@ -322,6 +322,71 @@ def test_a_target_the_table_value_misses_is_dropped_before_the_buffer(nine_truck
             built.clear()
             checked += 1
     assert checked > 50, checked
+
+
+def _scanned_clash(tables, y0):
+    """Reference clash test: the first two docked trucks, in (i, j) order,
+    whose pair entry is infinite, or None."""
+    docked = [(i, y0[i]) for i in range(tables.n) if y0[i] != _UNDOCKED]
+    for idx, (i, ki) in enumerate(docked):
+        for j, kj in docked[idx + 1 :]:
+            if tables.pair[i][j][ki][kj] == math.inf:
+                return i, j
+    return None
+
+
+def _repaired_by_rescanning(tables, y0, evaluate):
+    """Reference repair: undock the later-arriving truck of the first clash,
+    scan again from the start until none is left, then shed the
+    latest-arriving docked truck while ``evaluate`` answers None."""
+    arrival = tables.inst.arrival
+    while (clash := _scanned_clash(tables, y0)) is not None:
+        y0[max(clash, key=lambda u: (arrival[u], u))] = _UNDOCKED
+    while (result := evaluate(y0)) is None:
+        docked = [i for i in range(tables.n) if y0[i] != _UNDOCKED]
+        y0[max(docked, key=lambda u: (arrival[u], u))] = _UNDOCKED
+    return y0, result
+
+
+def _random_assignments(inst, rng, count):
+    return [
+        [rng.randrange(inst.m) if rng.random() < 0.7 else _UNDOCKED for _ in range(inst.n)]
+        for _ in range(count)
+    ]
+
+
+def test_table_value_is_infinite_exactly_on_a_clash(nine_truck):
+    # fast_value is every solver's clash test: infinite iff the reference
+    # scan finds two docked trucks that cannot coexist
+    rng = random.Random(2)
+    clashes = 0
+    for inst in (nine_truck, generate(0, 8, 2), generate(1, 10, 3, capacity_ratio=0.05)):
+        for form, include_diagonal in itertools.product((CD, RCD), (False, True)):
+            tables = _Tables(inst, form, include_diagonal)
+            for y0 in _random_assignments(inst, rng, 200):
+                clash = _scanned_clash(tables, y0) is not None
+                assert (tables.fast_value(y0) == math.inf) == clash, (form, y0)
+                clashes += clash
+    assert 0 < clashes < 12 * 200, clashes
+
+
+def test_repair_undocks_as_the_rescanning_reference(nine_truck):
+    # one pass in (i, j) order undocks what rescanning from the start after
+    # every undocking does, since undocking never makes a clash
+    rng = random.Random(3)
+    repaired = 0
+    instances = [nine_truck, nine_truck.with_capacity(1000)] + [
+        generate(seed, n, m, capacity_ratio=ratio)
+        for seed, (n, m), ratio in itertools.product(range(3), ((5, 2), (8, 2), (10, 3)), (None, 0.05))
+    ]
+    for inst in instances:
+        for form, include_diagonal in itertools.product((CD, RCD), (False, True)):
+            tables = _Tables(inst, form, include_diagonal)
+            for y0 in _random_assignments(inst, rng, 40):
+                expected = _repaired_by_rescanning(tables, list(y0), tables.leaf_value)
+                assert _repair(tables, list(y0), tables.leaf_value) == expected, (form, y0)
+                repaired += expected[0] != y0
+    assert repaired > 1000, repaired
 
 
 def test_selection_memo_answers_as_a_fresh_selection(monkeypatch):
@@ -364,7 +429,7 @@ def test_selection_memo_answers_as_a_fresh_selection(monkeypatch):
         problems = {}
         options = list(range(inst.m)) + [_UNDOCKED]
         for y0 in itertools.product(options, repeat=inst.n):
-            choice = None if tables[0].first_clash(y0) else tables[0]._choice(y0)
+            choice = None if tables[0].fast_value(y0) == math.inf else tables[0]._choice(y0)
             if choice is not None and choice[1]:
                 _, items, base = choice
                 key = (tuple(items), tuple(base))
@@ -471,7 +536,7 @@ def test_node_bounds_admissible_by_subtree_completion():
                     y0[truck1 - 1] = dock1 - 1 if dock1 else _UNDOCKED
                 for u, k in zip(free, combo):
                     y0[u] = k
-                if tables.first_clash(y0) is None and (value := tables.leaf_value(y0)) is not None:
+                if tables.fast_value(y0) < math.inf and (value := tables.leaf_value(y0)) is not None:
                     best = value if best is None else min(best, value)
             if best is not None:
                 assert bound <= best + 1e-9
@@ -767,7 +832,7 @@ def test_node_bounds_admissible_in_strict_mode():
                     y0[truck1 - 1] = dock1 - 1 if dock1 else _UNDOCKED
                 for u, k in zip(free, combo):
                     y0[u] = k
-                if tables.first_clash(y0) is None and (value := tables.leaf_value(y0)) is not None:
+                if tables.fast_value(y0) < math.inf and (value := tables.leaf_value(y0)) is not None:
                     best = value if best is None else min(best, value)
             if best is not None:
                 assert bound <= best + 1e-9

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -6,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from crossdock.exact import brute_force
-from crossdock.formulations import Formulation, objective_value
+from crossdock.formulations import Formulation, compile_rules, objective_value
 from crossdock.instance_io import generate
 from crossdock.lp_export import emit_lp, lp_filename
+from crossdock.model import EPS
 from conftest import tiny_two_truck
 
 CD = Formulation.CROSS_DOCK
@@ -243,14 +245,14 @@ def _interpret_lp(text: str):
     for line in sections["Subject To"] + ["sentinel: 0 <= 0"]:
         if ":" in line:
             if pending_row:
-                rows.append(" ".join(pending_row))
-            pending_row = [line.split(":", 1)[1]]
+                rows.append(pending_row)
+            pending_row = line.split(":", 1)
         else:
             pending_row.append(line)
-    constraints = []
-    for row in rows:
-        lhs, rhs = row.rsplit("<=", 1)
-        constraints.append((parse_terms(lhs.split()), float(rhs)))
+    constraints = {}
+    for label, *parts in rows:
+        lhs, rhs = " ".join(parts).rsplit("<=", 1)
+        constraints[label.strip()] = (parse_terms(lhs.split()), float(rhs))
 
     fixed = {}
     for line in sections.get("Bounds", []):
@@ -273,7 +275,7 @@ def _solve_lp_by_enumeration(text: str) -> float:
         assignment.update(zip(free, bits))
         if any(
             sum(c * assignment[v] for v, c in row.items()) > rhs + 1e-9
-            for row, rhs in constraints
+            for row, rhs in constraints.values()
         ):
             continue
         value = constant + sum(
@@ -293,3 +295,37 @@ def test_emitted_lp_solves_to_the_solver_optimum():
             lp_optimum = _solve_lp_by_enumeration(doc.text)
             solver = brute_force(inst, form)
             assert lp_optimum == pytest.approx(solver.objective.total, abs=1e-6)
+
+
+def test_capacity_rows_match_the_compiled_rules():
+    # row by row: cap_r carries, for every pair whose buffer interval covers
+    # event r, each of the pair's z at the pair's units, and nothing else;
+    # its right-hand side is the capacity. Dropping a row leaves the optima
+    # of these instances unchanged, so only this test names the row
+    binding = 0
+    for seed, (n, m) in itertools.product(range(3), ((5, 2), (6, 3))):
+        inst = generate(seed, n, m, capacity_ratio=0.05)
+        for form in (CD, RCD):
+            rules = compile_rules(inst, form, False)
+            constraints = _interpret_lp(emit_lp(inst, form).text)[2]
+            labels = [label for label in constraints if label.startswith("cap_")]
+            assert labels == [f"cap_{r}" for r in range(1, len(rules.events) + 1)]
+            for r, label in enumerate(labels):
+                covering = [
+                    (i, j, units)
+                    for i, j in itertools.permutations(inst.trucks(), 2)
+                    for lo, hi, units in [rules.hold[i - 1][j - 1]]
+                    if lo <= r < hi and abs(units) > EPS
+                ]
+                expected = {
+                    f"z_{i}_{j}_{k}_{l}": units
+                    for i, j, units in covering
+                    for k in inst.docks()
+                    for l in inst.docks()
+                }
+                coefs, rhs = constraints[label]
+                assert {z: c for z, c in coefs.items() if c} == expected, (seed, form, label)
+                assert rhs == rules.capacity == inst.capacity
+                # a pair ships through at most one dock pair
+                binding += sum(units for _, _, units in covering) > rhs
+    assert binding > 0, "no row can bind; the instances are too loose"

@@ -33,7 +33,7 @@ def _solve_lp_with_highs(text: str) -> float:
         c[index[name]] = coef
     a = lil_matrix((len(constraints), len(variables)))
     rhs = np.zeros(len(constraints))
-    for row, (coefs, bound) in enumerate(constraints):
+    for row, (coefs, bound) in enumerate(constraints.values()):
         rhs[row] = bound
         for name, coef in coefs.items():
             a[row, index[name]] = coef

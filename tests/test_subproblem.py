@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -285,7 +286,7 @@ def test_select_items_matches_plain_enumeration_on_decide_items():
             tables = _Tables(inst, form, diag)
             hold = tables.rules.hold
             for y0 in itertools.product(options, repeat=inst.n):
-                if tables.first_clash(y0) is not None:
+                if tables.fast_value(y0) == math.inf:
                     continue
                 choice = tables._choice(y0)
                 if choice is None or not 0 < len(choice[1]) <= 10:
@@ -325,3 +326,10 @@ def test_select_items_rejects_a_base_load_above_capacity():
     with pytest.raises(ValueError, match="base load exceeds capacity"):
         subproblem.select_items([1.0], [(0, 1, 1.0)], [0.0, 10.0], 5.0)
 
+
+def test_select_items_takes_a_thousand_items_on_one_event():
+    # the search walks an explicit stack, so its depth is not bounded by
+    # Python's recursion limit: all but one of 1,000 unit items fit
+    picked, gain = subproblem.select_items([1.0] * 1000, [(0, 1, 1.0)] * 1000, [0.0], 999)
+    assert picked == list(range(999))
+    assert gain == 999.0
