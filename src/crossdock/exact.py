@@ -6,13 +6,13 @@ early levels prune more (on the fixture's R-CROSS-DOCK tree, five times fewer
 nodes than arrival order). Docks go ascending with "unassigned" last. Nodes
 are pruned by an admissible bound: the all-penalties constant, plus the exact
 net contribution of every fully decided truck pair, plus an optimistic
-(capacity-ignoring) contribution for every undecided pair. Every undecided
-truck carries an accumulator of its exact pair sum with the docked decided
-trucks at each dock, kept in one flat list per level with the truck branched
-on next in the last block. A child is priced from one entry; a docked child
-adds one precomputed flat pair row to the list in a single pass, O(m) work per
-undecided truck and not a sum over the decided ones, and an unassigned child
-shares its parent's list, since no list is written after it is built.
+(capacity-ignoring) contribution for every undecided pair. A node carries its
+bound as one running number. Every undecided truck carries an accumulator of
+its unary term plus its exact pair sum with the docked decided trucks at each
+dock, kept in one flat list per level with the truck branched on next in the
+last block. A child's bound moves by one or two entries; a docked child adds
+one precomputed flat pair row to the list in a single pass, O(m) work per
+undecided truck, and an unassigned child shares its parent's list.
 ``_Tables`` derives
 from the compiled rules (:func:`crossdock.formulations.compile_rules`) one
 entry per decision the search makes: one number per pair of docked trucks,
@@ -55,9 +55,9 @@ the reported wall time include the build.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass
@@ -87,10 +87,32 @@ class InstanceTooLargeError(ValueError):
     pass
 
 
+def _check_count(name: str, value) -> None:
+    """ValueError unless ``value`` is an int >= 0 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
+def _check_seconds(name: str, value) -> None:
+    """ValueError unless ``value`` is a number of seconds >= 0 (not a bool):
+    NaN fails, ``inf`` passes, as in the CLI's time limits."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
+        raise ValueError(f"{name} must be a number of seconds >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Budget:
+    """Limits of one search, None for none: the nodes processed and the
+    seconds of wall time."""
+
     max_nodes: int | None = None
     time_limit: float | None = None
+
+    def __post_init__(self):
+        if self.max_nodes is not None:
+            _check_count("max_nodes", self.max_nodes)
+        if self.time_limit is not None:
+            _check_seconds("time_limit", self.time_limit)
 
 
 @dataclass(frozen=True)
@@ -370,17 +392,20 @@ def branch_and_bound(
     Trucks are decided in ``_Tables.order``, heaviest ``weight`` first, so a
     renumbering that keeps equal-arrival trucks in order explores one tree.
 
-    Each level keeps m + 1 accumulators per undecided truck: its exact
-    ``pair`` sum with the docked decided trucks at each dock, and the
-    ``pair_opt`` sum over the same pairs. They sit in one flat list, the
-    latest-branched truck's block first, so the block of the truck decided at
-    this level is the last one. A child prices itself from that block. A
+    A node carries one number, its bound less ``base``. Each level keeps m + 1
+    accumulators per undecided truck: per dock, its ``unary`` entry plus its
+    exact ``pair`` sum with the docked decided trucks, and its ``unary_opt``
+    plus the ``pair_opt`` sum over the same pairs. They sit
+    in one flat list, the latest-branched truck's block first, so the block of
+    the truck decided at this level is the last one. A child's bound is its
+    parent's less that block's last entry, plus the entry of its dock or, if
+    unassigned, less the level's ``pair_opt`` sum over the later trucks. A
     docked child adds the truck's precomputed flat pair row to the list,
-    which covers every block but the last, so each child costs O(m) per
-    undecided truck, whatever the depth. An unassigned child adds nothing and
-    takes its parent's list as it is: lists are never written once built, so
-    sharing one is safe, and a shared list's extra trailing blocks are never
-    read.
+    which covers every block but the last: O(m) per undecided truck, whatever
+    the depth. An unassigned child shares its parent's list: lists are never
+    written once built, and a shared list's extra trailing blocks are never
+    read. On non-integer data the running bound may differ from the tables
+    summed from scratch in the last bits.
 
     Leaf pruning: a leaf's bound is its table value, and under a finite
     capacity :meth:`_Tables.leaf_value` prices the buffer only as far as the
@@ -414,14 +439,13 @@ def branch_and_bound(
     stopped = False
 
     base = tables.base
-    bound_at_root = base + tables.root_opt_rest()
+    root = tables.root_opt_rest()
     order, pair, pair_opt = tables.order, tables.pair, tables.pair_opt
-    unary, unary_opt = tables.unary, tables.unary_opt
     # per level idx, deciding u = order[idx]: u, the offset of its
     # accumulator block, its push rows (per dock k, what docking u at k adds
-    # to the later trucks' blocks, in the same latest-first layout), its
-    # unary row and optimum, and its skip row (the optimistic terms that
-    # leaving it unassigned removes, subtracted left to right)
+    # to the later trucks' blocks, in the same latest-first layout) and its
+    # skip, the optimistic pair terms with the later trucks that leaving it
+    # unassigned removes
     levels = []
     for idx, u in enumerate(order):
         later = order[idx + 1 :]
@@ -429,61 +453,57 @@ def branch_and_bound(
             [x for v in reversed(later) for x in pair[u][v][k] + [pair_opt[u][v]]]
             for k in range(m)
         ]
-        skip = [pair_opt[u][v] for v in later] + [unary_opt[u]]
-        levels.append((u, (m + 1) * (n - 1 - idx), push, unary[u], unary_opt[u], skip))
+        skip = sum(pair_opt[u][v] for v in later)
+        levels.append((u, (m + 1) * (n - 1 - idx), push, skip))
+    cut = best_value - EPS - base  # a child is entered iff its bound < cut
+    # the node count at which the budget or, every 256 nodes, the clock is
+    # next read; with no deadline it is the budget, and the clock is never read
+    check_at = max_nodes if deadline is None else min(max_nodes, 256)
 
-    def recurse(idx: int, committed: float, opt_rest: float, accs):
-        nonlocal best_value, best_y, nodes, stopped
-        # the clock is read once per 256 nodes processed
-        if nodes >= max_nodes or (
-            deadline is not None
-            and nodes
-            and nodes % 256 == 0
-            and time.perf_counter() > deadline
-        ):
-            stopped = True
-            return
+    def recurse(idx: int, bound: float, accs):
+        nonlocal best_value, best_y, cut, nodes, check_at, stopped
+        if nodes >= check_at:
+            if nodes >= max_nodes or time.perf_counter() > deadline:
+                stopped = True
+                return
+            check_at = min(max_nodes, nodes + 256)
         nodes += 1
         if on_node is not None:
             decided = tuple(
                 (u + 1, 0 if y0[u] == _UNDOCKED else y0[u] + 1) for u in order[:idx]
             )
-            on_node(decided, base + committed + opt_rest)
+            on_node(decided, base + bound)
         if idx == n:
             value = tables.leaf_value(y0, best_value, deadline)
             if value is not None:
                 best_value = value
                 best_y = tuple(y0)
                 trace.append(value)
+                cut = value - EPS - base
             return
-        u, at, push_u, unary_u, unary_opt_u, skip_u = levels[idx]
-
-        opt_rest2 = opt_rest - accs[at + m]
-        docked_rest = opt_rest2 - unary_opt_u
+        u, at, push_u, skip = levels[idx]
+        rest = bound - accs[at + m]
         for k, push_k in enumerate(push_u):
             # a clash with a decided truck left accs[at + k] infinite: never
             # entered
-            committed2 = committed + accs[at + k] + unary_u[k]
-            if base + committed2 + docked_rest < best_value - EPS:
+            child = rest + accs[at + k]
+            if child < cut:
                 y0[u] = k
                 # map stops at the shorter push row, dropping u's own block
-                accs2 = list(map(operator.add, accs, push_k))
-                recurse(idx + 1, committed2, docked_rest, accs2)
+                recurse(idx + 1, child, list(map(operator.add, accs, push_k)))
                 y0[u] = _UNDOCKED
                 if stopped:
                     return
-
         # leave truck u unassigned: its pairs contribute exactly zero, and no
-        # accumulator list is written once built, so the child shares this one.
-        # Every skip term is <= 0, so subtracting them never lowers the
-        # bound: a child that fails before the reduce fails after it too
-        if base + committed + opt_rest2 < best_value - EPS:
-            opt_rest2 = functools.reduce(operator.sub, skip_u, opt_rest2)
-            if base + committed + opt_rest2 < best_value - EPS:
-                recurse(idx + 1, committed, opt_rest2, accs)
+        # accumulator list is written once built, so the child shares this one
+        child = rest - skip
+        if child < cut:
+            recurse(idx + 1, child, accs)
 
+    # each truck's block starts at its unary row and optimum
+    accs = [x for v in reversed(order) for x in tables.unary[v] + [tables.unary_opt[v]]]
     try:
-        recurse(0, 0.0, tables.root_opt_rest(), [0.0] * ((m + 1) * n))
+        recurse(0, root, accs)
     except subproblem._SelectionTimeout:
         stopped = True
 
@@ -495,7 +515,7 @@ def branch_and_bound(
         objective=breakdown,
         nodes_explored=nodes,
         wall_time=time.perf_counter() - start,
-        bound_at_root=bound_at_root,
+        bound_at_root=base + root,
         status=status,
         trace=tuple(trace),
     )

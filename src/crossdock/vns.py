@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import subproblem
-from .exact import OptimizeResult, _Tables, _UNDOCKED
+from .exact import OptimizeResult, _Tables, _UNDOCKED, _check_count, _check_seconds
 from .formulations import Formulation, objective_value
 from .model import EPS, Instance, validate_instance
 
@@ -39,6 +39,11 @@ class VnsConfig:
     iter_max: int = 50
     time_budget: float | None = None
     rng_seed: int = 0
+
+    def __post_init__(self):
+        _check_count("iter_max", self.iter_max)
+        if self.time_budget is not None:
+            _check_seconds("time_budget", self.time_budget)
 
 
 def greedy_initial(tables: _Tables, evaluate) -> list[int]:

@@ -736,6 +736,57 @@ def test_time_limit_is_checked_every_256_nodes(nine_truck):
     assert result.nodes_explored == 256
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_nodes": -3},
+        {"max_nodes": 2.5},
+        {"max_nodes": True},
+        {"time_limit": math.nan},
+        {"time_limit": -1.0},
+        {"time_limit": "1"},
+    ],
+)
+def test_an_invalid_budget_is_refused(kwargs):
+    # a NaN time limit never expires, and a negative or fractional node
+    # budget would stop after a count it does not name
+    with pytest.raises(ValueError):
+        Budget(**kwargs)
+
+
+def test_valid_budgets_are_kept():
+    for max_nodes in (None, 0, 7):
+        for time_limit in (None, 0, 0.5, math.inf):
+            budget = Budget(max_nodes=max_nodes, time_limit=time_limit)
+            assert (budget.max_nodes, budget.time_limit) == (max_nodes, time_limit)
+    result = branch_and_bound(generate(3, n=4, m=2), RCD, Budget(max_nodes=0))
+    assert result.nodes_explored == 0 and result.status == "budget_exhausted"
+
+
+def test_budgeted_sixteen_truck_search_is_pinned():
+    # the benchmark's budgeted n = 16 job: a change in the order the nodes
+    # are visited or in their bounds moves the incumbents found within the
+    # budget, the trace and the node count
+    inst = generate(0, 16, 5)
+    rcd = branch_and_bound(inst, RCD, Budget(max_nodes=150_000))
+    assert rcd.status == "budget_exhausted"
+    assert rcd.nodes_explored == 150_000
+    assert rcd.objective.total == 4_354_759
+    assert rcd.trace == (
+        4829100, 4554529, 4525921, 4520921, 4515634, 4514721, 4498037, 4473836,
+        4466831, 4461831, 4452536, 4451336, 4432432, 4427432, 4413737, 4411837,
+        4402129, 4395544, 4395347, 4392748, 4388747, 4374854, 4366859, 4360259,
+        4354759,
+    )
+    cd = branch_and_bound(inst, CD, Budget(max_nodes=150_000))
+    assert cd.status == "optimal"
+    assert cd.nodes_explored == 992
+    assert cd.objective.total == 4_637_708
+    assert cd.trace == (
+        4829100, 4810400, 4805300, 4733904, 4732904, 4727404, 4639608, 4637708,
+    )
+
+
 def test_brute_force_guard():
     inst = generate(0, n=15, m=3)
     with pytest.raises(InstanceTooLargeError, match="instance_too_large"):
@@ -881,9 +932,19 @@ def _check_node_bounds(inst, rel=None) -> int:
     return nodes
 
 
+def _scaled(inst: Instance) -> Instance:
+    """The instance on non-integer data: flows / 3, penalties * 0.7, costs * 1.1."""
+    return dataclasses.replace(
+        inst,
+        flow=[[f / 3 for f in row] for row in inst.flow],
+        penalty=[[p * 0.7 for p in row] for row in inst.penalty],
+        transfer_cost=[[c * 1.1 for c in row] for row in inst.transfer_cost],
+    )
+
+
 def test_node_bounds_match_the_tables_summed_from_scratch():
-    # the incremental per-truck accumulators of the search against a plain
-    # sum over the decided and open pairs; on integer data the two agree
+    # the running bound and per-truck accumulators of the search against a
+    # plain sum over the decided and open pairs; on integer data the two agree
     # exactly, binding capacity and strict-literal mode included
     nodes = 0
     for seed, (n, m), ratio in itertools.product(
@@ -895,16 +956,11 @@ def test_node_bounds_match_the_tables_summed_from_scratch():
     # children that share their parent's accumulator list
     assert _check_node_bounds(generate(0, 8, 3)) > 1000
     assert _check_node_bounds(generate(1, 8, 3, capacity_ratio=0.05)) > 1000
-    # non-integer data: the accumulators add in another order, so the last
-    # bits may differ
-    inst = generate(1, 5, 3, capacity_ratio=0.05)
-    scaled = dataclasses.replace(
-        inst,
-        flow=[[f / 3 for f in row] for row in inst.flow],
-        penalty=[[p * 0.7 for p in row] for row in inst.penalty],
-        transfer_cost=[[c * 1.1 for c in row] for row in inst.transfer_cost],
-    )
-    assert _check_node_bounds(scaled, rel=1e-12) > 500
+    # non-integer data: the running bound adds in another order, so the last
+    # bits may differ, and drift along a deeper tree's paths
+    assert _check_node_bounds(_scaled(generate(1, 5, 3, capacity_ratio=0.05)), rel=1e-12) > 500
+    assert _check_node_bounds(_scaled(generate(0, 8, 3)), rel=1e-12) > 1000
+
 
 
 def test_shape_mismatch_between_instance_and_solution():

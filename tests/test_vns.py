@@ -24,6 +24,26 @@ def test_fixed_seed_gives_identical_traces(nine_truck):
     assert not a.proven_optimal
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"iter_max": -1},
+        {"iter_max": 2.5},
+        {"time_budget": float("nan")},
+        {"time_budget": -0.5},
+    ],
+)
+def test_an_invalid_config_is_refused(kwargs):
+    # a NaN time budget never runs out, and a negative iteration count would
+    # silently run none
+    with pytest.raises(ValueError):
+        VnsConfig(**kwargs)
+
+
+def test_an_unbounded_time_budget_is_kept():
+    assert VnsConfig(iter_max=0, time_budget=float("inf")).time_budget == float("inf")
+
+
 def test_zero_iterations_returns_greedy_unchanged(nine_truck):
     result = vns_solve(nine_truck, RCD, VnsConfig(iter_max=0, rng_seed=5))
     tables = _Tables(nine_truck, RCD, False)
