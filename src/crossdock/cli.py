@@ -15,14 +15,12 @@ from pathlib import Path
 from . import diagnosis, exact, lp_export, vns
 from .formulations import Formulation, check_solution
 from .instance_io import (
-    SchemaError,
     generate,
     parse_instance,
     parse_solution,
     serialize_instance,
 )
 from .model import (
-    InvalidInstanceError,
     format_number,
     instance_flags,
     validate_instance,
@@ -296,12 +294,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        SchemaError,
-        InvalidInstanceError,
-        FileNotFoundError,
-        exact.InstanceTooLargeError,
-    ) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

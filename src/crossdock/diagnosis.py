@@ -4,19 +4,21 @@ With y fixed, the transfer variables are squeezed between lower bounds
 (CROSS-DOCK pair forcing) and upper bounds (time feasibility, same-dock
 precedence), with capacity checked over the forced set; every rule is read
 from :func:`crossdock.formulations.compile_rules`. When that system is
-unsatisfiable, a deletion filter reduces the active constraints to an
-irreducible conflict set: dropping any single member makes the rest
-satisfiable, which is re-verified before reporting.
+unsatisfiable, :func:`find_conflict` reports an irreducible conflict set:
+dropping any single member makes the rest satisfiable, which is re-verified
+before reporting.
 
-Candidates are processed in reverse (family, indices) order so that, when
-several disjoint conflicts exist, the lexicographically smallest one
-survives the filter. The filter runs on counters, so each removal test is
-O(1) unless the buffer load has to be summed (see :func:`find_conflict`).
+The set is the one a deletion filter keeps when it walks the rows in reverse
+(family, indices) order, so that, when several disjoint conflicts exist, the
+lexicographically smallest one survives. On this system that walk can end in
+only four ways: the smallest same-dock row, else the first overloaded buffer
+event with the pair-forcing rows it needs, else the smallest time row, each
+with its pair-forcing rows, else no conflict. :func:`find_conflict` writes
+these down directly; the filter itself is its test twin.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .formulations import (
@@ -78,21 +80,25 @@ def find_conflict(
 ) -> ConflictSet | None:
     """Minimal conflict set of the fixed-y system, or None when consistent.
 
-    Uses a deletion filter: walk the candidate constraints (reverse
-    deterministic order) and drop every one whose removal keeps the system
-    unsatisfiable; what remains is irreducible. Minimality is then verified
-    by re-checking each single-constraint removal.
+    Under CROSS-DOCK, PairForcing(t) forces each docked tuple t = (i, j, k, l)
+    up; SameDockTW(i, j, k) (on l = k) and TimeFeasibility(t) push it down,
+    and Capacity(r) bounds the load of the forced tuples at event r. The
+    deletion filter that walks these rows in reverse (family, indices) order
+    meets the time rows first, then the capacity, same-dock and pair-forcing
+    rows. While a same-dock row or an overload stands, every time row goes;
+    while a same-dock row stands, every capacity row goes; and the smallest
+    row of a kind is tested last, when no other of its kind is left to
+    stand in for it. So the filter ends in one of four sets, built here:
 
-    Active pair-forcing rows push transfers up; active time and same-dock
-    rows push them down. The filter keeps running state instead of
-    re-reading the active rows for each removal: the active pair-forcing
-    tuples and capacity rows, for each tuple the number of active time and
-    same-dock rows that hang on it, and the witnesses, the hanging rows whose
-    pair-forcing row is active. A removal keeps the clash at once while a
-    witness remains; only when none does is the buffer load of the active
-    pair-forcing rows summed, in candidate order. Dropping a row updates the
-    state in O(1). Under R-CROSS-DOCK every dock-conflict row clashes on its own, so
-    the filter keeps the first and the result is minimal at once.
+    1. the smallest same-dock row, with its pair-forcing row;
+    2. else, if the forced set overloads the buffer, the first overloaded
+       event r*, with the pair-forcing rows that one reverse pass keeps when
+       it drops each tuple whose removal still leaves r* overloaded;
+    3. else the smallest time row, with its pair-forcing row;
+    4. else None.
+
+    Minimality is re-checked by removing each member in turn. The filter
+    itself is the test twin ``tests/test_diagnosis.py::_quadratic_find_conflict``.
     """
     if form is Formulation.R_CROSS_DOCK:
         # every dock-conflict row clashes on its own, so the filter keeps the
@@ -106,74 +112,45 @@ def find_conflict(
     y = _dock_array(inst, dock)
     # only rows on docked trucks can clash: every other row is vacuous
     docked = [(i, k) for i, k in enumerate(y, start=1) if k != UNASSIGNED]
-
     F = ConstraintFamily
     PF, SD, TF, CAP = F.PAIR_FORCING, F.SAME_DOCK_TW, F.TIME_FEASIBILITY, F.CAPACITY
-    # forced, like the pair-forcing candidates, is in (i, j) order; each
-    # candidate comes with its key: the pair-forcing tuple that the row is or
-    # hangs on, or a capacity row's event
+    # forced is in (i, j) order, the order of its pair-forcing rows
     forced = [(i, j, k, l) for i, k in docked for j, l in docked if j != i]
-    entries = [(ConstraintId(PF, t), t) for t in forced]
-    for t in forced:
-        i, j, k, l = t
-        if k == l and rules.same_dock_bound[i - 1][j - 1] < 1:
-            entries.append((ConstraintId(SD, (i, j, k)), t))
-        if not rules.time_ok[i - 1][j - 1][k - 1][l - 1]:
-            entries.append((ConstraintId(TF, t), t))
-    if not inst.unbounded_capacity and forced:
-        entries += [(ConstraintId(CAP, (r,)), r) for r in range(1, 2 * inst.n + 1)]
-    entries.sort(key=lambda e: (e[0].family, e[0].indices))
-    candidates = [c for c, _ in entries]
-    rows = [(c.family, key) for c, key in entries]
-    up = set(forced)
-    caps = {key for f, key in rows if f is CAP}
-    hang = Counter(key for f, key in rows if f is TF or f is SD)
-    witnesses = sum(hang.values())
+    events = range(1, 2 * inst.n + 1) if forced and not inst.unbounded_capacity else ()
 
-    def overload(skip, events) -> bool:
-        # capacity is checked on the least forced set, since occupancy
-        # contributions are nonnegative for validated instances
-        if not events:
-            return False
-        load = rules.load(t[:2] for t in forced if t in up and t != skip)
-        return any(load[r - 1] - rules.capacity > EPS for r in events)
+    def overloaded(up, among) -> int | None:
+        # the first event among these that the load of the up tuples overloads
+        if not among:
+            return None
+        load = rules.load(t[:2] for t in up)
+        return next((r for r in among if load[r - 1] - rules.capacity > EPS), None)
 
-    def without(pos) -> tuple[int, bool]:
-        """The witnesses left without the active row ``pos``, and whether the
-        other active rows still clash."""
-        f, key = rows[pos]
-        if f is PF:
-            left = witnesses - hang[key]
-            return left, left > 0 or overload(key, caps)
-        if f is CAP:
-            return witnesses, witnesses > 0 or overload(None, caps - {key})
-        left = witnesses - (key in up)
-        return left, left > 0 or overload(None, caps)
+    def clash(rows) -> bool:
+        up = [c.indices for c in rows if c.family is PF]
+        down = [c.indices + c.indices[2:] if c.family is SD else c.indices
+                for c in rows if c.family is SD or c.family is TF]
+        caps = [c.indices[0] for c in rows if c.family is CAP]
+        return any(t in up for t in down) or overloaded(up, caps) is not None
 
-    if not (witnesses or overload(None, caps)):
+    same_dock = [t for t in forced
+                 if t[2] == t[3] and rules.same_dock_bound[t[0] - 1][t[1] - 1] < 1]
+    late = [t for t in forced
+            if not rules.time_ok[t[0] - 1][t[1] - 1][t[2] - 1][t[3] - 1]]
+    if same_dock:
+        conflict = (ConstraintId(PF, same_dock[0]), ConstraintId(SD, same_dock[0][:3]))
+    elif r := overloaded(forced, events):
+        kept = forced
+        for t in reversed(forced):
+            trial = [u for u in kept if u != t]
+            if overloaded(trial, (r,)) is not None:
+                kept = trial
+        conflict = (*(ConstraintId(PF, t) for t in kept), ConstraintId(CAP, (r,)))
+    elif late:
+        conflict = (ConstraintId(PF, late[0]), ConstraintId(TF, late[0]))
+    else:
         return None
-    active = [True] * len(candidates)
-    for pos in reversed(range(len(candidates))):
-        left, clashes = without(pos)
-        if clashes:
-            witnesses = left
-            active[pos] = False
-            f, key = rows[pos]
-            if f is PF:
-                up.remove(key)
-            elif f is CAP:
-                caps.remove(key)
-            else:
-                hang[key] -= 1
-
-    kept = [pos for pos, on in enumerate(active) if on]
-    assert witnesses or overload(None, caps)  # the set itself must clash
-    conflict = tuple(candidates[pos] for pos in kept)
-    return ConflictSet(
-        constraints=conflict,
-        minimal=not any(without(pos)[1] for pos in kept),
-        narrative=_narrative(inst, conflict),
-    )
+    rest = (conflict[:p] + conflict[p + 1 :] for p in range(len(conflict)))
+    return ConflictSet(conflict, not any(map(clash, rest)), _narrative(inst, conflict))
 
 
 def explain_pair(

@@ -24,7 +24,6 @@ from .formulations import (
     ViolationReport,
     check_solution,
     objective_value,
-    time_margin,
 )
 from .instance_io import load_fixture_instance, load_fixture_solution
 from .model import (
@@ -64,7 +63,6 @@ class NoteReproduction:
     s_prime: Solution
     checks: dict = field(default_factory=dict)
     conflict: diagnosis.ConflictSet | None = None
-    conflict_margin: float = 0.0
     modes: tuple[ModeFigures, ...] = ()
     wall_time: float = 0.0
 
@@ -125,7 +123,6 @@ def reproduce_note(
         s_prime=s_prime,
         checks=checks,
         conflict=conflict,
-        conflict_margin=time_margin(inst, 1, 2, 1, 2),
         modes=tuple(modes),
         wall_time=time.perf_counter() - start,
     )
@@ -175,9 +172,6 @@ def render_report(rep: NoteReproduction) -> str:
         )
         lines.append(f"minimality verified: {rep.conflict.minimal}")
         lines.extend(rep.conflict.narrative.splitlines())
-        lines.append(
-            f"margin d_2 - a_1 - t_1_2 = {rep.conflict_margin:.6g}"
-        )
     for figures in rep.modes:
         mode = (
             "strict-literal (self-flows included)"

@@ -14,6 +14,7 @@ from crossdock.instance_io import (
     serialize_solution,
 )
 from crossdock.model import Solution
+from crossdock.reproduce import render_report, reproduce_note
 
 from conftest import tiny_two_truck
 
@@ -92,6 +93,25 @@ def test_check_feasible_under_revised_model(fixture_paths, capsys):
     ])
     assert code == 0
     assert capsys.readouterr().out.splitlines()[0] == "FEASIBLE"
+
+
+def test_check_rejects_a_self_transfer_without_a_traceback(
+    fixture_paths, tmp_path, capsys
+):
+    # a self-transfer is out of scope unless self-flows are included, which
+    # check_solution raises as a ValueError
+    sol_path = tmp_path / "self.json"
+    solution = {"dock": [1] + [0] * 8, "transfers": [[1, 1, 1, 1]]}
+    sol_path.write_text(json.dumps(solution))
+    code = main([
+        "check",
+        fixture_paths["miao_example.json"],
+        str(sol_path),
+        "--model",
+        "crossdock",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: diagonal transfer (1,1)")
 
 
 def test_check_prints_violation_values_exactly(tmp_path, capsys):
@@ -305,8 +325,17 @@ def test_reproduce_note_smoke(capsys):
     assert "published 11" in out
     assert "published 45.45" in out
     assert "minimal conflict set: PairForcing(1,2,1,2), TimeFeasibility(1,2,1,2)" in out
+    assert "d_2 - a_1 - t_1_2 = -0.01 < 0" in out
     assert "default (self-flows excluded)" in out
     assert "strict-literal (self-flows included)" in out
+
+
+def test_reproduce_note_prints_no_margin_outside_the_conflict():
+    # at capacity 100 the s'* assignment fails on the buffer, not on the time
+    # row of (1,2,1,2), so no time margin belongs in the report
+    text = render_report(reproduce_note(capacity=100, time_limit=0))
+    assert "minimal conflict set: PairForcing(1,2,1,2), Capacity(1)" in text
+    assert not [line for line in text.splitlines() if line.startswith("margin d_")]
 
 
 def test_solve_brute_guard_exits_nonzero(fixture_paths, capsys):

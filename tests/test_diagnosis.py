@@ -84,6 +84,17 @@ def test_capacity_conflict_includes_capacity_row():
     # every transfer fits in time: an overload alone, as the slow twin finds
     assert ConstraintFamily.TIME_FEASIBILITY not in families
     assert conflict == _quadratic_find_conflict(inst, (1, 2), CD)
+    # two pair-forcing rows share the overloaded event: each alone fits
+    inst = generate(0, 5, 2, capacity_ratio=0.05)
+    dock = (1, 2, 0, 0, 0)
+    conflict = find_conflict(inst, dock, CD)
+    assert [str(c) for c in conflict.constraints] == [
+        "PairForcing(1,2,1,2)",
+        "PairForcing(2,1,2,1)",
+        "Capacity(3)",
+    ]
+    assert conflict.minimal
+    assert conflict == _quadratic_find_conflict(inst, dock, CD)
 
 
 def _case_instance():
@@ -231,9 +242,28 @@ def _quadratic_find_conflict(inst, dock, form):
     return ConflictSet(tuple(active), minimal, _narrative(inst, tuple(active)))
 
 
+def _clash_sources(inst, dock):
+    """Which of a same-dock row, an overloaded buffer and a time row the
+    CROSS-DOCK system of ``dock`` holds, each as a bool."""
+    rules = compile_rules(inst, CD, False)
+    docked = [(i, k) for i, k in enumerate(dock, start=1) if k != UNASSIGNED]
+    forced = [(i, j, k, l) for i, k in docked for j, l in docked if j != i]
+    load = rules.load((i, j) for i, j, _, _ in forced)
+    same_dock = any(
+        k == l and rules.same_dock_bound[i - 1][j - 1] < 1 for i, j, k, l in forced
+    )
+    overload = (
+        bool(forced)
+        and not inst.unbounded_capacity
+        and any(x - rules.capacity > EPS for x in load)
+    )
+    late = any(not rules.time_ok[i - 1][j - 1][k - 1][l - 1] for i, j, k, l in forced)
+    return same_dock, overload, late
+
+
 def test_find_conflict_matches_its_slow_twin():
     rng = np.random.default_rng(11)
-    kinds = {}
+    kinds, sources = {}, {}
     for seed, m, ratio in itertools.product(range(12), (2, 3), (None, 0.02, 0.05)):
         inst = generate(seed, 5 + seed % 3, m, capacity_ratio=ratio)
         for form in (CD, RCD):
@@ -241,17 +271,27 @@ def test_find_conflict_matches_its_slow_twin():
                 dock = tuple(int(rng.integers(0, m + 1)) for _ in range(inst.n))
                 conflict = find_conflict(inst, dock, form)
                 assert conflict == _quadratic_find_conflict(inst, dock, form)
-                if conflict is not None:
-                    families = frozenset(c.family for c in conflict.constraints)
-                    kinds[families] = kinds.get(families, 0) + 1
-    # the draw reaches every kind of conflict: time, same-dock, dock and
-    # capacity-only (pair-forcing rows plus one overloaded event)
-    capacity_only = frozenset(
-        {ConstraintFamily.PAIR_FORCING, ConstraintFamily.CAPACITY}
-    )
-    assert kinds.get(capacity_only, 0) > 0, kinds
-    assert {
-        ConstraintFamily.SAME_DOCK_TW,
-        ConstraintFamily.TIME_FEASIBILITY,
-        ConstraintFamily.DOCK_CONFLICT,
-    } <= set().union(*kinds), kinds
+                families = conflict and frozenset(
+                    c.family for c in conflict.constraints
+                )
+                kinds[families] = kinds.get(families, 0) + 1
+                if form is CD:
+                    held = _clash_sources(inst, dock)
+                    sources[held] = sources.get(held, 0) + 1
+    # the draw reaches every branch of the rule: same-dock, capacity-only
+    # (pair-forcing rows plus one overloaded event), time, consistent, and
+    # the R-CROSS-DOCK dock conflict
+    F = ConstraintFamily
+    for branch in (
+        frozenset({F.PAIR_FORCING, F.SAME_DOCK_TW}),
+        frozenset({F.PAIR_FORCING, F.CAPACITY}),
+        frozenset({F.PAIR_FORCING, F.TIME_FEASIBILITY}),
+        None,
+        frozenset({F.DOCK_CONFLICT}),
+    ):
+        assert kinds.get(branch, 0) > 0, kinds
+    # and every precedence case: a same-dock row beside an overloaded buffer,
+    # a same-dock row beside a time row, an overload beside a time row alone
+    assert sum(n for (sd, over, _), n in sources.items() if sd and over) > 0, sources
+    assert sum(n for (sd, _, tf), n in sources.items() if sd and tf) > 0, sources
+    assert sources.get((False, True, True), 0) > 0, sources
