@@ -10,11 +10,10 @@ before reporting.
 
 The set is the one a deletion filter keeps when it walks the rows in reverse
 (family, indices) order, so that, when several disjoint conflicts exist, the
-lexicographically smallest one survives. On this system that walk can end in
-only four ways: the smallest same-dock row, else the first overloaded buffer
-event with the pair-forcing rows it needs, else the smallest time row, each
-with its pair-forcing rows, else no conflict. :func:`find_conflict` writes
-these down directly; the filter itself is its test twin.
+lexicographically smallest one survives. On this system the walk always
+keeps the row that :func:`crossdock.subproblem.induced_transfers_crossdock`
+names as its witness, so :func:`find_conflict` is built on that witness; the
+filter itself is its test twin.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .formulations import (
     time_margin,
 )
 from .model import EPS, UNASSIGNED, Instance, Solution, _dock_array, format_number
-from .subproblem import check_dock_conflicts
+from .subproblem import check_dock_conflicts, induced_transfers_crossdock
 
 
 @dataclass(frozen=True)
@@ -88,14 +87,13 @@ def find_conflict(
     rows. While a same-dock row or an overload stands, every time row goes;
     while a same-dock row stands, every capacity row goes; and the smallest
     row of a kind is tested last, when no other of its kind is left to
-    stand in for it. So the filter ends in one of four sets, built here:
+    stand in for it. So the filter keeps the blocking row of
+    :func:`induced_transfers_crossdock`'s witness, and with it:
 
-    1. the smallest same-dock row, with its pair-forcing row;
-    2. else, if the forced set overloads the buffer, the first overloaded
-       event r*, with the pair-forcing rows that one reverse pass keeps when
-       it drops each tuple whose removal still leaves r* overloaded;
-    3. else the smallest time row, with its pair-forcing row;
-    4. else None.
+    * for a same-dock or time row, its pair-forcing row;
+    * for the first overloaded event r*, the pair-forcing rows that one
+      reverse pass over the forced tuples keeps when it drops each tuple
+      whose removal still leaves r* overloaded.
 
     Minimality is re-checked by removing each member in turn. The filter
     itself is the test twin ``tests/test_diagnosis.py::_quadratic_find_conflict``.
@@ -108,47 +106,38 @@ def find_conflict(
         if first is None:
             return None
         return ConflictSet((first,), True, _narrative(inst, (first,)))
+    witness = induced_transfers_crossdock(inst, dock)
+    if isinstance(witness, Solution):
+        return None
     rules = compile_rules(inst, form, False)
-    y = _dock_array(inst, dock)
-    # only rows on docked trucks can clash: every other row is vacuous
-    docked = [(i, k) for i, k in enumerate(y, start=1) if k != UNASSIGNED]
     F = ConstraintFamily
     PF, SD, TF, CAP = F.PAIR_FORCING, F.SAME_DOCK_TW, F.TIME_FEASIBILITY, F.CAPACITY
-    # forced is in (i, j) order, the order of its pair-forcing rows
-    forced = [(i, j, k, l) for i, k in docked for j, l in docked if j != i]
-    events = range(1, 2 * inst.n + 1) if forced and not inst.unbounded_capacity else ()
 
-    def overloaded(up, among) -> int | None:
-        # the first event among these that the load of the up tuples overloads
-        if not among:
-            return None
-        load = rules.load(t[:2] for t in up)
-        return next((r for r in among if load[r - 1] - rules.capacity > EPS), None)
+    def overloads(up, r) -> bool:
+        return rules.load(t[:2] for t in up)[r - 1] - rules.capacity > EPS
 
     def clash(rows) -> bool:
         up = [c.indices for c in rows if c.family is PF]
         down = [c.indices + c.indices[2:] if c.family is SD else c.indices
                 for c in rows if c.family is SD or c.family is TF]
-        caps = [c.indices[0] for c in rows if c.family is CAP]
-        return any(t in up for t in down) or overloaded(up, caps) is not None
+        return any(t in up for t in down) or any(
+            overloads(up, c.indices[0]) for c in rows if c.family is CAP
+        )
 
-    same_dock = [t for t in forced
-                 if t[2] == t[3] and rules.same_dock_bound[t[0] - 1][t[1] - 1] < 1]
-    late = [t for t in forced
-            if not rules.time_ok[t[0] - 1][t[1] - 1][t[2] - 1][t[3] - 1]]
-    if same_dock:
-        conflict = (ConstraintId(PF, same_dock[0]), ConstraintId(SD, same_dock[0][:3]))
-    elif r := overloaded(forced, events):
+    if witness.forcing is not None:
+        conflict = (witness.forcing, witness.blocking)
+    else:
+        (r,) = witness.blocking.indices
+        y = _dock_array(inst, dock)
+        docked = [(i, k) for i, k in enumerate(y, start=1) if k != UNASSIGNED]
+        # forced is in (i, j) order, the order of its pair-forcing rows
+        forced = [(i, j, k, l) for i, k in docked for j, l in docked if j != i]
         kept = forced
         for t in reversed(forced):
             trial = [u for u in kept if u != t]
-            if overloaded(trial, (r,)) is not None:
+            if overloads(trial, r):
                 kept = trial
-        conflict = (*(ConstraintId(PF, t) for t in kept), ConstraintId(CAP, (r,)))
-    elif late:
-        conflict = (ConstraintId(PF, late[0]), ConstraintId(TF, late[0]))
-    else:
-        return None
+        conflict = (*(ConstraintId(PF, t) for t in kept), witness.blocking)
     rest = (conflict[:p] + conflict[p + 1 :] for p in range(len(conflict)))
     return ConflictSet(conflict, not any(map(clash, rest)), _narrative(inst, conflict))
 
@@ -170,30 +159,30 @@ def explain_pair(
     if i == j:
         raise ValueError("explain_pair needs two distinct trucks")
     _dock_array(inst, Solution(dock=(UNASSIGNED,) * inst.n, transfers=((i, j, k, l),)))
-    margin = time_margin(inst, i, j, k, l)
-    reverse_margin = time_margin(inst, j, i, l, k)
+    time_ok = compile_rules(inst, Formulation.CROSS_DOCK, False).time_ok
     rectified = (
         "R-CROSS-DOCK decouples the pair, so only the affected direction is lost."
         if form is Formulation.R_CROSS_DOCK
         else "Removing the pair-forcing rows is the rectified model's fix."
     )
     if inst.f(i, j) <= EPS:
-        if inst.f(j, i) > EPS and reverse_margin >= -EPS:
+        if inst.f(j, i) > EPS and time_ok[j - 1][i - 1][l - 1][k - 1]:
             return (
                 f"case 1 (phantom transfer): f_{i}{j} = 0, yet selecting the "
                 f"viable reverse transfer z_{j}{i}{l}{k} (margin "
-                f"{reverse_margin:.6g}) forces z_{i}{j}{k}{l} = 1 under "
+                f"{time_margin(inst, j, i, l, k):.6g}) forces z_{i}{j}{k}{l} = 1 under "
                 f"CROSS-DOCK, paying c_{k}{l}*t_{k}{l} = "
                 f"{format_number(inst.c(k, l) * inst.t(k, l))} for a zero-size load. "
                 f"{rectified}"
             )
         return "no anomaly: the pair carries no flow in this direction."
-    if inst.d(j) - inst.a(i) >= -EPS and margin < -EPS:
+    if inst.d(j) - inst.a(i) >= -EPS and not time_ok[i - 1][j - 1][k - 1][l - 1]:
         return (
             f"case 2 (eliminated transfer): truck {j} departs after truck {i} "
             f"arrives (d_{j} - a_{i} = {inst.d(j) - inst.a(i):.6g}), so a "
             f"buffered move is physically possible, but d_{j} - a_{i} - "
-            f"t_{k}{l} = {margin:.6g} < 0 forces z_{i}{j}{k}{l} = 0 and the "
-            f"CROSS-DOCK pair forcing then kills z_{j}{i}{l}{k} as well. {rectified}"
+            f"t_{k}{l} = {time_margin(inst, i, j, k, l):.6g} < 0 forces "
+            f"z_{i}{j}{k}{l} = 0 and the CROSS-DOCK pair forcing then kills "
+            f"z_{j}{i}{l}{k} as well. {rectified}"
         )
     return "no anomaly: the transfer is time-feasible with positive flow."

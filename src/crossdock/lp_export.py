@@ -15,6 +15,7 @@ Bounds section, one for each transfer the rules mark time-infeasible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .formulations import Formulation, compile_rules
@@ -32,7 +33,11 @@ class LpDocument:
 
 
 def lp_filename(instance_name: str, form: Formulation) -> str:
-    return f"{instance_name or 'instance'}__{form.value}.lp"
+    """The file name for an instance's LP file: a name whose every character
+    outside A-Z, a-z, 0-9, '.', '_' and '-' becomes '_', so that it names one
+    file in the working directory and fits on the header's comment line."""
+    safe = re.sub(r"[^A-Za-z0-9._-]", "_", instance_name or "instance")
+    return f"{safe}__{form.value}.lp"
 
 
 def _num(x: float) -> str:

@@ -28,17 +28,17 @@ from .formulations import (
     ConstraintId,
     Formulation,
     compile_rules,
-    time_margin,
 )
 from .model import EPS, UNASSIGNED, Instance, Solution, _dock_array
 
 @dataclass(frozen=True)
 class InfeasibilityWitness:
-    """Why no transfer set is compatible with a CROSS-DOCK assignment."""
+    """Why no transfer set is compatible with a CROSS-DOCK assignment: the
+    ``blocking`` row, and the pair-forcing row it clashes with (None for a
+    capacity row, which the forced load as a whole overflows)."""
 
     blocking: ConstraintId
     forcing: ConstraintId | None
-    message: str
 
 
 @dataclass(frozen=True)
@@ -62,64 +62,41 @@ def induced_transfers_crossdock(
 ) -> Solution | InfeasibilityWitness:
     """The unique CROSS-DOCK transfer set for a dock assignment, or a witness.
 
-    Pairs are scanned in ascending (i, j) order; the first clash between the
-    forced z and a blocking constraint is returned. Capacity is checked last,
-    over the full forced set. Diagonal transfers are never *induced*: in the
-    strict-literal model they stay free and are handled by the caller's
-    selection step.
+    Docking trucks i at k and j at l forces z_ijkl = 1; the forced tuples go
+    in (i, j) order. The witness is the row that
+    :func:`crossdock.diagnosis.find_conflict` blames:
+
+    1. the smallest same-dock row, with its pair-forcing row;
+    2. else, if the forced load overloads the buffer, the first overloaded
+       event, with ``forcing=None``;
+    3. else the smallest time row, with its pair-forcing row.
+
+    Diagonal transfers are never *induced*: in the strict-literal model they
+    stay free and are handled by the caller's selection step.
     """
     rules = compile_rules(inst, Formulation.CROSS_DOCK, include_diagonal)
     y = _dock_array(inst, dock)
-    transfers = []
-    for i in inst.trucks():
-        k = y[i - 1]
-        if k == UNASSIGNED:
-            continue
-        for j in inst.trucks():
-            if j == i:
-                continue
-            l = y[j - 1]
-            if l == UNASSIGNED:
-                continue
-            forcing = ConstraintId(ConstraintFamily.PAIR_FORCING, (i, j, k, l))
-            if k == l and rules.same_dock_bound[i - 1][j - 1] < 1:
-                return InfeasibilityWitness(
-                    blocking=ConstraintId(ConstraintFamily.SAME_DOCK_TW, (i, j, k)),
-                    forcing=forcing,
-                    message=(
-                        f"docking trucks {i} and {j} together at dock {k} forces "
-                        f"z_{i}{j}{k}{k} = 1, but their time windows overlap"
-                    ),
-                )
-            if not rules.time_ok[i - 1][j - 1][k - 1][l - 1]:
-                margin = time_margin(inst, i, j, k, l)
-                return InfeasibilityWitness(
-                    blocking=ConstraintId(
-                        ConstraintFamily.TIME_FEASIBILITY, (i, j, k, l)
-                    ),
-                    forcing=forcing,
-                    message=(
-                        f"docking trucks {i}@{k} and {j}@{l} forces "
-                        f"z_{i}{j}{k}{l} = 1, but d_{j} - a_{i} - t_{k}{l} = "
-                        f"{margin:.6g} < 0"
-                    ),
-                )
-            transfers.append((i, j, k, l))
-
-    solution = Solution(dock=y, transfers=tuple(transfers))
-    if not inst.unbounded_capacity:
-        load = rules.load((i, j) for (i, j, _, _) in transfers)
+    docked = [(i, k) for i, k in enumerate(y, 1) if k != UNASSIGNED]
+    forced = [(i, j, k, l) for i, k in docked for j, l in docked if j != i]
+    F = ConstraintFamily
+    for i, j, k, l in forced:
+        if k == l and rules.same_dock_bound[i - 1][j - 1] < 1:
+            return InfeasibilityWitness(
+                ConstraintId(F.SAME_DOCK_TW, (i, j, k)),
+                ConstraintId(F.PAIR_FORCING, (i, j, k, l)),
+            )
+    if forced and not inst.unbounded_capacity:
+        load = rules.load((i, j) for i, j, _, _ in forced)
         for r, occ in enumerate(load, 1):
-            if occ - inst.capacity > EPS:
-                return InfeasibilityWitness(
-                    blocking=ConstraintId(ConstraintFamily.CAPACITY, (r,)),
-                    forcing=None,
-                    message=(
-                        f"the transfers forced by this assignment occupy {occ} "
-                        f"buffer units at event {r}, above capacity {inst.capacity}"
-                    ),
-                )
-    return solution
+            if occ - rules.capacity > EPS:
+                return InfeasibilityWitness(ConstraintId(F.CAPACITY, (r,)), None)
+    for i, j, k, l in forced:
+        if not rules.time_ok[i - 1][j - 1][k - 1][l - 1]:
+            return InfeasibilityWitness(
+                ConstraintId(F.TIME_FEASIBILITY, (i, j, k, l)),
+                ConstraintId(F.PAIR_FORCING, (i, j, k, l)),
+            )
+    return Solution(dock=y, transfers=tuple(forced))
 
 
 def check_dock_conflicts(inst: Instance, dock) -> ConstraintId | None:

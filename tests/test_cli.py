@@ -57,6 +57,21 @@ def test_validate_rejects_an_infinite_penalty(tmp_path, capsys):
     assert "error: infinite_number(1,2)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["validate", "gen", "check"])
+def test_a_directory_for_a_file_is_an_error_not_a_traceback(
+    fixture_paths, tmp_path, capsys, command
+):
+    # reading or writing a directory raises IsADirectoryError, an OSError
+    argv = {
+        "validate": ["validate", str(tmp_path)],
+        "gen": ["gen", "--seed", "0", "--out", str(tmp_path)],
+        "check": ["check", fixture_paths["miao_example.json"], str(tmp_path),
+                  "--model", "crossdock"],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_validate_reports_invariant_errors(tmp_path, capsys):
     doc = {
         "n": 1, "m": 1, "arrival": [1.0], "departure": [1.0],
@@ -288,6 +303,35 @@ def test_export_lp_default_name(fixture_paths, tmp_path, capsys, monkeypatch):
     assert code == 0
     assert Path("miao_example__r-crossdock.lp").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "name, written",
+    [
+        ("x\nMaximize\n obj: y_1_1\nfoo", "x_Maximize__obj__y_1_1_foo__crossdock.lp"),
+        ("../escaped", ".._escaped__crossdock.lp"),
+    ],
+    ids=["line-breaks", "parent-directory"],
+)
+def test_export_lp_default_name_keeps_a_hostile_name_in_one_file(
+    tmp_path, capsys, monkeypatch, name, written
+):
+    # a name with line breaks must not add LP sections to the header, and a
+    # name with a path separator must not write outside the working directory
+    inst = dataclasses.replace(generate(0, 3, 2), name=name)
+    path = tmp_path / "inst.json"
+    path.write_text(serialize_instance(inst))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["export-lp", str(path), "--model", "crossdock"]) == 0
+    capsys.readouterr()
+    assert [p.name for p in work.iterdir()] == [written]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json", "work"]
+    lines = (work / written).read_text().splitlines()
+    assert lines[0] == f"\\ {written}"
+    header = lines[: lines.index("Minimize")]
+    assert len(header) == 5 and all(line.startswith("\\ ") for line in header)
 
 
 def test_compare_reports_gap(fixture_paths, capsys):

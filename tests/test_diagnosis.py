@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from crossdock.diagnosis import ConflictSet, _narrative, explain_pair, find_conflict
-from crossdock.formulations import ConstraintFamily, ConstraintId, Formulation, compile_rules
+from crossdock.formulations import (
+    ConstraintFamily,
+    ConstraintId,
+    Formulation,
+    check_solution,
+    compile_rules,
+)
 from crossdock.instance_io import generate
 from crossdock.model import EPS, UNASSIGNED, Instance, Solution
 from crossdock.subproblem import InfeasibilityWitness, induced_transfers_crossdock
@@ -157,6 +163,34 @@ def test_explain_pair_no_anomaly():
         capacity=None,
     )
     assert explain_pair(inst, 1, 2, 1, 2, CD).startswith("no anomaly")
+
+
+@pytest.mark.parametrize("margin", [0.0, -EPS / 2, EPS / 2, -2 * EPS])
+def test_explain_pair_reads_the_checkers_time_rule(margin):
+    # at d_j - a_i = 1 and t_kl = 1 - margin, the tuple's margin is about
+    # ``margin``; case 2 names a transfer that check_solution rejects on time,
+    # and case 1 a reverse transfer that it accepts, EPS boundary included
+    def instance(arrival, departure, flow):
+        return Instance(
+            n=2, m=2, arrival=arrival, departure=departure,
+            transfer_time=((0.0, 1.0 - margin), (1.0 - margin, 0.0)),
+            transfer_cost=((1.0, 1.0), (1.0, 1.0)),
+            flow=flow, penalty=((0.0, 2.0), (2.0, 0.0)), capacity=None,
+        )
+
+    def time_row(inst, t):
+        sol = Solution(dock=(1, 2), transfers=(t,))
+        row = ConstraintId(ConstraintFamily.TIME_FEASIBILITY, t)
+        return row in check_solution(inst, sol, CD).constraint_ids()
+
+    eliminated = instance((0.0, 0.5), (2.0, 1.0), ((0.0, 5.0), (0.0, 0.0)))
+    late = time_row(eliminated, (1, 2, 1, 2))
+    assert late == (margin < -EPS)
+    assert explain_pair(eliminated, 1, 2, 1, 2, CD).startswith("case 2") == late
+    phantom = instance((0.5, 0.0), (1.0, 2.0), ((0.0, 0.0), (4.0, 0.0)))
+    late = time_row(phantom, (2, 1, 2, 1))
+    assert late == (margin < -EPS)
+    assert explain_pair(phantom, 1, 2, 1, 2, CD).startswith("case 1") != late
 
 
 @pytest.mark.parametrize(

@@ -115,6 +115,9 @@ def test_objective_reconstruction_on_solved_instances():
 def test_filename_convention(nine_truck):
     assert lp_filename(nine_truck.name, CD) == "miao_example__crossdock.lp"
     assert lp_filename("", RCD) == "instance__r-crossdock.lp"
+    # every character outside A-Z a-z 0-9 . _ - becomes '_'
+    assert lp_filename("../escaped", CD) == ".._escaped__crossdock.lp"
+    assert lp_filename("a b\nc:d/e", RCD) == "a_b_c_d_e__r-crossdock.lp"
 
 
 def test_single_truck_edge_case():

@@ -1,13 +1,16 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from crossdock import subproblem
+from crossdock.diagnosis import find_conflict
 from crossdock.exact import _Tables, _UNDOCKED
 from crossdock.formulations import (
     ConstraintFamily,
+    ConstraintId,
     Formulation,
     check_solution,
 )
@@ -210,23 +213,58 @@ class TestSelectionMachinery:
         assert without.solution.transfers == ()
 
 
-def test_induced_solutions_always_pass_the_checker():
+def test_induced_solutions_always_pass_the_checker(nine_truck):
     # pair forcing determines z from y entirely: whenever the induced set
     # exists, the full checker must accept it, and a witness means no
-    # transfer set can ever satisfy the checker for that assignment
+    # transfer set can ever satisfy the checker for that assignment. The
+    # witness is the row find_conflict blames: a row the checker reports on
+    # the forced set, the last row of the conflict set, and paired with a
+    # pair-forcing row unless it is a capacity row
+    F = ConstraintFamily
+    # a same-dock row beats the time row (1,2,1,2) on the fixture, and an
+    # overload beats the time row (4,5,1,2) on a generated instance
+    assert induced_transfers_crossdock(
+        nine_truck, (1, 2, 0, 0, 0, 0, 0, 1, 0)
+    ) == InfeasibilityWitness(
+        ConstraintId(F.SAME_DOCK_TW, (1, 8, 1)),
+        ConstraintId(F.PAIR_FORCING, (1, 8, 1, 1)),
+    )
+    assert induced_transfers_crossdock(
+        generate(0, 5, 2, capacity_ratio=0.05), (0, 0, 0, 1, 2)
+    ) == InfeasibilityWitness(ConstraintId(F.CAPACITY, (6,)), None)
+
     rng = np.random.default_rng(31)
-    accepted = rejected = 0
-    for trial in range(120):
-        inst = generate(trial % 40, n=4, m=2,
-                        capacity_ratio=0.5 if trial % 3 == 0 else None)
+    accepted = 0
+    kinds, beside_time = Counter(), Counter()
+    for trial in range(240):
+        inst = generate(trial % 40, n=3 + trial % 4, m=3,
+                        capacity_ratio=(0.5, None, 0.05)[trial % 3])
         dock = tuple(int(rng.integers(0, inst.m + 1)) for _ in range(inst.n))
         induced = induced_transfers_crossdock(inst, dock)
-        if isinstance(induced, InfeasibilityWitness):
-            rejected += 1
-        else:
+        if isinstance(induced, Solution):
             assert check_solution(inst, induced, Formulation.CROSS_DOCK).feasible
             accepted += 1
-    assert accepted > 10 and rejected > 10
+            continue
+        family = induced.blocking.family
+        kinds[family] += 1
+        docked = [(i, k) for i, k in enumerate(dock, 1) if k]
+        forced = Solution(dock=dock, transfers=tuple(
+            (i, j, k, l) for i, k in docked for j, l in docked if j != i
+        ))
+        violated = check_solution(inst, forced, Formulation.CROSS_DOCK).constraint_ids()
+        assert induced.blocking in violated
+        conflict = find_conflict(inst, dock, Formulation.CROSS_DOCK)
+        assert conflict.constraints[-1] == induced.blocking
+        assert (induced.forcing is None) == (family is F.CAPACITY)
+        if induced.forcing is not None:
+            assert conflict.constraints == (induced.forcing, induced.blocking)
+        if any(c.family is F.TIME_FEASIBILITY for c in violated):
+            beside_time[family] += 1
+    # the draw reaches every kind of witness, and a time row that loses to a
+    # same-dock row and to an overload
+    assert accepted > 10
+    assert min(kinds[f] for f in (F.SAME_DOCK_TW, F.CAPACITY, F.TIME_FEASIBILITY)) > 10
+    assert beside_time[F.SAME_DOCK_TW] > 0 and beside_time[F.CAPACITY] > 0
 
 
 def _first_best_subset(gains, holds, base, capacity):
