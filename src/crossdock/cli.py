@@ -29,9 +29,9 @@ from .reproduce import render_report, reproduce_note
 
 _MODELS = {f.value: f for f in Formulation}
 
-#: Non-string defaults so argparse never feeds them through the type converter.
+#: The --capacity default, not a string so argparse never feeds it through
+#: the type converter: keep the instance's own capacity.
 _KEEP_CAPACITY = ("keep",)
-_FIXTURE_CAPACITY = ("fixture",)
 
 
 def _capacity_arg(text: str):
@@ -210,7 +210,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_reproduce_note(args) -> int:
     rep = reproduce_note(
-        capacity="fixture" if args.capacity is _FIXTURE_CAPACITY else args.capacity,
+        capacity="fixture" if args.capacity is _KEEP_CAPACITY else args.capacity,
         time_limit=args.time_limit,
     )
     print(render_report(rep))
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce-note",
         help="re-run the published 9-truck/6-dock counterexample analysis",
     )
-    p.add_argument("--capacity", type=_capacity_arg, default=_FIXTURE_CAPACITY)
+    p.add_argument("--capacity", type=_capacity_arg, default=_KEEP_CAPACITY)
     p.add_argument(
         "--time-limit",
         type=_time_limit_arg,

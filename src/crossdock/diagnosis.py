@@ -109,7 +109,7 @@ def find_conflict(
     witness = induced_transfers_crossdock(inst, dock)
     if isinstance(witness, Solution):
         return None
-    rules = compile_rules(inst, form, False)
+    rules = compile_rules(inst, form)
     F = ConstraintFamily
     PF, SD, TF, CAP = F.PAIR_FORCING, F.SAME_DOCK_TW, F.TIME_FEASIBILITY, F.CAPACITY
 
@@ -159,7 +159,7 @@ def explain_pair(
     if i == j:
         raise ValueError("explain_pair needs two distinct trucks")
     _dock_array(inst, Solution(dock=(UNASSIGNED,) * inst.n, transfers=((i, j, k, l),)))
-    time_ok = compile_rules(inst, Formulation.CROSS_DOCK, False).time_ok
+    time_ok = compile_rules(inst, Formulation.CROSS_DOCK).time_ok
     rectified = (
         "R-CROSS-DOCK decouples the pair, so only the affected direction is lost."
         if form is Formulation.R_CROSS_DOCK

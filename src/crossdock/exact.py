@@ -151,7 +151,7 @@ class _Tables:
 
     def __init__(self, inst: Instance, form: Formulation, include_diagonal: bool):
         n, m = inst.n, inst.m
-        rules = compile_rules(inst, form, include_diagonal)
+        rules = compile_rules(inst, form)
         self.inst = inst
         self.diag = include_diagonal
         self.cd = form is Formulation.CROSS_DOCK
@@ -370,13 +370,13 @@ def _oracle_solution(tables: _Tables, y0) -> Solution | None:
     y1 = tables.to_public(y0)
     if not tables.cd:
         return subproblem.optimal_transfers_rcrossdock(inst, y1, diag).solution
-    induced = subproblem.induced_transfers_crossdock(inst, y1, diag)
+    induced = subproblem.induced_transfers_crossdock(inst, y1)
     if isinstance(induced, subproblem.InfeasibilityWitness):
         return None
     if not diag:
         return induced
     items = subproblem.diagonal_candidates_crossdock(inst)
-    selected, _ = subproblem.select_transfers(inst, items, induced.transfers, diag)
+    selected, _ = subproblem.select_transfers(inst, items, induced.transfers)
     return Solution(dock=y1, transfers=induced.transfers + selected)
 
 

@@ -14,9 +14,9 @@ y_ik + y_jk <= 1 + xhat_ij + xhat_ji.
 Both share the objective: transfer cost c_kl * t_kl per selected transfer plus
 penalty p_ij * f_ij for every unserved pair.
 
-:func:`compile_rules` decides these rules once per (instance, formulation,
-diagonal mode) into the :class:`Rules` tables that the subproblem, the
-solvers, the conflict finder and the LP writer read. :func:`check_solution`
+:func:`compile_rules` decides these rules once per (instance, formulation)
+into the :class:`Rules` tables that the subproblem, the solvers, the conflict
+finder and the LP writer read, in both diagonal modes. :func:`check_solution`
 restates every constraint literally, with each violated row's left- and
 right-hand side: it is the one reference the compiled tables, the solvers
 and the conflict finder are tested against.
@@ -24,6 +24,7 @@ and the conflict finder are tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
@@ -340,7 +341,7 @@ def check_solution(
 
 @dataclass(frozen=True, eq=False)
 class Rules:
-    """The model rules of one instance, formulation and diagonal mode.
+    """The model rules of one instance and formulation, in both diagonal modes.
 
     Every table is 0-based:
 
@@ -359,7 +360,7 @@ class Rules:
       (units = -f_ij when d_j comes before a_i). :meth:`load` sums it over a
       transfer set.
     * ``ct[k][l]`` is c_kl * t_kl, ``pf[i][j]`` is p_ij * f_ij and
-      ``capacity`` is the effective capacity.
+      ``capacity`` is the buffer's, ``math.inf`` when unbounded.
     """
 
     events: tuple[float, ...]
@@ -383,12 +384,9 @@ class Rules:
 
 
 @lru_cache(maxsize=64)
-def compile_rules(
-    inst: Instance, form: Formulation, include_diagonal: bool, /
-) -> Rules:
-    """The :class:`Rules` of an instance, cached per (instance, formulation,
-    diagonal mode). The arguments are positional so that equal calls share
-    one cache entry."""
+def compile_rules(inst: Instance, form: Formulation, /) -> Rules:
+    """The :class:`Rules` of an instance, cached per (instance, formulation);
+    the arguments are positional so that equal calls share one cache entry."""
     n, m = inst.n, inst.m
     a, d, t, f = inst.arrival, inst.departure, inst.transfer_time, inst.flow
     cd = form is Formulation.CROSS_DOCK
@@ -451,7 +449,7 @@ def compile_rules(
             tuple(inst.transfer_cost[k][l] * t[k][l] for l in docks) for k in docks
         ),
         pf=tuple(tuple(inst.penalty[i][j] * f[i][j] for j in trucks) for i in trucks),
-        capacity=inst.effective_capacity(include_diagonal),
+        capacity=math.inf if inst.capacity is None else inst.capacity,
     )
 
 

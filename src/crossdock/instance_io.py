@@ -25,6 +25,7 @@ with dock entries 0 for unassigned.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -81,6 +82,15 @@ def _require(doc: dict, key: str, kind, context: str):
     return value
 
 
+def _real(x: int | float) -> float:
+    """``float(x)``, except that an integer beyond float range reads as the
+    infinity of its sign, as the same number written with an exponent does."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _number_list(doc: dict, key: str, length: int) -> list[float]:
     raw = _require(doc, key, list, "instance")
     if not isinstance(raw, list) or len(raw) != length:
@@ -89,7 +99,7 @@ def _number_list(doc: dict, key: str, length: int) -> list[float]:
     for idx, x in enumerate(raw):
         if not isinstance(x, (int, float)) or isinstance(x, bool):
             raise SchemaError(f"instance: key '{key}[{idx + 1}]' must be a number")
-        out.append(float(x))
+        out.append(_real(x))
     return out
 
 
@@ -108,7 +118,7 @@ def _number_matrix(doc: dict, key: str, nrows: int, ncols: int) -> list[list[flo
                 raise SchemaError(
                     f"instance: key '{key}[{r + 1}][{s + 1}]' must be a number"
                 )
-        out.append([float(x) for x in row])
+        out.append([_real(x) for x in row])
     return out
 
 
@@ -126,7 +136,7 @@ def parse_instance(source) -> Instance:
     if capacity == "unbounded":
         capacity_value = None
     elif isinstance(capacity, (int, float)) and not isinstance(capacity, bool):
-        capacity_value = float(capacity)
+        capacity_value = _real(capacity)
     else:
         raise SchemaError("instance: key 'capacity' must be a number or 'unbounded'")
     name = doc.get("name", "")
@@ -230,10 +240,16 @@ def generate(
     multiples of ten, all windows sit inside one day, and flows are zeroed
     wherever the destination departs before the source arrives so that every
     generated instance validates. ``capacity_ratio`` scales the total
-    off-diagonal flow; None means unbounded.
+    off-diagonal flow; None means unbounded. A ratio that is not a finite
+    number > 0, or one that scales the flow beyond float range, raises
+    ValueError.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
+    if capacity_ratio is not None and not 0 < capacity_ratio < math.inf:
+        raise ValueError(
+            f"capacity ratio must be a finite number > 0, got {capacity_ratio!r}"
+        )
     rng = np.random.default_rng(seed)
 
     t = [[0.0] * m for _ in range(m)]
@@ -261,7 +277,12 @@ def generate(
     capacity: float | None = None
     if capacity_ratio is not None:
         total = sum(flow[i][j] for i in range(n) for j in range(n) if i != j)
-        capacity = max(1.0, round(capacity_ratio * total))
+        scaled = capacity_ratio * total
+        if not math.isfinite(scaled):
+            raise ValueError(
+                f"capacity ratio {capacity_ratio!r} gives a capacity that is not finite"
+            )
+        capacity = max(1.0, round(scaled))
 
     return Instance(
         n=n,

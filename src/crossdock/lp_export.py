@@ -67,10 +67,13 @@ def emit_lp(inst: Instance, form: Formulation) -> LpDocument:
 
     Each variable name is formatted once, into ``y_names[i - 1][k - 1]`` and
     ``z_names`` (indexed like ``z_index``); the row labels, the capacity
-    blocks, the Bounds and the Binaries are all read from these tables.
+    blocks, the Bounds and the Binaries are all read from these tables. The
+    capacity rows need a finite right-hand side, so they read
+    :meth:`Instance.effective_capacity`; the rules hold ``math.inf`` for an
+    unbounded buffer.
     """
     n, m = inst.n, inst.m
-    rules = compile_rules(inst, form, False)
+    rules = compile_rules(inst, form)
     cd = form is Formulation.CROSS_DOCK
 
     y_names = [[f"y_{i}_{k}" for k in inst.docks()] for i in inst.trucks()]
@@ -131,7 +134,7 @@ def emit_lp(inst: Instance, form: Formulation) -> LpDocument:
     # capacity at every event time (no rows without transfer variables):
     # every z_i_j_k_l of the pair (i, j) holds the same buffer interval, so
     # each pair's terms are one block of the name table
-    cap = rules.capacity
+    cap = inst.effective_capacity()
     if z_index:
         blocks = []
         for p, (i, j) in enumerate(truck_pairs):

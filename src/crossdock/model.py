@@ -49,8 +49,9 @@ class Instance:
     """An immutable truck-dock assignment instance.
 
     ``capacity`` is either a positive real or ``None`` for the unbounded
-    sentinel ("unbounded" in files). For constraint arithmetic the unbounded
-    case is represented by the total flow, which can never bind.
+    sentinel ("unbounded" in files). The compiled rules represent the
+    unbounded case by ``math.inf``; :meth:`effective_capacity` gives a finite
+    stand-in.
     """
 
     n: int
@@ -97,10 +98,13 @@ class Instance:
         return self.capacity is None
 
     def effective_capacity(self, include_diagonal: bool = False) -> float:
-        """The numeric capacity used in constraint arithmetic.
+        """A finite numeric capacity: the capacity itself, or for the
+        unbounded sentinel the total in-scope flow, which no buffer occupancy
+        can exceed.
 
-        The unbounded sentinel is replaced by the total in-scope flow, which no
-        buffer occupancy can exceed.
+        The literal checker compares occupancy with it, and the LP writer
+        uses it as the capacity rows' right-hand side; the compiled rules
+        hold ``math.inf`` instead.
         """
         if self.capacity is not None:
             return self.capacity

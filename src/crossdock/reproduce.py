@@ -79,7 +79,7 @@ def reproduce_note(
     start = time.perf_counter()
     inst = load_fixture_instance()
     if capacity != "fixture":
-        inst = inst.with_capacity(capacity if capacity != "unbounded" else None)
+        inst = inst.with_capacity(capacity)
     validate_instance(inst)
     flags = tuple(instance_flags(inst))
     s_star = load_fixture_solution("s_star.json", n=inst.n, m=inst.m)

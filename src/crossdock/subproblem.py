@@ -57,9 +57,7 @@ class DockConflictError(ValueError):
         super().__init__(message)
 
 
-def induced_transfers_crossdock(
-    inst: Instance, dock, include_diagonal: bool = False
-) -> Solution | InfeasibilityWitness:
+def induced_transfers_crossdock(inst: Instance, dock) -> Solution | InfeasibilityWitness:
     """The unique CROSS-DOCK transfer set for a dock assignment, or a witness.
 
     Docking trucks i at k and j at l forces z_ijkl = 1; the forced tuples go
@@ -74,7 +72,7 @@ def induced_transfers_crossdock(
     Diagonal transfers are never *induced*: in the strict-literal model they
     stay free and are handled by the caller's selection step.
     """
-    rules = compile_rules(inst, Formulation.CROSS_DOCK, include_diagonal)
+    rules = compile_rules(inst, Formulation.CROSS_DOCK)
     y = _dock_array(inst, dock)
     docked = [(i, k) for i, k in enumerate(y, 1) if k != UNASSIGNED]
     forced = [(i, j, k, l) for i, k in docked for j, l in docked if j != i]
@@ -101,7 +99,7 @@ def induced_transfers_crossdock(
 
 def check_dock_conflicts(inst: Instance, dock) -> ConstraintId | None:
     """First violated dock-conflict constraint for an assignment, if any."""
-    overlap = compile_rules(inst, Formulation.R_CROSS_DOCK, False).overlap
+    overlap = compile_rules(inst, Formulation.R_CROSS_DOCK).overlap
     y = _dock_array(inst, dock)
     for i in inst.trucks():
         k = y[i - 1]
@@ -131,7 +129,8 @@ def select_items(
     d_j - a_i - t_kl > EPS, a strict-literal self-flow has a_i < d_i), so
     loads only grow along a search path and a load checked as an item is
     added never exceeds the final one. ``picked`` lists item indices in
-    ascending order. When every item fits, all are taken. Otherwise a
+    ascending order. When every item fits, as always under an unbounded
+    buffer's ``capacity`` of ``math.inf``, all are taken. Otherwise a
     ``base`` above capacity + EPS raises ValueError, and an exact
     depth-first search runs, "take" before "leave out". Ties between optimal
     subsets go to the lexicographically first, so callers that list items in
@@ -263,7 +262,6 @@ def select_transfers(
     inst: Instance,
     items: Sequence[tuple[int, int, int, int, float]],
     forced: Sequence[tuple[int, int, int, int]] = (),
-    include_diagonal: bool = False,
 ) -> tuple[tuple[tuple[int, int, int, int], ...], float]:
     """Best subset of 1-based (i, j, k, l, gain) ``items`` under the capacity
     rows: (transfers, total_gain).
@@ -277,7 +275,7 @@ def select_transfers(
     """
     # the capacity rows are the same in both models; the strict-literal
     # CROSS-DOCK self-transfers are selected exactly like R-CROSS-DOCK's
-    rules = compile_rules(inst, Formulation.R_CROSS_DOCK, include_diagonal)
+    rules = compile_rules(inst, Formulation.R_CROSS_DOCK)
     viable = sorted(item for item in items if item[4] > EPS)
     picked, total = select_items(
         [item[4] for item in viable],
@@ -323,7 +321,7 @@ def optimal_transfers_rcrossdock(
         raise DockConflictError(
             conflict, f"dock_conflict: {conflict} blocks this assignment"
         )
-    rules = compile_rules(inst, Formulation.R_CROSS_DOCK, include_diagonal)
+    rules = compile_rules(inst, Formulation.R_CROSS_DOCK)
     ct, pf, allowed = rules.ct, rules.pf, rules.allowed
     docked = [(i, k) for i, k in enumerate(y, 1) if k != UNASSIGNED]
     items = [
@@ -332,5 +330,5 @@ def optimal_transfers_rcrossdock(
         for j, l in docked
         if (i != j or include_diagonal) and allowed[i - 1][j - 1][k - 1][l - 1]
     ]
-    transfers, total_gain = select_transfers(inst, items, (), include_diagonal)
+    transfers, total_gain = select_transfers(inst, items)
     return TransferSelection(Solution(dock=y, transfers=transfers), total_gain)

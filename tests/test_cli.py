@@ -57,6 +57,35 @@ def test_validate_rejects_an_infinite_penalty(tmp_path, capsys):
     assert "error: infinite_number(1,2)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "key, line",
+    [
+        ("arrival", "error: infinite_number(1): arrival[1] = inf is not finite"),
+        ("flow", "error: infinite_number(1,2): flow[1][2] = inf is not finite"),
+        ("capacity", "error: nonfinite_capacity(): capacity inf must be finite "
+                     "(use 'unbounded')"),
+    ],
+)
+def test_an_integer_beyond_float_range_reads_as_infinite(tmp_path, capsys, key, line):
+    # JSON reads 1e400 as inf but a 400-digit integer as an int, which
+    # float() refuses with OverflowError; both spellings give one verdict
+    doc = json.loads(serialize_instance(generate(0, 2, 1, capacity_ratio=0.5)))
+    if key == "capacity":
+        doc["capacity"] = "BIG"
+    elif key == "arrival":
+        doc["arrival"][0] = "BIG"
+    else:
+        doc["flow"][0][1] = "BIG"
+    outputs = []
+    for spelling in ("1" * 400, "1e400"):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc).replace('"BIG"', spelling))
+        assert main(["validate", str(path)]) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert line in outputs[0].splitlines()
+
+
 @pytest.mark.parametrize("command", ["validate", "gen", "check"])
 def test_a_directory_for_a_file_is_an_error_not_a_traceback(
     fixture_paths, tmp_path, capsys, command
@@ -374,6 +403,13 @@ def test_reproduce_note_smoke(capsys):
     assert "strict-literal (self-flows included)" in out
 
 
+def test_reproduce_note_takes_a_capacity(capsys):
+    # the one --capacity default sentinel keeps the fixture's capacity; a
+    # number replaces it
+    assert main(["reproduce-note", "--capacity", "100000", "--time-limit", "0"]) == 0
+    assert "capacity: 100000" in capsys.readouterr().out
+
+
 def test_reproduce_note_prints_no_margin_outside_the_conflict():
     # at capacity 100 the s'* assignment fails on the buffer, not on the time
     # row of (1,2,1,2), so no time margin belongs in the report
@@ -406,6 +442,16 @@ def test_solve_brute_rejects_a_time_limit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "argument --time-limit: not allowed with --method brute" in captured.err
     assert captured.out == ""
+
+
+def test_gen_rejects_a_ratio_that_overflows_the_capacity(tmp_path, capsys):
+    # 1e308 passes the argument check (0 < ratio < inf), but ratio times the
+    # total flow is inf
+    out = tmp_path / "inst.json"
+    code = main(["gen", "--seed", "0", "--capacity-ratio", "1e308", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: capacity ratio 1e+308 gives")
+    assert not out.exists()
 
 
 def test_reproduce_note_is_deterministic_modulo_timing(capsys):

@@ -220,7 +220,7 @@ def _quadratic_find_conflict(inst, dock, form):
     rebuilds the active list and re-reads every active row for each removal
     test, walks the sorted candidates in reverse and re-checks every single
     removal for minimality."""
-    rules = compile_rules(inst, form, False)
+    rules = compile_rules(inst, form)
     docked = [(i, k) for i, k in enumerate(dock, start=1) if k != UNASSIGNED]
     if form is RCD:
         candidates = [
@@ -279,7 +279,7 @@ def _quadratic_find_conflict(inst, dock, form):
 def _clash_sources(inst, dock):
     """Which of a same-dock row, an overloaded buffer and a time row the
     CROSS-DOCK system of ``dock`` holds, each as a bool."""
-    rules = compile_rules(inst, CD, False)
+    rules = compile_rules(inst, CD)
     docked = [(i, k) for i, k in enumerate(dock, start=1) if k != UNASSIGNED]
     forced = [(i, j, k, l) for i, k in docked for j, l in docked if j != i]
     load = rules.load((i, j) for i, j, _, _ in forced)

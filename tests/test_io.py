@@ -138,6 +138,14 @@ def test_generator_capacity_ratio():
     assert inst.capacity == max(1.0, round(0.5 * total))
 
 
+@pytest.mark.parametrize("ratio", [float("inf"), float("nan"), -1.0, 0.0, 1e308])
+def test_generator_rejects_a_ratio_outside_the_clis_rule(ratio):
+    # the CLI's rule, 0 < ratio < inf, holds on the API too, and 1e308 obeys
+    # it but scales the total flow to an infinite capacity
+    with pytest.raises(ValueError, match="capacity ratio"):
+        generate(0, n=4, m=2, capacity_ratio=ratio)
+
+
 def test_unassigned_marker_is_zero():
     sol = Solution.empty(3)
     assert sol.dock == (0, 0, 0)

@@ -309,7 +309,7 @@ def test_capacity_rows_match_the_compiled_rules():
     for seed, (n, m) in itertools.product(range(3), ((5, 2), (6, 3))):
         inst = generate(seed, n, m, capacity_ratio=0.05)
         for form in (CD, RCD):
-            rules = compile_rules(inst, form, False)
+            rules = compile_rules(inst, form)
             constraints = _interpret_lp(emit_lp(inst, form).text)[2]
             labels = [label for label in constraints if label.startswith("cap_")]
             assert labels == [f"cap_{r}" for r in range(1, len(rules.events) + 1)]

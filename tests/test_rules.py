@@ -60,7 +60,7 @@ def _families(report) -> set:
 @pytest.mark.parametrize("form,include_diagonal", MODES)
 def test_transfer_flags_match_the_checker(form, include_diagonal):
     for inst in INSTANCES:
-        rules = compile_rules(inst, form, include_diagonal)
+        rules = compile_rules(inst, form)
         docks = inst.docks()
         for i, j, k, l in itertools.product(inst.trucks(), inst.trucks(), docks, docks):
             if i == j and not include_diagonal:
@@ -80,7 +80,7 @@ def test_transfer_flags_match_the_checker(form, include_diagonal):
 @pytest.mark.parametrize("form,include_diagonal", MODES)
 def test_pair_tables_match_the_checker(form, include_diagonal):
     for inst in INSTANCES:
-        rules = compile_rules(inst, form, include_diagonal)
+        rules = compile_rules(inst, form)
         for i, j in itertools.product(inst.trucks(), inst.trucks()):
             dock = [0] * inst.n
             dock[i - 1] = dock[j - 1] = 1
@@ -134,9 +134,9 @@ def test_coexistence_table_matches_the_checker(form, include_diagonal):
 def test_summed_profiles_match_occupancy_and_capacity_rows(form, include_diagonal):
     binding = 0
     for inst in INSTANCES:
-        rules = compile_rules(inst, form, include_diagonal)
+        rules = compile_rules(inst, form)
         assert rules.events == event_times(inst)
-        assert rules.capacity == inst.effective_capacity(include_diagonal)
+        assert rules.capacity == (math.inf if inst.unbounded_capacity else inst.capacity)
         everything = _everything(inst, include_diagonal)
         report = check_solution(inst, everything, form, include_diagonal)
         over = {
@@ -174,13 +174,17 @@ def test_reversed_window_holds_negative_units():
     )
     shipped = Solution(dock=(1, 2), transfers=((1, 2, 1, 2),))
     for form in (Formulation.CROSS_DOCK, Formulation.R_CROSS_DOCK):
-        rules = compile_rules(inst, form, False)
+        rules = compile_rules(inst, form)
         occupancy = [occupancy_at(inst, shipped, t_r) for t_r in rules.events]
         assert rules.load([(1, 2)]) == occupancy == [0.0, -7.0, 0.0, 0.0]
         assert not any(itertools.chain.from_iterable(rules.time_ok[0][1]))
 
 
 def test_rules_are_compiled_once_per_instance_and_formulation(nine_truck):
-    first = compile_rules(nine_truck, Formulation.CROSS_DOCK, False)
-    assert compile_rules(nine_truck, Formulation.CROSS_DOCK, False) is first
-    assert compile_rules(nine_truck, Formulation.R_CROSS_DOCK, False) is not first
+    first = compile_rules(nine_truck, Formulation.CROSS_DOCK)
+    assert compile_rules(nine_truck, Formulation.CROSS_DOCK) is first
+    assert compile_rules(nine_truck, Formulation.R_CROSS_DOCK) is not first
+    # the diagonal mode does not change the rules: both modes read one set
+    for form in (Formulation.CROSS_DOCK, Formulation.R_CROSS_DOCK):
+        strict, default = _Tables(nine_truck, form, True), _Tables(nine_truck, form, False)
+        assert strict.rules is default.rules
