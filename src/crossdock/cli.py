@@ -135,7 +135,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     inst = _load_instance(args.instance)
-    sol = parse_solution(Path(args.solution), n=inst.n, m=inst.m)
+    sol = parse_solution(Path(args.solution))
     report = check_solution(inst, sol, _MODELS[args.model])
     if report.feasible:
         print("FEASIBLE")
@@ -167,8 +167,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     inst = _load_instance(args.instance)
-    sol = parse_solution(Path(args.solution), n=inst.n, m=inst.m)
-    conflict = diagnosis.find_conflict(inst, sol.dock, _MODELS[args.model])
+    sol = parse_solution(Path(args.solution))
+    conflict = diagnosis.find_conflict(inst, sol, _MODELS[args.model])
     if conflict is None:
         print("consistent")
         return 0

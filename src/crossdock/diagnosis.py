@@ -79,6 +79,10 @@ def find_conflict(
 ) -> ConflictSet | None:
     """Minimal conflict set of the fixed-y system, or None when consistent.
 
+    ``dock`` is a dock array or a Solution. Only its docks fix y, but a
+    Solution's transfers are checked against the instance as well: a dock or
+    transfer outside it raises ValueError, as in check_solution.
+
     Under CROSS-DOCK, PairForcing(t) forces each docked tuple t = (i, j, k, l)
     up; SameDockTW(i, j, k) (on l = k) and TimeFeasibility(t) push it down,
     and Capacity(r) bounds the load of the forced tuples at event r. The

@@ -214,7 +214,9 @@ def check_solution(
 
     Dock uniqueness is structural in the Solution representation and can never
     be violated. Violations are data, not errors; a dock array or transfer
-    outside the instance is an error (ValueError, as in objective_value).
+    outside the instance is an error (ValueError, as in objective_value). An
+    unbounded buffer has no binding capacity row: occupancy is compared with
+    ``math.inf``, as in the compiled rules.
     """
     _dock_array(inst, sol)
     _check_diagonal_use(sol, include_diagonal)
@@ -289,7 +291,7 @@ def check_solution(
                 f"precedence bound {rule}",
             )
 
-    cap = inst.effective_capacity(include_diagonal)
+    cap = math.inf if inst.capacity is None else inst.capacity
     terms = _buffer_terms(inst, sol, include_diagonal)
     for r, t_r in enumerate(event_times(inst), 1):
         occ = _occupancy(terms, t_r)

@@ -54,14 +54,10 @@ class SchemaError(ValueError):
 
 
 def _load_document(source) -> dict:
+    """The JSON object in ``source``: a dict, a file Path, or JSON text."""
     if isinstance(source, dict):
         return source
-    if isinstance(source, Path):
-        text = source.read_text()
-    else:
-        text = str(source)
-        if "\n" not in text and text.strip().endswith(".json"):
-            text = Path(text).read_text()
+    text = source.read_text() if isinstance(source, Path) else str(source)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -123,7 +119,7 @@ def _number_matrix(doc: dict, key: str, nrows: int, ncols: int) -> list[list[flo
 
 
 def parse_instance(source) -> Instance:
-    """Parse an instance document (dict, JSON text, or file path)."""
+    """Parse an instance document (dict, JSON text, or file Path)."""
     doc = _load_document(source)
     unknown = set(doc) - _INSTANCE_KEYS
     if unknown:
@@ -180,8 +176,10 @@ def serialize_instance(inst: Instance) -> str:
     return json.dumps(doc, indent=2)
 
 
-def parse_solution(source, n: int | None = None, m: int | None = None) -> Solution:
-    """Parse a solution document; optionally check index ranges against (n, m)."""
+def parse_solution(source) -> Solution:
+    """Parse a solution document (dict, JSON text, or file Path). Only the
+    schema is checked: every function that reads a solution against an
+    instance raises ValueError when it does not fit."""
     doc = _load_document(source)
     unknown = set(doc) - _SOLUTION_KEYS
     if unknown:
@@ -205,17 +203,6 @@ def parse_solution(source, n: int | None = None, m: int | None = None) -> Soluti
                 f"solution: key 'transfers[{idx + 1}]' must be [i, j, k, l]"
             )
         transfers.append(tuple(entry))
-    if n is not None:
-        if len(dock) != n:
-            raise SchemaError(f"solution: key 'dock' must have length {n}")
-        for x in dock:
-            if x < 0 or (m is not None and x > m):
-                raise SchemaError(f"solution: dock value {x} out of range 0..{m}")
-        for (i, j, k, l) in transfers:
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise SchemaError(f"solution: transfer truck index out of range 1..{n}")
-            if m is not None and not (1 <= k <= m and 1 <= l <= m):
-                raise SchemaError(f"solution: transfer dock index out of range 1..{m}")
     try:
         return Solution(dock=tuple(dock), transfers=tuple(transfers))
     except ValueError as exc:
@@ -240,12 +227,16 @@ def generate(
     multiples of ten, all windows sit inside one day, and flows are zeroed
     wherever the destination departs before the source arrives so that every
     generated instance validates. ``capacity_ratio`` scales the total
-    off-diagonal flow; None means unbounded. A ratio that is not a finite
-    number > 0, or one that scales the flow beyond float range, raises
-    ValueError.
+    off-diagonal flow; None means unbounded. A flow density outside [0, 1]
+    (NaN included), a ratio that is not a finite number > 0, or one that
+    scales the flow beyond float range, raises ValueError.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
+    if not 0 <= flow_density <= 1:
+        raise ValueError(
+            f"flow density must be a number in [0, 1], got {flow_density!r}"
+        )
     if capacity_ratio is not None and not 0 < capacity_ratio < math.inf:
         raise ValueError(
             f"capacity ratio must be a finite number > 0, got {capacity_ratio!r}"
@@ -304,9 +295,9 @@ def fixture_text(name: str) -> str:
     return resources.files("crossdock.fixtures").joinpath(name).read_text()
 
 
-def load_fixture_instance(name: str = "miao_example.json") -> Instance:
-    return parse_instance(fixture_text(name))
+def load_fixture_instance() -> Instance:
+    return parse_instance(fixture_text("miao_example.json"))
 
 
-def load_fixture_solution(name: str, n: int | None = None, m: int | None = None) -> Solution:
-    return parse_solution(fixture_text(name), n=n, m=m)
+def load_fixture_solution(name: str) -> Solution:
+    return parse_solution(fixture_text(name))

@@ -67,10 +67,9 @@ def emit_lp(inst: Instance, form: Formulation) -> LpDocument:
 
     Each variable name is formatted once, into ``y_names[i - 1][k - 1]`` and
     ``z_names`` (indexed like ``z_index``); the row labels, the capacity
-    blocks, the Bounds and the Binaries are all read from these tables. The
-    capacity rows need a finite right-hand side, so they read
-    :meth:`Instance.effective_capacity`; the rules hold ``math.inf`` for an
-    unbounded buffer.
+    blocks, the Bounds and the Binaries are all read from these tables. For
+    an unbounded buffer, the capacity rows' right-hand side is the total
+    off-diagonal flow, where the rules hold ``math.inf``.
     """
     n, m = inst.n, inst.m
     rules = compile_rules(inst, form)
@@ -131,10 +130,14 @@ def emit_lp(inst: Instance, form: Formulation) -> LpDocument:
             z = z_names[(p * m + k - 1) * m + k - 1]
             body.append(f" sd_{i}_{j}_{k}: {z} <= {bound}")
             rows += 1
+    # LP solvers read no infinite right-hand side: an unbounded buffer gets
+    # the total flow, which no occupancy can exceed
+    cap = inst.capacity
+    if cap is None:
+        cap = sum(inst.flow[i - 1][j - 1] for i, j in truck_pairs)
     # capacity at every event time (no rows without transfer variables):
     # every z_i_j_k_l of the pair (i, j) holds the same buffer interval, so
     # each pair's terms are one block of the name table
-    cap = inst.effective_capacity()
     if z_index:
         blocks = []
         for p, (i, j) in enumerate(truck_pairs):

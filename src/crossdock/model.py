@@ -49,9 +49,8 @@ class Instance:
     """An immutable truck-dock assignment instance.
 
     ``capacity`` is either a positive real or ``None`` for the unbounded
-    sentinel ("unbounded" in files). The compiled rules represent the
-    unbounded case by ``math.inf``; :meth:`effective_capacity` gives a finite
-    stand-in.
+    sentinel ("unbounded" in files), which the compiled rules and the checker
+    read as ``math.inf``.
     """
 
     n: int
@@ -96,24 +95,6 @@ class Instance:
     @property
     def unbounded_capacity(self) -> bool:
         return self.capacity is None
-
-    def effective_capacity(self, include_diagonal: bool = False) -> float:
-        """A finite numeric capacity: the capacity itself, or for the
-        unbounded sentinel the total in-scope flow, which no buffer occupancy
-        can exceed.
-
-        The literal checker compares occupancy with it, and the LP writer
-        uses it as the capacity rows' right-hand side; the compiled rules
-        hold ``math.inf`` instead.
-        """
-        if self.capacity is not None:
-            return self.capacity
-        return sum(
-            self.flow[i][j]
-            for i in range(self.n)
-            for j in range(self.n)
-            if include_diagonal or i != j
-        )
 
     def trucks(self) -> range:
         return range(1, self.n + 1)

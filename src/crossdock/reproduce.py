@@ -82,8 +82,8 @@ def reproduce_note(
         inst = inst.with_capacity(capacity)
     validate_instance(inst)
     flags = tuple(instance_flags(inst))
-    s_star = load_fixture_solution("s_star.json", n=inst.n, m=inst.m)
-    s_prime = load_fixture_solution("s_prime_star.json", n=inst.n, m=inst.m)
+    s_star = load_fixture_solution("s_star.json")
+    s_prime = load_fixture_solution("s_prime_star.json")
     xhat = compute_xhat(inst)
 
     checks: dict[tuple[str, str], ViolationReport] = {}

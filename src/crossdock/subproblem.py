@@ -129,16 +129,19 @@ def select_items(
     d_j - a_i - t_kl > EPS, a strict-literal self-flow has a_i < d_i), so
     loads only grow along a search path and a load checked as an item is
     added never exceeds the final one. ``picked`` lists item indices in
-    ascending order. When every item fits, as always under an unbounded
+    ascending order. A load x fits iff x - capacity <= EPS, the test of
+    every other capacity row; the search compares x with ``limit``, the
+    largest float that fits, as the float capacity + EPS can round either
+    way of it. When every item fits, as always under an unbounded
     buffer's ``capacity`` of ``math.inf``, all are taken. Otherwise a
-    ``base`` above capacity + EPS raises ValueError, and an exact
+    ``base`` that does not fit raises ValueError, and an exact
     depth-first search runs, "take" before "leave out". Ties between optimal
     subsets go to the lexicographically first, so callers that list items in
     the same order pick the same subset.
 
     Rows: only the events that some subset can overload are checked, those
-    where ``base`` plus every unit, summed in index order, exceeds capacity +
-    EPS, and of the events that one set of items covers only the one with the
+    where ``base`` plus every unit, summed in index order, does not fit, and
+    of the events that one set of items covers only the one with the
     highest ``base``. Every subset passes or fails exactly as against every
     event: float addition is monotone, so a load summed in index order (as
     the search sums it) never exceeds that sum, and the same items added to a
@@ -159,6 +162,12 @@ def select_items(
     ``_SelectionTimeout`` once the deadline has passed.
     """
     limit = capacity + EPS
+    if limit < math.inf:
+        # x - capacity <= EPS is monotone in x: step to the largest x it holds for
+        while limit - capacity > EPS:
+            limit = math.nextafter(limit, -math.inf)
+        while math.nextafter(limit, math.inf) - capacity <= EPS:
+            limit = math.nextafter(limit, math.inf)
 
     # per-pair rule: take everything if capacity never binds
     occ_all = list(base)

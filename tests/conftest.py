@@ -14,15 +14,13 @@ def nine_truck() -> Instance:
 
 
 @pytest.fixture(scope="session")
-def s_star(nine_truck):
-    return load_fixture_solution("s_star.json", n=nine_truck.n, m=nine_truck.m)
+def s_star():
+    return load_fixture_solution("s_star.json")
 
 
 @pytest.fixture(scope="session")
-def s_prime_star(nine_truck):
-    return load_fixture_solution(
-        "s_prime_star.json", n=nine_truck.n, m=nine_truck.m
-    )
+def s_prime_star():
+    return load_fixture_solution("s_prime_star.json")
 
 
 def tiny_two_truck(t11=0.0, c11=1.0, f12=5.0, p12=2.0, capacity=None) -> Instance:

@@ -228,9 +228,10 @@ def test_criterion_6iii_capacity_monotonicity():
             dock[max(i, j) - 1] = 0
         dock = tuple(dock)
         unbounded = optimal_transfers_rcrossdock(inst, dock)
+        total = sum(inst.f(i, j) for i in inst.trucks() for j in inst.trucks() if i != j)
         gains = []
         for ratio in (0.2, 0.5, 1.0):
-            capped = inst.with_capacity(max(1.0, ratio * inst.effective_capacity()))
+            capped = inst.with_capacity(max(1.0, ratio * total))
             sel = optimal_transfers_rcrossdock(capped, dock)
             gains.append(sel.total_gain)
             subset_ok = subset_ok and set(sel.solution.transfers) <= set(

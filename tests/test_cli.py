@@ -158,6 +158,35 @@ def test_check_rejects_a_self_transfer_without_a_traceback(
     assert capsys.readouterr().err.startswith("error: diagonal transfer (1,1)")
 
 
+def test_check_and_diagnose_reject_solutions_outside_the_instance(
+    fixture_paths, tmp_path, capsys
+):
+    # the fixture has 9 trucks and 6 docks; the transfer case fails only if
+    # diagnose checks the file's transfers, not just its dock array
+    cases = [
+        ({"dock": [1, 2], "transfers": []}, "9"),
+        ({"dock": [7] + [0] * 8, "transfers": []}, "0..6"),
+        ({"dock": [1] + [0] * 8, "transfers": [[1, 10, 1, 1]]}, "1..9"),
+    ]
+    sol_path = tmp_path / "outside.json"
+    for solution, named in cases:
+        sol_path.write_text(json.dumps(solution))
+        for command in ("check", "diagnose"):
+            for model in ("crossdock", "r-crossdock"):
+                code = main([
+                    command,
+                    fixture_paths["miao_example.json"],
+                    str(sol_path),
+                    "--model",
+                    model,
+                ])
+                err = capsys.readouterr().err
+                assert code == 1, (solution, command, model)
+                assert len(err.splitlines()) == 1
+                assert err.startswith("error: ") and named in err
+                assert "Traceback" not in err
+
+
 def test_check_prints_violation_values_exactly(tmp_path, capsys):
     # 1234567 buffered units against a capacity of 1: a 6-digit format would
     # print lhs=1.23457e+06

@@ -77,17 +77,6 @@ def test_capacity_unbounded_sentinel():
         parse_instance(doc)
 
 
-def test_solution_range_checks(nine_truck):
-    with pytest.raises(SchemaError, match="length"):
-        parse_solution({"dock": [1, 2], "transfers": []}, n=9, m=6)
-    with pytest.raises(SchemaError, match="out of range"):
-        parse_solution({"dock": [7] + [0] * 8, "transfers": []}, n=9, m=6)
-    with pytest.raises(SchemaError, match="out of range"):
-        parse_solution(
-            {"dock": [1] + [0] * 8, "transfers": [[1, 10, 1, 1]]}, n=9, m=6
-        )
-
-
 def test_solution_duplicate_pair_rejected():
     with pytest.raises(SchemaError, match="two transfers"):
         parse_solution(
@@ -144,6 +133,14 @@ def test_generator_rejects_a_ratio_outside_the_clis_rule(ratio):
     # it but scales the total flow to an infinite capacity
     with pytest.raises(ValueError, match="capacity ratio"):
         generate(0, n=4, m=2, capacity_ratio=ratio)
+
+
+@pytest.mark.parametrize("density", [float("nan"), -0.5, 1.5])
+def test_generator_rejects_a_flow_density_outside_the_clis_rule(density):
+    # the CLI accepts a density in [0, 1]; before, NaN and -0.5 gave all-zero
+    # flows and 1.5 the instance of 1.0
+    with pytest.raises(ValueError, match="flow density"):
+        generate(0, n=4, m=2, flow_density=density)
 
 
 def test_unassigned_marker_is_zero():

@@ -7,7 +7,7 @@ import pytest
 
 from crossdock import subproblem
 from crossdock.diagnosis import find_conflict
-from crossdock.exact import _Tables, _UNDOCKED
+from crossdock.exact import _Tables, _UNDOCKED, branch_and_bound, brute_force
 from crossdock.formulations import (
     ConstraintFamily,
     ConstraintId,
@@ -15,7 +15,7 @@ from crossdock.formulations import (
     check_solution,
 )
 from crossdock.instance_io import generate
-from crossdock.model import EPS, Solution
+from crossdock.model import EPS, Instance, Solution
 from crossdock.subproblem import (
     DockConflictError,
     InfeasibilityWitness,
@@ -24,6 +24,7 @@ from crossdock.subproblem import (
     optimal_transfers_rcrossdock,
     select_transfers,
 )
+from crossdock.vns import vns_solve
 
 from conftest import tiny_two_truck
 
@@ -186,11 +187,10 @@ class TestCapacityMonotonicity:
         for seed in range(25):
             inst = generate(seed, n=4, m=2)
             dock = _repaired_dock(inst, seed)
+            total = sum(inst.f(i, j) for i in inst.trucks() for j in inst.trucks() if i != j)
             gains = []
             for ratio in (0.1, 0.3, 0.6, 1.0):
-                capped = inst.with_capacity(
-                    max(1.0, ratio * inst.effective_capacity())
-                )
+                capped = inst.with_capacity(max(1.0, ratio * total))
                 gains.append(optimal_transfers_rcrossdock(capped, dock).total_gain)
             assert gains == sorted(gains)
 
@@ -371,3 +371,53 @@ def test_select_items_takes_a_thousand_items_on_one_event():
     picked, gain = subproblem.select_items([1.0] * 1000, [(0, 1, 1.0)] * 1000, [0.0], 999)
     assert picked == list(range(999))
     assert gain == 999.0
+
+
+_BOUNDARY_CAPACITIES = (0.25, 0.5, 1.0, 3.0, 5.5, 100.0, 1e5)
+
+
+def _boundary_loads(capacity):
+    """The float capacity + EPS with three floats below it and two above:
+    one load x of them is the largest with x - capacity <= EPS."""
+    loads = [capacity + EPS]
+    for _ in range(3):
+        loads.insert(0, math.nextafter(loads[0], -math.inf))
+    for _ in range(2):
+        loads.append(math.nextafter(loads[-1], math.inf))
+    return loads
+
+
+@pytest.mark.parametrize("capacity", _BOUNDARY_CAPACITIES)
+def test_select_items_fits_a_load_as_the_checker_does(capacity):
+    # the float capacity + EPS can round above the largest load that passes
+    # occ - capacity <= EPS; a load between the two was taken and then
+    # rejected by every other capacity row
+    for units in _boundary_loads(capacity):
+        picked, _ = subproblem.select_items([1.0], [(0, 1, units)], [0.0], capacity)
+        assert picked == ([0] if units - capacity <= EPS else []), units
+
+
+@pytest.mark.parametrize("capacity", _BOUNDARY_CAPACITIES)
+def test_solvers_ship_what_the_checker_accepts_at_the_capacity_boundary(capacity):
+    # one buffered transfer (1,2,1,2) whose load sits at capacity + EPS:
+    # every solver's answer must pass the literal checker in both models
+    for f12 in _boundary_loads(capacity):
+        inst = Instance(
+            n=2,
+            m=2,
+            arrival=(0.0, 2.0),
+            departure=(3.0, 5.0),
+            transfer_time=((0.0, 0.0), (0.0, 0.0)),
+            transfer_cost=((1.0, 1.0), (1.0, 1.0)),
+            flow=((0.0, f12), (0.0, 0.0)),
+            penalty=((0.0, 10.0), (0.0, 0.0)),
+            capacity=capacity,
+        )
+        for form in Formulation:
+            for result in (
+                branch_and_bound(inst, form),
+                brute_force(inst, form),
+                vns_solve(inst, form),
+            ):
+                report = check_solution(inst, result.best, form)
+                assert report.feasible, (f12, form, report.violations)
