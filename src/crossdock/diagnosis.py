@@ -118,7 +118,7 @@ def find_conflict(
     PF, SD, TF, CAP = F.PAIR_FORCING, F.SAME_DOCK_TW, F.TIME_FEASIBILITY, F.CAPACITY
 
     def overloads(up, r) -> bool:
-        return rules.load(t[:2] for t in up)[r - 1] - rules.capacity > EPS
+        return rules.load(t[:2] for t in up)[r - 1] > rules.limit
 
     def clash(rows) -> bool:
         up = [c.indices for c in rows if c.family is PF]

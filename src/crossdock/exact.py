@@ -262,7 +262,7 @@ class _Tables:
         if self.cd:
             forced = [(i, j, ki, kj) for i, ki in docked for j, kj in docked if i != j]
             base = rules.load((i + 1, j + 1) for i, j, _, _ in forced)
-            if any(occ - rules.capacity > EPS for occ in base):
+            if any(occ > rules.limit for occ in base):
                 return None
             return forced, self.free_items, base
         half, unary = self.half, self.unary
@@ -277,7 +277,7 @@ class _Tables:
     def _select(self, items, base, floor=None, deadline=None):
         """:func:`subproblem.select_items` over ``items`` above ``base``, run
         once per buffer problem: a memo keyed by the items' (i, j, gain) and
-        ``base`` (with the rules, they fix the holds and capacity) is cleared
+        ``base`` (with the rules, they fix the holds and limit) is cleared
         at ``_MEMO_LIMIT`` entries. A stored result answers an unfloored call
         as it is, a floored one with itself if it keeps more than floor + EPS,
         else None. A None stored at floor f answers None for any floor >= f; a
@@ -302,7 +302,7 @@ class _Tables:
             [item[4] for item in items],
             [rules.hold[i][j] for i, j, _, _, _ in items],
             base,
-            rules.capacity,
+            rules.limit,
             floor=floor,
             deadline=deadline,
         )
@@ -332,7 +332,7 @@ class _Tables:
 
         The value comes from the tables alone: :meth:`fast_value`, which
         ships every transfer worth more than EPS, plus, under a finite
-        capacity, the gain of the items that :meth:`_select` leaves out. The
+        ``limit``, the gain of the items that :meth:`_select` leaves out. The
         table value is read first, and an assignment whose table value does
         not beat ``target`` - EPS is dropped before the buffer is looked at,
         since the buffer only adds to it. Otherwise a finite ``target`` gives
@@ -341,12 +341,12 @@ class _Tables:
         EPS, and the floor sits EPS below that, so rounding never cuts an
         assignment that beats it. Branch and bound calls it with the
         incumbent, VNS with the best neighbour value so far. A selection that
-        runs past ``deadline`` raises ``subproblem._SelectionTimeout``.
+        runs past ``deadline`` raises ``subproblem._OutOfBudget``.
         """
         value = self.fast_value(y0)
         if value >= target - EPS:
             return None
-        if self.inst.unbounded_capacity:
+        if self.rules.limit == math.inf:
             return value
         choice = self._choice(y0)
         if choice is None:
@@ -408,14 +408,15 @@ def branch_and_bound(
     summed from scratch in the last bits.
 
     Leaf pruning: a leaf's bound is its table value, and under a finite
-    capacity :meth:`_Tables.leaf_value` prices the buffer only as far as the
-    leaf can still beat the incumbent by more than EPS. A leaf that cannot is
-    dropped without its full value, so the incumbents, values and trace are
-    those that pricing every leaf in full gives.
+    ``Rules.limit`` :meth:`_Tables.leaf_value` prices the buffer only as far
+    as the leaf can still beat the incumbent by more than EPS. A leaf that
+    cannot is dropped without its full value, so the incumbents, values and
+    trace are those that pricing every leaf in full gives.
 
     ``nodes_explored`` counts the nodes processed: ``Budget(max_nodes=K)``
     processes at most K, and a time limit is checked before every 256th
-    further node and, as a deadline, inside every leaf's selection.
+    further node and, as a deadline, inside every leaf's selection; either
+    check raises ``subproblem._OutOfBudget`` out of the whole recursion.
 
     Deterministic: identical inputs give identical node counts and incumbents.
     The status is "optimal" (so ``proven_optimal``) iff the search completed
@@ -436,7 +437,6 @@ def branch_and_bound(
     best_y = tuple(y0)
     trace = [best_value]
     nodes = 0
-    stopped = False
 
     base = tables.base
     root = tables.root_opt_rest()
@@ -461,11 +461,10 @@ def branch_and_bound(
     check_at = max_nodes if deadline is None else min(max_nodes, 256)
 
     def recurse(idx: int, bound: float, accs):
-        nonlocal best_value, best_y, cut, nodes, check_at, stopped
+        nonlocal best_value, best_y, cut, nodes, check_at
         if nodes >= check_at:
             if nodes >= max_nodes or time.perf_counter() > deadline:
-                stopped = True
-                return
+                raise subproblem._OutOfBudget
             check_at = min(max_nodes, nodes + 256)
         nodes += 1
         if on_node is not None:
@@ -492,8 +491,6 @@ def branch_and_bound(
                 # map stops at the shorter push row, dropping u's own block
                 recurse(idx + 1, child, list(map(operator.add, accs, push_k)))
                 y0[u] = _UNDOCKED
-                if stopped:
-                    return
         # leave truck u unassigned: its pairs contribute exactly zero, and no
         # accumulator list is written once built, so the child shares this one
         child = rest - skip
@@ -502,14 +499,14 @@ def branch_and_bound(
 
     # each truck's block starts at its unary row and optimum
     accs = [x for v in reversed(order) for x in tables.unary[v] + [tables.unary_opt[v]]]
+    status = "optimal"
     try:
         recurse(0, root, accs)
-    except subproblem._SelectionTimeout:
-        stopped = True
+    except subproblem._OutOfBudget:
+        status = "budget_exhausted"
 
     solution = tables.build_solution(list(best_y))
     breakdown = objective_value(inst, solution, form, include_diagonal)
-    status = "budget_exhausted" if stopped else "optimal"
     return OptimizeResult(
         best=solution,
         objective=breakdown,

@@ -345,7 +345,7 @@ def check_solution(
 class Rules:
     """The model rules of one instance and formulation, in both diagonal modes.
 
-    Every table is 0-based:
+    Every table is 0-based, though :meth:`load` takes 1-based (i, j) pairs:
 
     * ``time_ok[i][j][k][l]`` is true where z_ijkl = 1 passes time
       feasibility. With the margin d_j - a_i - t_kl (:func:`time_margin`),
@@ -361,8 +361,11 @@ class Rules:
       sorted ``events``, which is ``units`` for lo <= r < hi and 0 elsewhere
       (units = -f_ij when d_j comes before a_i). :meth:`load` sums it over a
       transfer set.
-    * ``ct[k][l]`` is c_kl * t_kl, ``pf[i][j]`` is p_ij * f_ij and
-      ``capacity`` is the buffer's, ``math.inf`` when unbounded.
+    * ``ct[k][l]`` is c_kl * t_kl and ``pf[i][j]`` is p_ij * f_ij.
+    * ``limit`` is the fit rule of every capacity row: a load x fits iff
+      x - capacity <= EPS, that is iff x <= ``limit``, the largest float
+      that passes (the float capacity + EPS can round either way of it);
+      ``math.inf`` when the buffer is unbounded.
     """
 
     events: tuple[float, ...]
@@ -373,7 +376,7 @@ class Rules:
     hold: tuple
     ct: tuple
     pf: tuple
-    capacity: float
+    limit: float
 
     def load(self, pairs) -> list[float]:
         """Buffer occupancy at each event when the 1-based (i, j) ``pairs`` ship."""
@@ -440,6 +443,13 @@ def compile_rules(inst: Instance, form: Formulation, /) -> Rules:
         )
         for i in trucks
     )
+    # step to the largest x with x - cap <= EPS (inf - inf is NaN: inf stays)
+    cap = math.inf if inst.capacity is None else inst.capacity
+    limit = cap + EPS
+    while limit - cap > EPS:
+        limit = math.nextafter(limit, -math.inf)
+    while math.nextafter(limit, math.inf) - cap <= EPS:
+        limit = math.nextafter(limit, math.inf)
     return Rules(
         events=events,
         time_ok=tuple(time_ok),
@@ -451,7 +461,7 @@ def compile_rules(inst: Instance, form: Formulation, /) -> Rules:
             tuple(inst.transfer_cost[k][l] * t[k][l] for l in docks) for k in docks
         ),
         pf=tuple(tuple(inst.penalty[i][j] * f[i][j] for j in trucks) for i in trucks),
-        capacity=math.inf if inst.capacity is None else inst.capacity,
+        limit=limit,
     )
 
 

@@ -47,8 +47,8 @@ class TransferSelection:
     total_gain: float
 
 
-class _SelectionTimeout(Exception):
-    """:func:`select_items` passed its deadline before the search ended."""
+class _OutOfBudget(Exception):
+    """A search ran out of nodes or time; :func:`select_items` raises it."""
 
 
 class DockConflictError(ValueError):
@@ -83,10 +83,10 @@ def induced_transfers_crossdock(inst: Instance, dock) -> Solution | Infeasibilit
                 ConstraintId(F.SAME_DOCK_TW, (i, j, k)),
                 ConstraintId(F.PAIR_FORCING, (i, j, k, l)),
             )
-    if forced and not inst.unbounded_capacity:
+    if forced and rules.limit < math.inf:
         load = rules.load((i, j) for i, j, _, _ in forced)
         for r, occ in enumerate(load, 1):
-            if occ - rules.capacity > EPS:
+            if occ > rules.limit:
                 return InfeasibilityWitness(ConstraintId(F.CAPACITY, (r,)), None)
     for i, j, k, l in forced:
         if not rules.time_ok[i - 1][j - 1][k - 1][l - 1]:
@@ -115,7 +115,7 @@ def select_items(
     gains: Sequence[float],
     holds: Sequence[tuple[int, int, float]],
     base: Sequence[float],
-    capacity: float,
+    limit: float,
     floor: float | None = None,
     deadline: float | None = None,
 ) -> tuple[list[int], float] | None:
@@ -129,15 +129,13 @@ def select_items(
     d_j - a_i - t_kl > EPS, a strict-literal self-flow has a_i < d_i), so
     loads only grow along a search path and a load checked as an item is
     added never exceeds the final one. ``picked`` lists item indices in
-    ascending order. A load x fits iff x - capacity <= EPS, the test of
-    every other capacity row; the search compares x with ``limit``, the
-    largest float that fits, as the float capacity + EPS can round either
-    way of it. When every item fits, as always under an unbounded
-    buffer's ``capacity`` of ``math.inf``, all are taken. Otherwise a
-    ``base`` that does not fit raises ValueError, and an exact
-    depth-first search runs, "take" before "leave out". Ties between optimal
-    subsets go to the lexicographically first, so callers that list items in
-    the same order pick the same subset.
+    ascending order. A load x fits iff x <= ``limit``, the fit rule that
+    :attr:`Rules.limit` compiles for every capacity row. When every item
+    fits, as always under an unbounded buffer's ``limit`` of ``math.inf``,
+    all are taken. Otherwise a ``base`` that does not fit raises
+    ValueError, and an exact depth-first search runs, "take" before "leave
+    out". Ties between optimal subsets go to the lexicographically first, so
+    callers that list items in the same order pick the same subset.
 
     Rows: only the events that some subset can overload are checked, those
     where ``base`` plus every unit, summed in index order, does not fit, and
@@ -159,16 +157,8 @@ def select_items(
 
     ``deadline``: a :func:`time.perf_counter` reading; the search reads the
     clock at its first node and every 1,024 nodes after, and raises
-    ``_SelectionTimeout`` once the deadline has passed.
+    ``_OutOfBudget`` once the deadline has passed.
     """
-    limit = capacity + EPS
-    if limit < math.inf:
-        # x - capacity <= EPS is monotone in x: step to the largest x it holds for
-        while limit - capacity > EPS:
-            limit = math.nextafter(limit, -math.inf)
-        while math.nextafter(limit, math.inf) - capacity <= EPS:
-            limit = math.nextafter(limit, math.inf)
-
     # per-pair rule: take everything if capacity never binds
     occ_all = list(base)
     for lo, hi, units in holds:
@@ -236,7 +226,7 @@ def select_items(
     idx, gain, visits = 0, 0.0, 0
     while True:
         if visits & 1023 == 0 and deadline is not None and time.perf_counter() > deadline:
-            raise _SelectionTimeout
+            raise _OutOfBudget
         visits += 1
         if gain + suffix[idx] > best_gain + EPS:
             if idx == len(gains):  # a leaf that keeps more than the best
@@ -290,7 +280,7 @@ def select_transfers(
         [item[4] for item in viable],
         [rules.hold[i - 1][j - 1] for i, j, _, _, _ in viable],
         rules.load((i, j) for i, j, _, _ in forced),
-        rules.capacity,
+        rules.limit,
     )
     return tuple(viable[x][:4] for x in picked), total
 

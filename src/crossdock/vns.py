@@ -42,6 +42,7 @@ class VnsConfig:
 
     def __post_init__(self):
         _check_count("iter_max", self.iter_max)
+        _check_count("rng_seed", self.rng_seed)
         if self.time_budget is not None:
             _check_seconds("time_budget", self.time_budget)
 
@@ -108,13 +109,13 @@ def vns_solve(
     Every query makes one pricing call, :meth:`_Tables.leaf_value`, which
     answers None for a clash too. The run memo holds, per assignment
     visited, its full result (None for an infeasible assignment) or the
-    highest target it failed to beat. Under a finite capacity the N_1 and
-    N_2 moves pass the running best as that target, and a neighbour that
-    cannot beat it is priced no further: a later visit at a target no higher
-    is answered from the memo, a higher target or a full query (the greedy
-    start, ``_repair`` and the final value) prices it again. Under an unbounded capacity every
-    query is priced in full, one table sum, so the memo answers every
-    revisit.
+    highest target it failed to beat. Under a finite ``Rules.limit`` the
+    N_1 and N_2 moves pass the running best as that target, and a neighbour
+    that cannot beat it is priced no further: a later visit at a target no
+    higher is answered from the memo, a higher target or a full query (the
+    greedy start, ``_repair`` and the final value) prices it again. Under an
+    unbounded buffer (``limit`` of ``math.inf``) every query is priced in
+    full, one table sum, so the memo answers every revisit.
     """
     start = time.perf_counter()
     validate_instance(inst)
@@ -138,7 +139,7 @@ def vns_solve(
             return memo[key]
         if target <= beaten.get(key, -math.inf):
             return None
-        if inst.unbounded_capacity:
+        if tables.rules.limit == math.inf:
             target = math.inf  # a full value answers every later visit
         result = tables.leaf_value(y0, target, deadline)
         if result is None and target < math.inf:
@@ -213,7 +214,7 @@ def vns_solve(
                 else:
                     k += 1
             trace.append(incumbent_value)
-    except subproblem._SelectionTimeout:
+    except subproblem._OutOfBudget:
         if not trace:  # the greedy start did not finish
             incumbent = [_UNDOCKED] * n
             incumbent_value = tables.leaf_value(incumbent)

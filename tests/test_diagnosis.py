@@ -262,7 +262,7 @@ def _quadratic_find_conflict(inst, dock, form):
             if not cap_rows:
                 return False
             load = rules.load((i, j) for (i, j, _, _) in up)
-            return any(load[c.indices[0] - 1] - rules.capacity > EPS for c in cap_rows)
+            return any(load[c.indices[0] - 1] - inst.capacity > EPS for c in cap_rows)
 
     candidates.sort(key=lambda c: (c.family, c.indices))
     if not clash(candidates):
@@ -289,7 +289,7 @@ def _clash_sources(inst, dock):
     overload = (
         bool(forced)
         and not inst.unbounded_capacity
-        and any(x - rules.capacity > EPS for x in load)
+        and any(x - inst.capacity > EPS for x in load)
     )
     late = any(not rules.time_ok[i - 1][j - 1][k - 1][l - 1] for i, j, k, l in forced)
     return same_dock, overload, late

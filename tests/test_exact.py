@@ -409,7 +409,7 @@ def test_selection_memo_answers_as_a_fresh_selection(monkeypatch):
             [item[4] for item in items],
             [rules.hold[i][j] for i, j, _, _, _ in items],
             base,
-            rules.capacity,
+            rules.limit,
             floor=floor,
         )
 
@@ -601,11 +601,11 @@ def test_a_deadline_stops_the_selection_kernel_only_once_passed():
             [item[4] for item in items],
             [tables.rules.hold[i][j] for i, j, _, _, _ in items],
             base,
-            tables.rules.capacity,
+            tables.rules.limit,
             deadline=deadline,
         )
 
-    with pytest.raises(subproblem._SelectionTimeout):
+    with pytest.raises(subproblem._OutOfBudget):
         select(8, time.perf_counter() - 1)
     assert select(4, time.perf_counter() + 60) == select(4, None) == ([0, 1, 2, 4, 6], 195.0)
 

@@ -14,7 +14,7 @@ from crossdock.formulations import (
     occupancy_at,
 )
 from crossdock.instance_io import generate, load_fixture_instance
-from crossdock.model import Instance, Solution, event_times
+from crossdock.model import EPS, Instance, Solution, event_times
 
 from conftest import tiny_two_truck, touching_windows, within_eps
 
@@ -136,7 +136,12 @@ def test_summed_profiles_match_occupancy_and_capacity_rows(form, include_diagona
     for inst in INSTANCES:
         rules = compile_rules(inst, form)
         assert rules.events == event_times(inst)
-        assert rules.capacity == (math.inf if inst.unbounded_capacity else inst.capacity)
+        # the largest load that passes the checker's occ - capacity <= EPS
+        if inst.unbounded_capacity:
+            assert rules.limit == math.inf
+        else:
+            assert rules.limit - inst.capacity <= EPS
+            assert math.nextafter(rules.limit, math.inf) - inst.capacity > EPS
         everything = _everything(inst, include_diagonal)
         report = check_solution(inst, everything, form, include_diagonal)
         over = {
@@ -152,7 +157,7 @@ def test_summed_profiles_match_occupancy_and_capacity_rows(form, include_diagona
             summed = sum(units for lo, hi, units in holds if lo <= r < hi)
             assert summed == occupancy_at(inst, everything, t_r, include_diagonal)
             assert load[r] == occupancy_at(inst, everything, t_r, include_diagonal)
-            assert (summed - rules.capacity > 1e-9) == (r + 1 in over)
+            assert (summed > rules.limit) == (r + 1 in over)
     assert binding > 0, "capacity never binds; the capacity check is vacuous"
 
 

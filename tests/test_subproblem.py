@@ -13,6 +13,7 @@ from crossdock.formulations import (
     ConstraintId,
     Formulation,
     check_solution,
+    compile_rules,
 )
 from crossdock.instance_io import generate
 from crossdock.model import EPS, Instance, Solution
@@ -267,10 +268,16 @@ def test_induced_solutions_always_pass_the_checker(nine_truck):
     assert beside_time[F.SAME_DOCK_TW] > 0 and beside_time[F.CAPACITY] > 0
 
 
+def _limit(capacity):
+    """The compiled fit limit of a buffer of ``capacity``."""
+    return compile_rules(tiny_two_truck(capacity=capacity), Formulation.R_CROSS_DOCK).limit
+
+
 def _first_best_subset(gains, holds, base, capacity):
     """Plain-enumeration twin of ``select_items``: every subset, loads summed
-    over the full ``hold`` intervals at every event, the first best subset in
-    the kernel's order (item 0 taken before item 0 left out, and so on)."""
+    over the full ``hold`` intervals at every event and tested as the checker
+    tests them, the first best subset in the kernel's order (item 0 taken
+    before item 0 left out, and so on)."""
     best = None
     for take in itertools.product((True, False), repeat=len(gains)):
         picked = [x for x in range(len(gains)) if take[x]]
@@ -279,7 +286,7 @@ def _first_best_subset(gains, holds, base, capacity):
             lo, hi, units = holds[x]
             for r in range(lo, hi):
                 load[r] += units
-        if any(v > capacity + EPS for v in load):
+        if any(v - capacity > EPS for v in load):
             continue
         gain = sum(gains[x] for x in picked)
         if best is None or gain > best[1] + EPS:
@@ -288,12 +295,14 @@ def _first_best_subset(gains, holds, base, capacity):
 
 
 def _assert_selection_matches_enumeration(gains, holds, base, capacity):
-    """The kernel against its twin, without a floor and with floors on both
-    sides of the optimum; True if the capacity binds."""
+    """The kernel at the compiled limit against its twin at ``capacity``,
+    without a floor and with floors on both sides of the optimum; True if the
+    capacity binds."""
     picked, gain = _first_best_subset(gains, holds, base, capacity)
-    assert subproblem.select_items(gains, holds, base, capacity) == (picked, gain)
+    limit = _limit(capacity)
+    assert subproblem.select_items(gains, holds, base, limit) == (picked, gain)
     for floor in (-1.0, 0.0, gain - 1.0, gain - 0.25, gain, gain + 0.5):
-        result = subproblem.select_items(gains, holds, base, capacity, floor=floor)
+        result = subproblem.select_items(gains, holds, base, limit, floor=floor)
         assert result == (None if gain <= floor + EPS else (picked, gain)), floor
     return gain < sum(gains)
 
@@ -334,7 +343,7 @@ def test_select_items_matches_plain_enumeration_on_decide_items():
                     [item[4] for item in items],
                     [hold[i][j] for i, j, _, _, _ in items],
                     base,
-                    tables.rules.capacity,
+                    inst.capacity,
                 )
                 checked += 1
     assert binding > 100, (checked, binding)
@@ -373,7 +382,9 @@ def test_select_items_takes_a_thousand_items_on_one_event():
     assert gain == 999.0
 
 
-_BOUNDARY_CAPACITIES = (0.25, 0.5, 1.0, 3.0, 5.5, 100.0, 1e5)
+# at 2**53 and 1e17 a float step exceeds EPS: the float capacity + EPS is
+# the capacity itself
+_BOUNDARY_CAPACITIES = (0.25, 0.5, 1.0, 3.0, 5.5, 100.0, 1e5, 2.0**53, 1e17)
 
 
 def _boundary_loads(capacity):
@@ -390,11 +401,27 @@ def _boundary_loads(capacity):
 @pytest.mark.parametrize("capacity", _BOUNDARY_CAPACITIES)
 def test_select_items_fits_a_load_as_the_checker_does(capacity):
     # the float capacity + EPS can round above the largest load that passes
-    # occ - capacity <= EPS; a load between the two was taken and then
-    # rejected by every other capacity row
+    # occ - capacity <= EPS; the compiled limit is that load, so the kernel
+    # takes no load between the two that every other capacity row rejects
+    limit = _limit(capacity)
     for units in _boundary_loads(capacity):
-        picked, _ = subproblem.select_items([1.0], [(0, 1, units)], [0.0], capacity)
+        picked, _ = subproblem.select_items([1.0], [(0, 1, units)], [0.0], limit)
         assert picked == ([0] if units - capacity <= EPS else []), units
+
+
+def _boundary_instance(capacity, f12):
+    """Two trucks, two docks: only (1, 2) has flow, buffered at events 1-3."""
+    return Instance(
+        n=2,
+        m=2,
+        arrival=(0.0, 2.0),
+        departure=(3.0, 5.0),
+        transfer_time=((0.0, 0.0), (0.0, 0.0)),
+        transfer_cost=((1.0, 1.0), (1.0, 1.0)),
+        flow=((0.0, f12), (0.0, 0.0)),
+        penalty=((0.0, 10.0), (0.0, 0.0)),
+        capacity=capacity,
+    )
 
 
 @pytest.mark.parametrize("capacity", _BOUNDARY_CAPACITIES)
@@ -402,17 +429,7 @@ def test_solvers_ship_what_the_checker_accepts_at_the_capacity_boundary(capacity
     # one buffered transfer (1,2,1,2) whose load sits at capacity + EPS:
     # every solver's answer must pass the literal checker in both models
     for f12 in _boundary_loads(capacity):
-        inst = Instance(
-            n=2,
-            m=2,
-            arrival=(0.0, 2.0),
-            departure=(3.0, 5.0),
-            transfer_time=((0.0, 0.0), (0.0, 0.0)),
-            transfer_cost=((1.0, 1.0), (1.0, 1.0)),
-            flow=((0.0, f12), (0.0, 0.0)),
-            penalty=((0.0, 10.0), (0.0, 0.0)),
-            capacity=capacity,
-        )
+        inst = _boundary_instance(capacity, f12)
         for form in Formulation:
             for result in (
                 branch_and_bound(inst, form),
@@ -421,3 +438,26 @@ def test_solvers_ship_what_the_checker_accepts_at_the_capacity_boundary(capacity
             ):
                 report = check_solution(inst, result.best, form)
                 assert report.feasible, (f12, form, report.violations)
+
+
+@pytest.mark.parametrize("capacity", _BOUNDARY_CAPACITIES)
+def test_every_crossdock_capacity_test_agrees_with_the_checker_at_the_boundary(capacity):
+    # docks (1, 2) force (1,2,1,2), which buffers f_12 at events 1-3, and
+    # (2,1,2,1), which buffers nothing: the CROSS-DOCK verdict, the conflict
+    # set and the tables' leaf price call the load an overload exactly where
+    # the checker reports a capacity row
+    forced = Solution(dock=(1, 2), transfers=((1, 2, 1, 2), (2, 1, 2, 1)))
+    row = ConstraintId(ConstraintFamily.CAPACITY, (1,))
+    seen = set()
+    for f12 in _boundary_loads(capacity):
+        inst = _boundary_instance(capacity, f12)
+        violated = check_solution(inst, forced, Formulation.CROSS_DOCK).constraint_ids()
+        over = row in violated
+        seen.add(over)
+        witness = induced_transfers_crossdock(inst, forced.dock)
+        assert witness == (InfeasibilityWitness(row, None) if over else forced), f12
+        conflict = find_conflict(inst, forced.dock, Formulation.CROSS_DOCK)
+        assert (conflict is not None and row in conflict.constraints) == over, f12
+        leaf = _Tables(inst, Formulation.CROSS_DOCK, False).leaf_value([0, 1])
+        assert (leaf is None) == over, f12
+    assert seen == {False, True}

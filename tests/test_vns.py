@@ -31,11 +31,15 @@ def test_fixed_seed_gives_identical_traces(nine_truck):
         {"iter_max": 2.5},
         {"time_budget": float("nan")},
         {"time_budget": -0.5},
+        {"rng_seed": -1},
+        {"rng_seed": 1.5},
+        {"rng_seed": True},
     ],
 )
 def test_an_invalid_config_is_refused(kwargs):
     # a NaN time budget never runs out, and a negative iteration count would
-    # silently run none
+    # silently run none; numpy rejects a negative or fractional seed only once
+    # the search starts, and would read True as seed 1
     with pytest.raises(ValueError):
         VnsConfig(**kwargs)
 
