@@ -13,20 +13,23 @@ dock, kept in one flat list per level with the truck branched on next in the
 last block. A child's bound moves by one or two entries; a docked child adds
 one precomputed flat pair row to the list in a single pass, O(m) work per
 undecided truck, and an unassigned child shares its parent's list.
-``_Tables`` derives
-from the compiled rules (:func:`crossdock.formulations.compile_rules`) one
-entry per decision the search makes: one number per pair of docked trucks,
-what the pair adds in both directions, infinite where the two may not both
-be docked that way (CROSS-DOCK: a forced transfer fails; R-CROSS-DOCK: a
-shared dock with overlapping windows), and one per truck for its
-strict-literal self-flow at its dock (a unary term, or a constant in the base
-under CROSS-DOCK). A clash therefore makes a child's bound infinite, and an
-assignment's table value (``_Tables.fast_value``) too: every solver's clash
-test asks whether that value is finite. The search reads these tables and
-never branches on the model or the diagonal mode. Leaves are priced from the tables too, by one route,
-``_Tables.leaf_value``: the table value, plus under a finite capacity the
-gain that the buffer forces the assignment to give up, chosen by the
-selection kernel of the subproblem module
+``_Tables`` derives from the compiled rules
+(:func:`crossdock.formulations.compile_rules`) one entry per decision the
+search makes: one number per pair of docked trucks, what the pair adds in both
+directions, infinite where the two may not both be docked that way
+(CROSS-DOCK: a forced transfer fails; R-CROSS-DOCK: a shared dock with
+overlapping windows), and one per truck for its strict-literal self-flow at
+its dock (a unary term, or a constant in the base under CROSS-DOCK). A clash
+therefore makes a child's bound infinite, and an assignment's table value
+(``_Tables.fast_value``) too: every solver's clash test asks whether that
+value is finite. Each truck pair is built once, in one table read from either
+truck's side, and one helper, ``_net``, values a transfer in one direction and
+holds the tables' ship rule: a transfer that is not forced ships iff the rules
+allow it and it gains more than EPS. The search reads these tables and never
+branches on the model or the diagonal mode. Leaves are priced from the tables
+too, by one route, ``_Tables.leaf_value``: the table value, plus under a
+finite capacity the gain that the buffer forces the assignment to give up,
+chosen by the selection kernel of the subproblem module
 (:func:`crossdock.subproblem.select_items`). A caller with a target only has
 to learn whether the assignment beats it, so a table value that already
 misses the target ends the pricing, and otherwise the kernel gets a floor on
@@ -140,10 +143,11 @@ class ModelComparison:
     rcd_best_under_cd: ViolationReport
 
 
-def _shipped(delta: float) -> float:
-    """Net delta of an optional transfer: it ships iff it gains more than EPS,
-    so :meth:`_Tables._choice` lists an item wherever this is negative."""
-    return delta if delta < -EPS else 0.0
+def _net(delta: float, allowed: bool) -> float:
+    """What a transfer that is not forced adds to the objective, given its net
+    delta c_kl t_kl - p_ij f_ij and whether the rules allow it: the delta if
+    it ships, which is iff allowed and it gains more than EPS, else 0.0."""
+    return delta if allowed and delta < -EPS else 0.0
 
 
 class _Tables:
@@ -152,7 +156,7 @@ class _Tables:
     def __init__(self, inst: Instance, form: Formulation, include_diagonal: bool):
         n, m = inst.n, inst.m
         rules = compile_rules(inst, form)
-        self.inst = inst
+        self.inst, self.rules = inst, rules
         self.diag = include_diagonal
         self.cd = form is Formulation.CROSS_DOCK
         self.n, self.m = n, m
@@ -162,61 +166,51 @@ class _Tables:
         self.weight = [sum(pf[i][j] + pf[j][i] for j in range(n) if j != i) for i in range(n)]
         self.order = sorted(range(n), key=lambda i: (-self.weight[i], inst.arrival[i], i))
 
-        # half[i][j][k][l]: net objective delta of the transfer i -> j when
-        # i@k and j@l, relative to the all-penalties baseline; infinite where
-        # the two trucks may not both be docked that way (CROSS-DOCK: a forced
-        # transfer fails; R-CROSS-DOCK: a shared dock with overlapping
-        # windows). opt[i][j]: its optimistic value (0 = not both docked).
-        half = [[[[0.0] * m for _ in range(m)] for _ in range(n)] for _ in range(n)]
-        opt = [[0.0] * n for _ in range(n)]
-        for i, j in itertools.permutations(range(n), 2):
-            for k in range(m):
-                for l in range(m):
-                    delta = ct[k][l] - pf[i][j]
-                    if self.cd:  # every docked pair ships
-                        ok = allowed[i][j][k][l] and allowed[j][i][l][k]
-                        value = delta
-                    else:  # ships only if allowed and worth more than EPS
-                        ok = k != l or not overlap[i][j]
-                        value = _shipped(delta) if allowed[i][j][k][l] else 0.0
-                    if ok:
-                        opt[i][j] = min(opt[i][j], value)
-                    half[i][j][k][l] = value if ok else math.inf
-        self.half = half
+        # pair[i][j][k][l]: what the transfers i -> j and j -> i add when i@k
+        # and j@l (CROSS-DOCK forces both, R-CROSS-DOCK ships each by _net),
+        # summed in that order; infinite where the two may not both be docked
+        # that way. pair_opt[i][j]: each direction's least value where they
+        # may, summed (0 = not both docked). Built once per truck pair and
+        # written from both sides: pair[j][i][l][k] is pair[i][j][k][l]
+        cd, docks = self.cd, range(m)
+        pair = self.pair = [[None] * n for _ in range(n)]
+        pair_opt = self.pair_opt = [[0.0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            ij = [[math.inf] * m for _ in docks]
+            ji = [[math.inf] * m for _ in docks]
+            opt_ij = opt_ji = 0.0
+            allowed_ij, allowed_ji, apart = allowed[i][j], allowed[j][i], not overlap[i][j]
+            pf_ij, pf_ji = pf[i][j], pf[j][i]
+            for k in docks:
+                for l in docks:
+                    if allowed_ij[k][l] and allowed_ji[l][k] if cd else k != l or apart:
+                        to_j, to_i = ct[k][l] - pf_ij, ct[l][k] - pf_ji
+                        if not cd:
+                            to_j = _net(to_j, allowed_ij[k][l])
+                            to_i = _net(to_i, allowed_ji[l][k])
+                        opt_ij, opt_ji = min(opt_ij, to_j), min(opt_ji, to_i)
+                        ij[k][l] = ji[l][k] = to_j + to_i
+            pair[i][j], pair[j][i] = ij, ji
+            pair_opt[i][j] = pair_opt[j][i] = opt_ij + opt_ji
 
-        # one number per truck pair and dock pair, read by the search from
-        # either truck's side: pair[i][j][k][l] == pair[j][i][l][k]
-        docks = range(m)
-        self.pair = [
-            [
-                [[half[i][j][k][l] + half[j][i][l][k] for l in docks] for k in docks]
-                for j in range(n)
-            ]
-            for i in range(n)
+        # strict-literal self-transfers, allowed only in that mode: free in
+        # CROSS-DOCK, so a constant in the base; R-CROSS-DOCK ships truck i's
+        # self-flow through its own dock k, a unary term unary[i][k] with
+        # optimistic value unary_opt[i] (CROSS-DOCK's become free_items,
+        # (i, i, k, l, gain) at the cheapest dock pair (k, l) for each
+        # self-transfer that ships, which the selection picks from; the base
+        # ships them all)
+        self.free_items = [
+            (i - 1, i - 1, k - 1, l - 1, gain)
+            for i, _, k, l, gain in subproblem.diagonal_candidates_crossdock(inst)
+            if _net(-gain, include_diagonal and cd) < 0
         ]
-        self.pair_opt = [[opt[i][j] + opt[j][i] for j in range(n)] for i in range(n)]
-
-        # strict-literal self-transfers: free in CROSS-DOCK, so a constant in
-        # the base; R-CROSS-DOCK ships truck i's self-flow through its own dock
-        # k, a unary term unary[i][k] with optimistic value unary_opt[i]
-        # (CROSS-DOCK's become free_items, (i, i, k, l, gain) at the cheapest
-        # dock pair (k, l) for each self-transfer worth more than EPS, which
-        # the selection picks from; the base ships them all)
-        self.free_items = []
-        self.unary = [[0.0] * m for _ in range(n)]
-        if include_diagonal and self.cd:
-            self.free_items = [
-                (i - 1, i - 1, k - 1, l - 1, gain)
-                for i, _, k, l, gain in subproblem.diagonal_candidates_crossdock(inst)
-                if gain > EPS
-            ]
-        elif include_diagonal:
-            self.unary = [[_shipped(ct[k][k] - pf[i][i]) for k in range(m)] for i in range(n)]
+        strict = include_diagonal and not cd
+        self.unary = [[_net(ct[k][k] - pf[i][i], strict) for k in docks] for i in range(n)]
         self.unary_opt = [min(row) for row in self.unary]
         self.base = total_penalty_constant(inst, include_diagonal) - sum(
             item[4] for item in self.free_items
         )
-        self.rules = rules
         self._no_load = (0.0,) * len(rules.events)
         self._memo = {}
 
@@ -251,11 +245,11 @@ class _Tables:
 
         ``forced`` lists the transfers that docking forces (CROSS-DOCK: every
         docked pair; R-CROSS-DOCK: none) and ``items`` the choosable transfers
-        worth more than EPS (CROSS-DOCK: the strict-literal self-flows, at the
-        cheapest dock pair; R-CROSS-DOCK: every transfer whose ``half`` or
-        ``unary`` entry is negative, gaining minus that entry), as 0-based
-        (i, j, k, l) and (i, j, k, l, gain) tuples in (i, j) order; ``base``
-        is the forced load at each event.
+        that ship (CROSS-DOCK: the strict-literal self-flows, at the cheapest
+        dock pair; R-CROSS-DOCK: every docked transfer whose :func:`_net`, or
+        ``unary`` entry on the diagonal, is negative, gaining minus that), as
+        0-based (i, j, k, l) and (i, j, k, l, gain) tuples in (i, j) order;
+        ``base`` is the forced load at each event.
         """
         rules = self.rules
         docked = [(i, y0[i]) for i in range(self.n) if y0[i] != _UNDOCKED]
@@ -265,11 +259,14 @@ class _Tables:
             if any(occ > rules.limit for occ in base):
                 return None
             return forced, self.free_items, base
-        half, unary = self.half, self.unary
+        ct, pf, allowed, unary = rules.ct, rules.pf, rules.allowed, self.unary
         items = []
         for i, ki in docked:
             for j, kj in docked:
-                value = unary[i][ki] if i == j else half[i][j][ki][kj]
+                if i == j:
+                    value = unary[i][ki]
+                else:
+                    value = _net(ct[ki][kj] - pf[i][j], allowed[i][j][ki][kj])
                 if value < 0:
                     items.append((i, j, ki, kj, -value))
         return [], items, self._no_load
@@ -331,7 +328,7 @@ class _Tables:
         full value.
 
         The value comes from the tables alone: :meth:`fast_value`, which
-        ships every transfer worth more than EPS, plus, under a finite
+        ships every transfer that :func:`_net` ships, plus, under a finite
         ``limit``, the gain of the items that :meth:`_select` leaves out. The
         table value is read first, and an assignment whose table value does
         not beat ``target`` - EPS is dropped before the buffer is looked at,

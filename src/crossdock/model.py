@@ -15,6 +15,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 EPS = 1e-9
@@ -106,6 +107,18 @@ class Instance:
         return replace(self, capacity=capacity)
 
 
+def _indices(values) -> tuple[int, ...]:
+    """``values`` as a tuple of ints: ValueError for a bool or any value that
+    is not an integer (numpy integers pass), rather than truncating it."""
+    values = tuple(values)
+    if all(type(x) is int for x in values):  # the common case, and fast
+        return values
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise ValueError(f"a truck or dock index must be an integer, got {x!r}")
+    return tuple(int(x) for x in values)
+
+
 @dataclass(frozen=True)
 class Solution:
     """A partial dock assignment plus selected transfers.
@@ -120,19 +133,19 @@ class Solution:
     transfers: tuple[tuple[int, int, int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "dock", tuple(int(x) for x in self.dock))
+        object.__setattr__(self, "dock", _indices(self.dock))
+        transfers = [tuple(transfer) for transfer in self.transfers]
+        if not all(type(x) is int for transfer in transfers for x in transfer):
+            transfers = [_indices(transfer) for transfer in transfers]
         seen: dict[tuple[int, int], tuple[int, int]] = {}
-        for (i, j, k, l) in self.transfers:
+        for (i, j, k, l) in transfers:
             if (i, j) in seen and seen[(i, j)] != (k, l):
                 raise ValueError(
                     f"solution has two transfers for pair ({i},{j}): "
                     f"{seen[(i, j)]} and {(k, l)}"
                 )
             seen[(i, j)] = (k, l)
-        canonical = tuple(
-            sorted({(int(i), int(j), int(k), int(l)) for (i, j, k, l) in self.transfers})
-        )
-        object.__setattr__(self, "transfers", canonical)
+        object.__setattr__(self, "transfers", tuple(sorted(set(transfers))))
 
     @classmethod
     def empty(cls, n: int) -> Solution:
@@ -146,12 +159,12 @@ class Solution:
 def _dock_array(inst: Instance, dock) -> tuple[int, ...]:
     """The dock array of ``dock`` (a Solution or a sequence of 1-based docks,
     0 for unassigned), checked against ``inst``: ValueError unless it has n
-    entries in 0..m and, for a Solution, every transfer names trucks in 1..n
-    and docks in 1..m."""
+    integer entries in 0..m and, for a Solution, every transfer names trucks
+    in 1..n and docks in 1..m."""
     if isinstance(dock, Solution):
         y, transfers = dock.dock, dock.transfers
     else:
-        y, transfers = tuple(int(x) for x in dock), ()
+        y, transfers = _indices(dock), ()
     n, m = inst.n, inst.m
     if len(y) != n:
         raise ValueError(f"dock array docks {len(y)} trucks but the instance has {n}")

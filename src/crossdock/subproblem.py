@@ -271,6 +271,11 @@ def select_transfers(
     exact depth-first search picks the best subset. Gains of exactly zero are
     never selected. An item that holds a backward interval (possible only on
     an instance that fails validation) raises ValueError.
+
+    This EPS filter restates the ship rule of :func:`crossdock.exact._net`
+    on purpose: this function is the oracle route that brute force takes and
+    that the tests check the tables against, so a slip in either statement of
+    the rule shows as a disagreement between the two routes.
     """
     # the capacity rows are the same in both models; the strict-literal
     # CROSS-DOCK self-transfers are selected exactly like R-CROSS-DOCK's

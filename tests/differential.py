@@ -36,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -151,13 +150,11 @@ def all_records():
         yield from records(name, inst)
 
 
-def main() -> int:
-    RECORD.parent.mkdir(exist_ok=True)
+def main() -> None:
     lines = list(all_records())
     RECORD.write_text("".join(line + "\n" for line in lines))
     print(f"wrote {len(lines)} records to {RECORD}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

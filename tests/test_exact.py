@@ -962,6 +962,24 @@ def test_node_bounds_match_the_tables_summed_from_scratch():
     assert _check_node_bounds(_scaled(generate(0, 8, 3)), rel=1e-12) > 1000
 
 
+def test_the_pair_tables_read_the_same_from_either_truck(nine_truck):
+    # branch and bound reads a pair from whichever of its trucks it branched
+    # on first, so both orientations of every entry must be the same float,
+    # on data whose sums round too
+    checked = 0
+    for base in (nine_truck, generate(0, 6, 3), generate(1, 5, 2, capacity_ratio=0.05)):
+        for inst in (_non_integer(base), _scaled(base)):
+            for form, include_diagonal in itertools.product((CD, RCD), (False, True)):
+                tables = _Tables(inst, form, include_diagonal)
+                pair, pair_opt = tables.pair, tables.pair_opt
+                for i, j in itertools.permutations(range(inst.n), 2):
+                    where = (inst.name, form, include_diagonal, i, j)
+                    assert pair_opt[i][j] == pair_opt[j][i], ("pair_opt", where)
+                    for k, l in itertools.product(range(inst.m), repeat=2):
+                        assert pair[i][j][k][l] == pair[j][i][l][k], ("pair", where, k, l)
+                        checked += pair[i][j][k][l] < math.inf
+    assert checked > 1000
+
 
 def test_shape_mismatch_between_instance_and_solution():
     inst = generate(1, n=3, m=2)

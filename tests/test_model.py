@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from crossdock import diagnosis, subproblem
@@ -300,3 +301,37 @@ def test_dock_arrays_outside_the_instance_are_rejected(nine_truck, s_star):
     assert _dock_array(fx, list(s_star.dock)) == s_star.dock
     assert _dock_array(fx, (0,) * fx.n) == (0,) * fx.n
     assert _dock_array(fx, (fx.m,) * fx.n) == (fx.m,) * fx.n
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.5, 1.0, True, False, "1"])
+def test_indices_that_are_not_integers_are_rejected(nine_truck, bad):
+    # a float dock used to be truncated (1.9 read as dock 1, and the
+    # checker called the truncated solution FEASIBLE), and a bool read as
+    # dock 1 or 0; every such index now raises ValueError, in a Solution's
+    # docks and transfers and in a plain dock array
+    fx = nine_truck
+    rest = (0,) * (fx.n - 2)
+    with pytest.raises(ValueError, match="must be an integer"):
+        Solution(dock=(bad, 2) + rest)
+    with pytest.raises(ValueError, match="must be an integer"):
+        Solution(dock=(1, 2) + rest, transfers=((bad, 2, 1, 2),))
+    with pytest.raises(ValueError, match="must be an integer"):
+        Solution(dock=(1, 2) + rest, transfers=((1, 2, 1, bad),))
+    with pytest.raises(ValueError, match="must be an integer"):
+        _dock_array(fx, (bad, 2) + rest)
+    for form in Formulation:
+        with pytest.raises(ValueError, match="must be an integer"):
+            diagnosis.find_conflict(fx, (bad, 2.7) + rest, form)
+
+
+def test_numpy_integer_indices_pass_as_ints(nine_truck, s_star):
+    dock = np.array(s_star.dock, dtype=np.int64)
+    transfers = np.array(s_star.transfers, dtype=np.int32)
+    solution = Solution(dock=tuple(dock), transfers=tuple(map(tuple, transfers)))
+    assert solution == s_star
+    assert all(type(x) is int for x in solution.dock)
+    assert _dock_array(nine_truck, dock) == s_star.dock
+    for form in Formulation:
+        assert check_solution(nine_truck, solution, form) == check_solution(
+            nine_truck, s_star, form
+        )
