@@ -24,6 +24,7 @@ from .formulations import (
     ConstraintFamily,
     ConstraintId,
     Formulation,
+    _check_form,
     compile_rules,
     time_margin,
 )
@@ -101,7 +102,9 @@ def find_conflict(
 
     Minimality is re-checked by removing each member in turn. The filter
     itself is the test twin ``tests/test_diagnosis.py::_quadratic_find_conflict``.
+    A ``form`` that is not a Formulation raises ValueError.
     """
+    _check_form(form)
     if form is Formulation.R_CROSS_DOCK:
         # every dock-conflict row clashes on its own, so the filter keeps the
         # first in sorted order: the first found, as the scan walks (i, j) in
@@ -158,8 +161,10 @@ def explain_pair(
     because the dock-to-dock operation time does not fit, which the pair
     forcing then propagates to the healthy reverse direction.
 
-    Trucks outside 1..n or docks outside 1..m raise ValueError.
+    Trucks outside 1..n or docks outside 1..m raise ValueError, as does a
+    ``form`` that is not a Formulation.
     """
+    _check_form(form)
     if i == j:
         raise ValueError("explain_pair needs two distinct trucks")
     _dock_array(inst, Solution(dock=(UNASSIGNED,) * inst.n, transfers=((i, j, k, l),)))

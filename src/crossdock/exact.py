@@ -40,9 +40,9 @@ is priced in full. Each distinct buffer problem is selected once per search
 (``_Tables._select`` keeps a memo), always exactly; a search's time budget
 reaches into the kernel as a deadline, so a runaway selection ends the
 search rather than outlasting its budget. The returned solution is built
-from the same transfer decision (``_Tables.build_solution``) and priced by
-``objective_value``, so the value the search compares and the solution it
-returns come from one route.
+from the same transfer decision (``_Tables.build_solution``), so the value
+the search compares and the solution it returns come from one route; one
+function, ``_result``, prices it with ``objective_value`` for every solver.
 
 The brute-force oracle enumerates every assignment, builds its transfers
 through the subproblem module (``_oracle_solution``) and prices them with
@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 import time
 from dataclasses import dataclass
@@ -75,6 +74,7 @@ from .formulations import (
     objective_value,
 )
 from .model import EPS, Instance, Solution, total_penalty_constant, validate_instance
+from .model import _check_count, _check_seconds
 
 BRUTE_FORCE_LIMIT = 10**6
 
@@ -88,19 +88,6 @@ _MEMO_LIMIT = 1 << 14
 
 class InstanceTooLargeError(ValueError):
     pass
-
-
-def _check_count(name: str, value) -> None:
-    """ValueError unless ``value`` is an int >= 0 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-
-
-def _check_seconds(name: str, value) -> None:
-    """ValueError unless ``value`` is a number of seconds >= 0 (not a bool):
-    NaN fails, ``inf`` passes, as in the CLI's time limits."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
-        raise ValueError(f"{name} must be a number of seconds >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +143,7 @@ class _Tables:
     def __init__(self, inst: Instance, form: Formulation, include_diagonal: bool):
         n, m = inst.n, inst.m
         rules = compile_rules(inst, form)
-        self.inst, self.rules = inst, rules
+        self.inst, self.form, self.rules = inst, form, rules
         self.diag = include_diagonal
         self.cd = form is Formulation.CROSS_DOCK
         self.n, self.m = n, m
@@ -377,6 +364,21 @@ def _oracle_solution(tables: _Tables, y0) -> Solution | None:
     return Solution(dock=y1, transfers=induced.transfers + selected)
 
 
+def _result(tables, solution, start, nodes, status, trace, rng_algorithm=None):
+    """Every solver's OptimizeResult: ``solution`` priced by objective_value,
+    the tables' root bound and the wall time since ``start``."""
+    return OptimizeResult(
+        best=solution,
+        objective=objective_value(tables.inst, solution, tables.form, tables.diag),
+        nodes_explored=nodes,
+        wall_time=time.perf_counter() - start,
+        bound_at_root=tables.base + tables.root_opt_rest(),
+        status=status,
+        trace=tuple(trace),
+        rng_algorithm=rng_algorithm,
+    )
+
+
 def branch_and_bound(
     inst: Instance,
     form: Formulation,
@@ -436,7 +438,6 @@ def branch_and_bound(
     nodes = 0
 
     base = tables.base
-    root = tables.root_opt_rest()
     order, pair, pair_opt = tables.order, tables.pair, tables.pair_opt
     # per level idx, deciding u = order[idx]: u, the offset of its
     # accumulator block, its push rows (per dock k, what docking u at k adds
@@ -498,21 +499,12 @@ def branch_and_bound(
     accs = [x for v in reversed(order) for x in tables.unary[v] + [tables.unary_opt[v]]]
     status = "optimal"
     try:
-        recurse(0, root, accs)
+        recurse(0, tables.root_opt_rest(), accs)
     except subproblem._OutOfBudget:
         status = "budget_exhausted"
 
     solution = tables.build_solution(list(best_y))
-    breakdown = objective_value(inst, solution, form, include_diagonal)
-    return OptimizeResult(
-        best=solution,
-        objective=breakdown,
-        nodes_explored=nodes,
-        wall_time=time.perf_counter() - start,
-        bound_at_root=base + root,
-        status=status,
-        trace=tuple(trace),
-    )
+    return _result(tables, solution, start, nodes, status, trace)
 
 
 def brute_force(
@@ -543,20 +535,11 @@ def brute_force(
         solution = _oracle_solution(tables, assignment)
         if solution is None:
             continue
-        breakdown = objective_value(inst, solution, form, include_diagonal)
-        if best is None or breakdown.total < best[1].total - EPS:
-            best = solution, breakdown
-            trace.append(breakdown.total)
-
-    return OptimizeResult(
-        best=best[0],
-        objective=best[1],
-        nodes_explored=nodes,
-        wall_time=time.perf_counter() - start,
-        bound_at_root=tables.base + tables.root_opt_rest(),
-        status="optimal",
-        trace=tuple(trace),
-    )
+        total = objective_value(inst, solution, form, include_diagonal).total
+        if best is None or total < trace[-1] - EPS:
+            best = solution
+            trace.append(total)
+    return _result(tables, best, start, nodes, "optimal", trace)
 
 
 def compare_models(

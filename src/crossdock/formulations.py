@@ -45,6 +45,13 @@ class Formulation(Enum):
     R_CROSS_DOCK = "r-crossdock"
 
 
+def _check_form(form) -> None:
+    """ValueError unless ``form`` is a :class:`Formulation`: the layers tell
+    the models apart by identity, so a string would select one silently."""
+    if not isinstance(form, Formulation):
+        raise ValueError(f"form must be a Formulation, got {form!r}")
+
+
 class ConstraintFamily(IntEnum):
     """Constraint families; the integer order fixes reporting order."""
 
@@ -132,8 +139,9 @@ def objective_value(
     dock assignment. Strict-literal CROSS-DOCK self-transfers are exempt from
     that check: nothing in the model links z_iikl to y. Feasibility is *not*
     checked here; use check_solution. A dock array or transfer outside the
-    instance raises ValueError.
+    instance raises ValueError, as does a ``form`` that is not a Formulation.
     """
+    _check_form(form)
     _dock_array(inst, sol)
     _check_diagonal_use(sol, include_diagonal)
     cost = 0.0
@@ -216,8 +224,10 @@ def check_solution(
     be violated. Violations are data, not errors; a dock array or transfer
     outside the instance is an error (ValueError, as in objective_value). An
     unbounded buffer has no binding capacity row: occupancy is compared with
-    ``math.inf``, as in the compiled rules.
+    ``math.inf``, as in the compiled rules. A ``form`` that is not a
+    Formulation raises ValueError.
     """
+    _check_form(form)
     _dock_array(inst, sol)
     _check_diagonal_use(sol, include_diagonal)
     xhat = compute_xhat(inst)
@@ -391,7 +401,9 @@ class Rules:
 @lru_cache(maxsize=64)
 def compile_rules(inst: Instance, form: Formulation, /) -> Rules:
     """The :class:`Rules` of an instance, cached per (instance, formulation);
-    the arguments are positional so that equal calls share one cache entry."""
+    the arguments are positional so that equal calls share one cache entry.
+    A ``form`` that is not a Formulation raises ValueError (uncached)."""
+    _check_form(form)
     n, m = inst.n, inst.m
     a, d, t, f = inst.arrival, inst.departure, inst.transfer_time, inst.flow
     cd = form is Formulation.CROSS_DOCK

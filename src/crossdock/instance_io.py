@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Instance, Solution
+from .model import Instance, Solution, _check_count
 
 _INSTANCE_KEYS = {
     "name",
@@ -87,35 +87,21 @@ def _real(x: int | float) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def _number_list(doc: dict, key: str, length: int) -> list[float]:
-    raw = _require(doc, key, list, "instance")
+def _number_list(raw, key: str, length: int) -> list[float]:
+    """``raw``, the value labelled ``key``, as ``length`` floats."""
     if not isinstance(raw, list) or len(raw) != length:
         raise SchemaError(f"instance: key '{key}' must be a list of {length} numbers")
-    out = []
     for idx, x in enumerate(raw):
         if not isinstance(x, (int, float)) or isinstance(x, bool):
             raise SchemaError(f"instance: key '{key}[{idx + 1}]' must be a number")
-        out.append(_real(x))
-    return out
+    return [_real(x) for x in raw]
 
 
-def _number_matrix(doc: dict, key: str, nrows: int, ncols: int) -> list[list[float]]:
-    raw = _require(doc, key, list, "instance")
+def _number_matrix(raw, key: str, nrows: int, ncols: int) -> list[list[float]]:
+    """``raw`` as ``nrows`` rows, each read by :func:`_number_list` as ``key[r]``."""
     if not isinstance(raw, list) or len(raw) != nrows:
         raise SchemaError(f"instance: key '{key}' must be a {nrows}x{ncols} matrix")
-    out = []
-    for r, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != ncols:
-            raise SchemaError(
-                f"instance: key '{key}[{r + 1}]' must be a list of {ncols} numbers"
-            )
-        for s, x in enumerate(row):
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise SchemaError(
-                    f"instance: key '{key}[{r + 1}][{s + 1}]' must be a number"
-                )
-        out.append([_real(x) for x in row])
-    return out
+    return [_number_list(row, f"{key}[{r + 1}]", ncols) for r, row in enumerate(raw)]
 
 
 def parse_instance(source) -> Instance:
@@ -141,15 +127,19 @@ def parse_instance(source) -> Instance:
     seed = doc.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise SchemaError("instance: key 'seed' must be an integer")
+
+    def field(key):
+        return _require(doc, key, list, "instance")
+
     return Instance(
         n=n,
         m=m,
-        arrival=_number_list(doc, "arrival", n),
-        departure=_number_list(doc, "departure", n),
-        transfer_time=_number_matrix(doc, "transfer_time", m, m),
-        transfer_cost=_number_matrix(doc, "transfer_cost", m, m),
-        flow=_number_matrix(doc, "flow", n, n),
-        penalty=_number_matrix(doc, "penalty", n, n),
+        arrival=_number_list(field("arrival"), "arrival", n),
+        departure=_number_list(field("departure"), "departure", n),
+        transfer_time=_number_matrix(field("transfer_time"), "transfer_time", m, m),
+        transfer_cost=_number_matrix(field("transfer_cost"), "transfer_cost", m, m),
+        flow=_number_matrix(field("flow"), "flow", n, n),
+        penalty=_number_matrix(field("penalty"), "penalty", n, n),
         capacity=capacity_value,
         name=name,
         seed=seed,
@@ -227,10 +217,14 @@ def generate(
     multiples of ten, all windows sit inside one day, and flows are zeroed
     wherever the destination departs before the source arrives so that every
     generated instance validates. ``capacity_ratio`` scales the total
-    off-diagonal flow; None means unbounded. A flow density outside [0, 1]
-    (NaN included), a ratio that is not a finite number > 0, or one that
-    scales the flow beyond float range, raises ValueError.
+    off-diagonal flow; None means unbounded. A seed, n or m that is not an
+    int >= 0 (a bool fails, a numpy integer is stored as an int), n or m of
+    0, a flow density outside [0, 1] (NaN included), or a ratio that is not
+    a finite number > 0 or scales the flow beyond float range raises ValueError.
     """
+    for name, value in (("seed", seed), ("n", n), ("m", m)):
+        _check_count(name, value)
+    seed, n, m = int(seed), int(n), int(m)
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
     if not 0 <= flow_density <= 1:

@@ -107,6 +107,19 @@ class Instance:
         return replace(self, capacity=capacity)
 
 
+def _check_count(name: str, value) -> None:
+    """ValueError unless ``value`` is an int >= 0 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
+def _check_seconds(name: str, value) -> None:
+    """ValueError unless ``value`` is a number of seconds >= 0 (not a bool):
+    NaN fails, ``inf`` passes, as in the CLI's time limits."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
+        raise ValueError(f"{name} must be a number of seconds >= 0, got {value!r}")
+
+
 def _indices(values) -> tuple[int, ...]:
     """``values`` as a tuple of ints: ValueError for a bool or any value that
     is not an integer (numpy integers pass), rather than truncating it."""

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import subproblem
-from .exact import OptimizeResult, _Tables, _UNDOCKED, _check_count, _check_seconds
-from .formulations import Formulation, objective_value
-from .model import EPS, Instance, validate_instance
+from .exact import OptimizeResult, _Tables, _UNDOCKED, _result
+from .formulations import Formulation
+from .model import EPS, Instance, _check_count, _check_seconds, validate_instance
 
 RNG_ALGORITHM = "PCG64"
 
@@ -221,14 +221,6 @@ def vns_solve(
         trace.append(incumbent_value)
 
     solution = tables.build_solution(incumbent)
-    breakdown = objective_value(inst, solution, form, include_diagonal)
-    return OptimizeResult(
-        best=solution,
-        objective=breakdown,
-        nodes_explored=evaluations,
-        wall_time=time.perf_counter() - start,
-        bound_at_root=tables.base + tables.root_opt_rest(),
-        status="heuristic",
-        trace=tuple(trace),
-        rng_algorithm=RNG_ALGORITHM,
+    return _result(
+        tables, solution, start, evaluations, "heuristic", trace, RNG_ALGORITHM
     )

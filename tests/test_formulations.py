@@ -1,17 +1,22 @@
 import pytest
 
+from crossdock.diagnosis import explain_pair, find_conflict
+from crossdock.exact import branch_and_bound, brute_force
 from crossdock.formulations import (
     ConstraintFamily,
     ConstraintId,
     Formulation,
     UnlinkedTransferError,
     check_solution,
+    compile_rules,
     objective_value,
     time_margin,
 )
 from crossdock.instance_io import generate
+from crossdock.lp_export import emit_lp
 from crossdock.model import Instance, Solution
 from crossdock.subproblem import optimal_transfers_rcrossdock
+from crossdock.vns import vns_solve
 
 from conftest import tiny_two_truck
 
@@ -234,3 +239,26 @@ class TestCheckSolution:
     def test_one_transfer_per_pair_is_structural(self):
         with pytest.raises(ValueError, match="two transfers"):
             Solution(dock=(1, 2), transfers=((1, 2, 1, 2), (1, 2, 2, 1)))
+
+
+_ENTRY_POINTS = {
+    "compile_rules": lambda inst, form: compile_rules(inst, form),
+    "objective_value": lambda inst, form: objective_value(inst, Solution((1, 0)), form),
+    "check_solution": lambda inst, form: check_solution(inst, Solution((1, 1)), form),
+    "find_conflict": lambda inst, form: find_conflict(inst, (1, 1), form),
+    "explain_pair": lambda inst, form: explain_pair(inst, 1, 2, 1, 1, form),
+    "branch_and_bound": branch_and_bound,
+    "vns_solve": vns_solve,
+    "brute_force": brute_force,
+    "emit_lp": emit_lp,
+}
+
+
+@pytest.mark.parametrize("form", ["crossdock", "r-crossdock", None])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_a_form_that_is_not_a_formulation_raises(entry, form):
+    # every layer compares the form by identity: before, "crossdock" read as
+    # R-CROSS-DOCK in the solvers and the checker and "r-crossdock" as
+    # CROSS-DOCK in find_conflict, and emit_lp raised AttributeError
+    with pytest.raises(ValueError, match="must be a Formulation"):
+        _ENTRY_POINTS[entry](tiny_two_truck(), form)

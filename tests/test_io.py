@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from crossdock.instance_io import (
@@ -11,6 +12,8 @@ from crossdock.instance_io import (
     serialize_solution,
 )
 from crossdock.model import Solution, validation_issues
+
+from conftest import tiny_two_truck
 
 
 def test_instance_round_trip(nine_truck):
@@ -59,6 +62,25 @@ def test_schema_errors_name_the_key():
             "transfer_time": [[0.0, 1.0]], "transfer_cost": [[0.0]],
             "flow": [[0.0]], "penalty": [[0.0]], "capacity": "unbounded",
         })
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("arrival", [0.0], "instance: key 'arrival' must be a list of 2 numbers"),
+        ("arrival", [0.0, "2"], "instance: key 'arrival[2]' must be a number"),
+        ("flow", [[0.0, 5.0]], "instance: key 'flow' must be a 2x2 matrix"),
+        ("flow", [[0, 5], [0]], "instance: key 'flow[2]' must be a list of 2 numbers"),
+        ("flow", [[0, 5], [0, True]], "instance: key 'flow[2][2]' must be a number"),
+    ],
+)
+def test_number_schema_errors_are_pinned(key, value, message):
+    # the matrix reads each row through the list reader, labelled key[r]
+    doc = json.loads(serialize_instance(tiny_two_truck()))
+    doc[key] = value
+    with pytest.raises(SchemaError) as excinfo:
+        parse_instance(doc)
+    assert str(excinfo.value) == message
 
 
 def test_capacity_unbounded_sentinel():
@@ -141,6 +163,23 @@ def test_generator_rejects_a_flow_density_outside_the_clis_rule(density):
     # flows and 1.5 the instance of 1.0
     with pytest.raises(ValueError, match="flow density"):
         generate(0, n=4, m=2, flow_density=density)
+
+
+@pytest.mark.parametrize(
+    "seed, n, m", [(True, 3, 2), (0, True, 2), (0, 3, True), (1.5, 3, 2), (0, 3.0, 2)]
+)
+def test_generator_refuses_a_bool_or_non_integer_seed_n_or_m(seed, n, m):
+    # before, a bool was stored as is and wrote a file that did not read back,
+    # and a float failed inside numpy with a TypeError
+    with pytest.raises(ValueError, match="must be an integer >= 0"):
+        generate(seed, n, m)
+
+
+def test_generator_stores_numpy_integers_as_ints():
+    inst = generate(np.int64(3), np.int64(4), np.uint8(2))
+    assert inst == generate(3, 4, 2)
+    assert [type(x) for x in (inst.seed, inst.n, inst.m)] == [int, int, int]
+    assert parse_instance(serialize_instance(inst)) == inst
 
 
 def test_unassigned_marker_is_zero():
