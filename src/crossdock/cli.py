@@ -24,6 +24,7 @@ from .model import (
     format_number,
     instance_flags,
     validate_instance,
+    validation_issues,
 )
 from .reproduce import render_report, reproduce_note
 
@@ -101,8 +102,6 @@ def _print_result(result: exact.OptimizeResult) -> None:
 
 def _cmd_validate(args) -> int:
     inst = parse_instance(Path(args.instance))
-    from .model import validation_issues
-
     issues = validation_issues(inst)
     if issues:
         for issue in issues:
@@ -149,18 +148,13 @@ def _cmd_check(args) -> int:
 
 def _cmd_compare(args) -> int:
     inst = _load_instance(args.instance, args.capacity)
-    comparison = exact.compare_models(
-        inst, exact.Budget(time_limit=args.time_limit)
-    )
+    comparison = exact.compare_models(inst, exact.Budget(time_limit=args.time_limit))
     cd, rcd = comparison.cross_dock, comparison.r_cross_dock
     print(f"crossdock optimum: {format_number(cd.objective.total)} ({cd.status})")
     print(f"r-crossdock optimum: {format_number(rcd.objective.total)} ({rcd.status})")
     print(f"absolute gap: {format_number(comparison.absolute_gap)}")
     print(f"relative gap percent: {format_number(comparison.relative_gap_percent)}")
-    print(
-        "r-crossdock optimum under crossdock: "
-        + ("FEASIBLE" if comparison.rcd_best_under_cd.feasible else "INFEASIBLE")
-    )
+    print(exact.verdict_line(comparison.rcd_best_under_cd.feasible))
     print(f"wall_time: {cd.wall_time + rcd.wall_time:.3f}s")
     return 0
 
@@ -169,14 +163,7 @@ def _cmd_diagnose(args) -> int:
     inst = _load_instance(args.instance)
     sol = parse_solution(Path(args.solution))
     conflict = diagnosis.find_conflict(inst, sol, _MODELS[args.model])
-    if conflict is None:
-        print("consistent")
-        return 0
-    print(
-        "minimal conflict set: " + ", ".join(str(c) for c in conflict.constraints)
-    )
-    print(f"minimality verified: {conflict.minimal}")
-    print(conflict.narrative)
+    print("consistent" if conflict is None else conflict.render())
     return 0
 
 
@@ -226,41 +213,48 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # one parent parser per shared argument; the positionals are parents too,
+    # so a usage error names the missing arguments in the same order
+    instance, solution, model, capacity, time_limit = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5)
+    )
+    instance.add_argument("instance")
+    solution.add_argument("solution")
+    model.add_argument("--model", choices=sorted(_MODELS), required=True)
+    capacity.add_argument("--capacity", type=_capacity_arg, default=_KEEP_CAPACITY)
+    time_limit.add_argument("--time-limit", type=_time_limit_arg, default=None)
 
-    p = sub.add_parser("validate", help="validate an instance file")
-    p.add_argument("instance")
+    p = sub.add_parser("validate", help="validate an instance file", parents=[instance])
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("solve", help="solve an instance")
-    p.add_argument("instance")
-    p.add_argument("--model", choices=sorted(_MODELS), required=True)
+    p = sub.add_parser(
+        "solve", help="solve an instance", parents=[instance, model, capacity, time_limit]
+    )
     p.add_argument("--method", choices=["bnb", "brute", "vns"], default="bnb")
     p.add_argument("--seed", type=_seed_arg, default=0)
-    p.add_argument("--capacity", type=_capacity_arg, default=_KEEP_CAPACITY)
-    p.add_argument("--time-limit", type=_time_limit_arg, default=None)
     p.set_defaults(func=_cmd_solve, usage_error=p.error)
 
-    p = sub.add_parser("check", help="check a solution file against a model")
-    p.add_argument("instance")
-    p.add_argument("solution")
-    p.add_argument("--model", choices=sorted(_MODELS), required=True)
-    p.set_defaults(func=_cmd_check)
+    sub.add_parser(
+        "check",
+        help="check a solution file against a model",
+        parents=[instance, solution, model],
+    ).set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("compare", help="solve both models and report the gap")
-    p.add_argument("instance")
-    p.add_argument("--capacity", type=_capacity_arg, default=_KEEP_CAPACITY)
-    p.add_argument("--time-limit", type=_time_limit_arg, default=None)
-    p.set_defaults(func=_cmd_compare)
+    sub.add_parser(
+        "compare",
+        help="solve both models and report the gap",
+        parents=[instance, capacity, time_limit],
+    ).set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("diagnose", help="explain why an assignment is infeasible")
-    p.add_argument("instance")
-    p.add_argument("solution")
-    p.add_argument("--model", choices=sorted(_MODELS), required=True)
-    p.set_defaults(func=_cmd_diagnose)
+    sub.add_parser(
+        "diagnose",
+        help="explain why an assignment is infeasible",
+        parents=[instance, solution, model],
+    ).set_defaults(func=_cmd_diagnose)
 
-    p = sub.add_parser("export-lp", help="write an LP-format file")
-    p.add_argument("instance")
-    p.add_argument("--model", choices=sorted(_MODELS), required=True)
+    p = sub.add_parser(
+        "export-lp", help="write an LP-format file", parents=[instance, model]
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_export_lp)
 
@@ -276,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reproduce-note",
         help="re-run the published 9-truck/6-dock counterexample analysis",
+        parents=[capacity],
     )
-    p.add_argument("--capacity", type=_capacity_arg, default=_KEEP_CAPACITY)
     p.add_argument(
         "--time-limit",
         type=_time_limit_arg,

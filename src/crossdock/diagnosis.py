@@ -38,6 +38,12 @@ class ConflictSet:
     minimal: bool
     narrative: str
 
+    def render(self) -> str:
+        """The printed block: the set, its verified minimality, the narrative."""
+        members = ", ".join(map(str, self.constraints))
+        verified = f"minimality verified: {self.minimal}"
+        return f"minimal conflict set: {members}\n{verified}\n{self.narrative}"
+
 
 def _narrative(inst: Instance, conflict: tuple[ConstraintId, ...]) -> str:
     lines = ["the following constraints cannot hold together:"]

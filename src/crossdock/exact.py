@@ -130,6 +130,12 @@ class ModelComparison:
     rcd_best_under_cd: ViolationReport
 
 
+def verdict_line(feasible: bool) -> str:
+    """The note's verdict: is the R-CROSS-DOCK optimum feasible under CROSS-DOCK?"""
+    verdict = "FEASIBLE" if feasible else "INFEASIBLE"
+    return f"r-crossdock optimum under crossdock: {verdict}"
+
+
 def _net(delta: float, allowed: bool) -> float:
     """What a transfer that is not forced adds to the objective, given its net
     delta c_kl t_kl - p_ij f_ij and whether the rules allow it: the delta if

@@ -55,7 +55,6 @@ def _check_form(form) -> None:
 class ConstraintFamily(IntEnum):
     """Constraint families; the integer order fixes reporting order."""
 
-    DOCK_UNIQUENESS = 1
     LINK_ZY_I = 2
     LINK_ZY_J = 3
     PAIR_FORCING = 4
@@ -66,7 +65,6 @@ class ConstraintFamily(IntEnum):
 
 
 _FAMILY_LABEL = {
-    ConstraintFamily.DOCK_UNIQUENESS: "DockUniqueness",
     ConstraintFamily.LINK_ZY_I: "LinkZY_i",
     ConstraintFamily.LINK_ZY_J: "LinkZY_j",
     ConstraintFamily.PAIR_FORCING: "PairForcing",

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Instance, Solution, _check_count
+from .model import Instance, Solution, _check_count, _is_number
 
 _INSTANCE_KEYS = {
     "name",
@@ -219,19 +219,22 @@ def generate(
     generated instance validates. ``capacity_ratio`` scales the total
     off-diagonal flow; None means unbounded. A seed, n or m that is not an
     int >= 0 (a bool fails, a numpy integer is stored as an int), n or m of
-    0, a flow density outside [0, 1] (NaN included), or a ratio that is not
-    a finite number > 0 or scales the flow beyond float range raises ValueError.
+    0, a flow density that is not a number in [0, 1] (NaN included), or a
+    ratio that is not a finite number > 0 or scales the flow beyond float
+    range raises ValueError; a bool or a string is not a number.
     """
     for name, value in (("seed", seed), ("n", n), ("m", m)):
         _check_count(name, value)
     seed, n, m = int(seed), int(n), int(m)
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    if not 0 <= flow_density <= 1:
+    if not _is_number(flow_density) or not 0 <= flow_density <= 1:
         raise ValueError(
             f"flow density must be a number in [0, 1], got {flow_density!r}"
         )
-    if capacity_ratio is not None and not 0 < capacity_ratio < math.inf:
+    if capacity_ratio is not None and (
+        not _is_number(capacity_ratio) or not 0 < capacity_ratio < math.inf
+    ):
         raise ValueError(
             f"capacity ratio must be a finite number > 0, got {capacity_ratio!r}"
         )

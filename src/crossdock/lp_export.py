@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .formulations import Formulation, compile_rules
+from .formulations import Formulation, _check_form, compile_rules
 from .model import EPS, Instance, total_penalty_constant
 
 _WRAP = 78
@@ -36,6 +36,7 @@ def lp_filename(instance_name: str, form: Formulation) -> str:
     """The file name for an instance's LP file: a name whose every character
     outside A-Z, a-z, 0-9, '.', '_' and '-' becomes '_', so that it names one
     file in the working directory and fits on the header's comment line."""
+    _check_form(form)
     safe = re.sub(r"[^A-Za-z0-9._-]", "_", instance_name or "instance")
     return f"{safe}__{form.value}.lp"
 

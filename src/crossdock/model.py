@@ -113,10 +113,14 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_seconds(name: str, value) -> None:
     """ValueError unless ``value`` is a number of seconds >= 0 (not a bool):
     NaN fails, ``inf`` passes, as in the CLI's time limits."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
+    if not _is_number(value) or not value >= 0:
         raise ValueError(f"{name} must be a number of seconds >= 0, got {value!r}")
 
 

@@ -15,7 +15,7 @@ strict-literal mode (self-flows included).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import diagnosis, exact
 from .formulations import (
@@ -61,10 +61,10 @@ class NoteReproduction:
     precedence_ones: tuple[tuple[int, int], ...]
     s_star: Solution
     s_prime: Solution
-    checks: dict = field(default_factory=dict)
-    conflict: diagnosis.ConflictSet | None = None
-    modes: tuple[ModeFigures, ...] = ()
-    wall_time: float = 0.0
+    checks: dict
+    conflict: diagnosis.ConflictSet | None
+    modes: tuple[ModeFigures, ...]
+    wall_time: float
 
 
 def reproduce_note(
@@ -87,9 +87,9 @@ def reproduce_note(
     xhat = compute_xhat(inst)
 
     checks: dict[tuple[str, str], ViolationReport] = {}
-    for label, sol in (("s_star", s_star), ("s_prime_star", s_prime)):
-        for form in (Formulation.CROSS_DOCK, Formulation.R_CROSS_DOCK):
-            checks[(label, form.value)] = check_solution(inst, sol, form)
+    for key, sol in (("s_star", s_star), ("s_prime_star", s_prime)):
+        for form in Formulation:
+            checks[(key, form.value)] = check_solution(inst, sol, form)
 
     conflict = diagnosis.find_conflict(inst, s_prime.dock, Formulation.CROSS_DOCK)
 
@@ -138,15 +138,6 @@ def _check_line(label: str, form: str, report: ViolationReport) -> str:
     return f"{label} under {form}: INFEASIBLE ({len(report.violations)} violations: {shown})"
 
 
-def _published_line(name: str, published: float, computed: float) -> str:
-    delta = computed - published
-    return (
-        f"{name}: published {format_number(published)}, "
-        f"computed {format_number(computed)}, "
-        f"delta {'+' if delta >= 0 else ''}{format_number(delta)}"
-    )
-
-
 def render_report(rep: NoteReproduction) -> str:
     inst = rep.instance
     cap = "unbounded" if inst.capacity is None else format_number(inst.capacity)
@@ -157,21 +148,16 @@ def render_report(rep: NoteReproduction) -> str:
         "precedence ones (i departs before j arrives): "
         + " ".join(f"x_{i}{j}" for (i, j) in rep.precedence_ones),
         "== published solutions ==",
-        _check_line("s*", "crossdock", rep.checks[("s_star", "crossdock")]),
-        _check_line("s*", "r-crossdock", rep.checks[("s_star", "r-crossdock")]),
-        _check_line("s'*", "crossdock", rep.checks[("s_prime_star", "crossdock")]),
-        _check_line("s'*", "r-crossdock", rep.checks[("s_prime_star", "r-crossdock")]),
-        "== conflict diagnosis: s'* assignment under crossdock ==",
     ]
+    for label, key in (("s*", "s_star"), ("s'*", "s_prime_star")):
+        for form in Formulation:
+            lines.append(_check_line(label, form.value, rep.checks[(key, form.value)]))
+    lines.append("== conflict diagnosis: s'* assignment under crossdock ==")
     if rep.conflict is None:
         lines.append("consistent: the assignment admits a compatible transfer set")
     else:
-        lines.append(
-            "minimal conflict set: "
-            + ", ".join(str(c) for c in rep.conflict.constraints)
-        )
-        lines.append(f"minimality verified: {rep.conflict.minimal}")
-        lines.extend(rep.conflict.narrative.splitlines())
+        lines.append(rep.conflict.render())
+    solved = lambda r: "(proven)" if r.proven_optimal else f"({r.status})"
     for figures in rep.modes:
         mode = (
             "strict-literal (self-flows included)"
@@ -180,44 +166,26 @@ def render_report(rep: NoteReproduction) -> str:
         )
         cd, rcd = figures.cross_dock, figures.r_cross_dock
         lines.append(f"== objectives, {mode} ==")
-        lines.append(
-            _published_line(
-                "evaluated s* objective",
-                PUBLISHED_CROSS_DOCK_OBJECTIVE,
-                figures.s_star_objective.total,
+        for name, published, computed in (
+            ("evaluated s* objective",
+             PUBLISHED_CROSS_DOCK_OBJECTIVE, figures.s_star_objective.total),
+            (f"solved crossdock optimum {solved(cd)}",
+             PUBLISHED_CROSS_DOCK_OBJECTIVE, cd.objective.total),
+            (f"solved r-crossdock optimum {solved(rcd)}",
+             PUBLISHED_R_CROSS_DOCK_OBJECTIVE, rcd.objective.total),
+            ("relative gap percent",
+             PUBLISHED_RELATIVE_GAP_PERCENT, figures.relative_gap_percent),
+        ):
+            delta = computed - published
+            lines.append(
+                f"{name}: published {format_number(published)}, "
+                f"computed {format_number(computed)}, "
+                f"delta {'+' if delta >= 0 else ''}{format_number(delta)}"
             )
-        )
-        lines.append(
-            _published_line(
-                "solved crossdock optimum"
-                + (" (proven)" if cd.proven_optimal else f" ({cd.status})"),
-                PUBLISHED_CROSS_DOCK_OBJECTIVE,
-                cd.objective.total,
-            )
-        )
-        lines.append(
-            _published_line(
-                "solved r-crossdock optimum"
-                + (" (proven)" if rcd.proven_optimal else f" ({rcd.status})"),
-                PUBLISHED_R_CROSS_DOCK_OBJECTIVE,
-                rcd.objective.total,
-            )
-        )
-        lines.append(
-            _published_line(
-                "relative gap percent",
-                PUBLISHED_RELATIVE_GAP_PERCENT,
-                figures.relative_gap_percent,
-            )
-        )
-        lines.append(
-            "r-crossdock optimum under crossdock: "
-            + ("FEASIBLE" if figures.rcd_best_under_cd_feasible else "INFEASIBLE")
-        )
+        lines.append(exact.verdict_line(figures.rcd_best_under_cd_feasible))
         if not figures.rcd_best_under_cd_feasible:
             lines.append(
-                "  the rectified model reaches solutions the original model"
-                " eliminates"
+                "  the rectified model reaches solutions the original model eliminates"
             )
     lines.append("== notes ==")
     lines.append(

@@ -13,7 +13,7 @@ from crossdock.formulations import (
     time_margin,
 )
 from crossdock.instance_io import generate
-from crossdock.lp_export import emit_lp
+from crossdock.lp_export import emit_lp, lp_filename
 from crossdock.model import Instance, Solution
 from crossdock.subproblem import optimal_transfers_rcrossdock
 from crossdock.vns import vns_solve
@@ -251,6 +251,7 @@ _ENTRY_POINTS = {
     "vns_solve": vns_solve,
     "brute_force": brute_force,
     "emit_lp": emit_lp,
+    "lp_filename": lambda inst, form: lp_filename(inst.name, form),
 }
 
 

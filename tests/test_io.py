@@ -166,6 +166,25 @@ def test_generator_rejects_a_flow_density_outside_the_clis_rule(density):
 
 
 @pytest.mark.parametrize(
+    "name, value",
+    [
+        ("flow_density", True),
+        ("flow_density", "0.5"),
+        ("flow_density", None),
+        ("capacity_ratio", True),
+        ("capacity_ratio", "0.1"),
+    ],
+)
+def test_generator_refuses_a_bool_or_a_density_or_ratio_that_is_not_a_number(
+    name, value
+):
+    # before, True read as 1.0 (a ratio of True wrote capacity 800 on this
+    # instance) and a string or a None density raised TypeError
+    with pytest.raises(ValueError, match=name.replace("_", " ")):
+        generate(0, 3, 2, **{name: value})
+
+
+@pytest.mark.parametrize(
     "seed, n, m", [(True, 3, 2), (0, True, 2), (0, 3, True), (1.5, 3, 2), (0, 3.0, 2)]
 )
 def test_generator_refuses_a_bool_or_non_integer_seed_n_or_m(seed, n, m):
