@@ -74,7 +74,7 @@ from .formulations import (
     objective_value,
 )
 from .model import EPS, Instance, Solution, total_penalty_constant, validate_instance
-from .model import _check_count, _check_seconds
+from .model import _check_seconds, _integer
 
 BRUTE_FORCE_LIMIT = 10**6
 
@@ -100,7 +100,7 @@ class Budget:
 
     def __post_init__(self):
         if self.max_nodes is not None:
-            _check_count("max_nodes", self.max_nodes)
+            _integer("max_nodes", self.max_nodes, 0)
         if self.time_limit is not None:
             _check_seconds("time_limit", self.time_limit)
 
@@ -193,10 +193,11 @@ class _Tables:
         # (i, i, k, l, gain) at the cheapest dock pair (k, l) for each
         # self-transfer that ships, which the selection picks from; the base
         # ships them all)
+        free = []
+        if include_diagonal and cd:
+            free = subproblem.diagonal_candidates_crossdock(inst)
         self.free_items = [
-            (i - 1, i - 1, k - 1, l - 1, gain)
-            for i, _, k, l, gain in subproblem.diagonal_candidates_crossdock(inst)
-            if _net(-gain, include_diagonal and cd) < 0
+            (i - 1, i - 1, k - 1, l - 1, gain) for i, _, k, l, gain in free if gain > EPS
         ]
         strict = include_diagonal and not cd
         self.unary = [[_net(ct[k][k] - pf[i][i], strict) for k in docks] for i in range(n)]

@@ -24,6 +24,7 @@ with dock entries 0 for unassigned.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -31,21 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Instance, Solution, _check_count, _is_number
+from .model import Instance, Solution, _integer, _is_number
 
-_INSTANCE_KEYS = {
-    "name",
-    "seed",
-    "n",
-    "m",
-    "arrival",
-    "departure",
-    "transfer_time",
-    "transfer_cost",
-    "flow",
-    "penalty",
-    "capacity",
-}
 _SOLUTION_KEYS = {"dock", "transfers"}
 
 
@@ -67,83 +55,32 @@ def _load_document(source) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str, kind, context: str):
+def _require(doc: dict, key: str, context: str):
     if key not in doc:
         raise SchemaError(f"{context}: missing key '{key}'")
-    value = doc[key]
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise SchemaError(f"{context}: key '{key}' must be an integer")
-        return value
-    return value
-
-
-def _real(x: int | float) -> float:
-    """``float(x)``, except that an integer beyond float range reads as the
-    infinity of its sign, as the same number written with an exponent does."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-
-
-def _number_list(raw, key: str, length: int) -> list[float]:
-    """``raw``, the value labelled ``key``, as ``length`` floats."""
-    if not isinstance(raw, list) or len(raw) != length:
-        raise SchemaError(f"instance: key '{key}' must be a list of {length} numbers")
-    for idx, x in enumerate(raw):
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise SchemaError(f"instance: key '{key}[{idx + 1}]' must be a number")
-    return [_real(x) for x in raw]
-
-
-def _number_matrix(raw, key: str, nrows: int, ncols: int) -> list[list[float]]:
-    """``raw`` as ``nrows`` rows, each read by :func:`_number_list` as ``key[r]``."""
-    if not isinstance(raw, list) or len(raw) != nrows:
-        raise SchemaError(f"instance: key '{key}' must be a {nrows}x{ncols} matrix")
-    return [_number_list(row, f"{key}[{r + 1}]", ncols) for r, row in enumerate(raw)]
+    return doc[key]
 
 
 def parse_instance(source) -> Instance:
-    """Parse an instance document (dict, JSON text, or file Path)."""
+    """Parse an instance document (dict, JSON text, or file Path) whose keys
+    are the fields of :class:`Instance`, capacity None spelt "unbounded". Types
+    and shapes are the constructor's check, its ValueError raised as SchemaError."""
     doc = _load_document(source)
-    unknown = set(doc) - _INSTANCE_KEYS
+    fields = dataclasses.fields(Instance)
+    unknown = set(doc) - {field.name for field in fields}
     if unknown:
         raise SchemaError(f"instance: unknown keys {sorted(unknown)}")
-    n = _require(doc, "n", int, "instance")
-    m = _require(doc, "m", int, "instance")
-    if n < 1 or m < 1:
-        raise SchemaError("instance: keys 'n' and 'm' must be positive")
-    capacity = _require(doc, "capacity", object, "instance")
-    if capacity == "unbounded":
-        capacity_value = None
-    elif isinstance(capacity, (int, float)) and not isinstance(capacity, bool):
-        capacity_value = _real(capacity)
-    else:
+    for field in fields:
+        if field.default is dataclasses.MISSING:
+            _require(doc, field.name, "instance")
+    if doc["capacity"] is None:
         raise SchemaError("instance: key 'capacity' must be a number or 'unbounded'")
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        raise SchemaError("instance: key 'name' must be a string")
-    seed = doc.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise SchemaError("instance: key 'seed' must be an integer")
-
-    def field(key):
-        return _require(doc, key, list, "instance")
-
-    return Instance(
-        n=n,
-        m=m,
-        arrival=_number_list(field("arrival"), "arrival", n),
-        departure=_number_list(field("departure"), "departure", n),
-        transfer_time=_number_matrix(field("transfer_time"), "transfer_time", m, m),
-        transfer_cost=_number_matrix(field("transfer_cost"), "transfer_cost", m, m),
-        flow=_number_matrix(field("flow"), "flow", n, n),
-        penalty=_number_matrix(field("penalty"), "penalty", n, n),
-        capacity=capacity_value,
-        name=name,
-        seed=seed,
-    )
+    if doc["capacity"] == "unbounded":
+        doc = {**doc, "capacity": None}
+    try:
+        return Instance(**doc)
+    except ValueError as exc:
+        raise SchemaError(f"instance: key {exc}") from exc
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -174,27 +111,9 @@ def parse_solution(source) -> Solution:
     unknown = set(doc) - _SOLUTION_KEYS
     if unknown:
         raise SchemaError(f"solution: unknown keys {sorted(unknown)}")
-    dock = _require(doc, "dock", list, "solution")
-    if not isinstance(dock, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in dock
-    ):
-        raise SchemaError("solution: key 'dock' must be a list of integers")
-    transfers_raw = doc.get("transfers", [])
-    if not isinstance(transfers_raw, list):
-        raise SchemaError("solution: key 'transfers' must be a list")
-    transfers = []
-    for idx, entry in enumerate(transfers_raw):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 4
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
-        ):
-            raise SchemaError(
-                f"solution: key 'transfers[{idx + 1}]' must be [i, j, k, l]"
-            )
-        transfers.append(tuple(entry))
+    dock = _require(doc, "dock", "solution")
     try:
-        return Solution(dock=tuple(dock), transfers=tuple(transfers))
+        return Solution(dock=dock, transfers=doc.get("transfers", ()))
     except ValueError as exc:
         raise SchemaError(f"solution: {exc}") from exc
 
@@ -224,10 +143,7 @@ def generate(
     range raises ValueError; a bool or a string is not a number.
     """
     for name, value in (("seed", seed), ("n", n), ("m", m)):
-        _check_count(name, value)
-    seed, n, m = int(seed), int(n), int(m)
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
+        _integer(name, value, 0)
     if not _is_number(flow_density) or not 0 <= flow_density <= 1:
         raise ValueError(
             f"flow density must be a number in [0, 1], got {flow_density!r}"

@@ -41,8 +41,46 @@ class ValidationIssue:
     message: str
 
 
-def _matrix(rows) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(x) for x in row) for row in rows)
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(where: str, value, least: float = -math.inf) -> int:
+    """``value`` as an int: ValueError naming ``where`` unless it is an
+    integer >= ``least`` (numpy integers pass, a bool fails)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        bound = f" >= {least}" if least > -math.inf else ""
+        raise ValueError(f"'{where}' must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def _real(where: str, value) -> float:
+    """``float(value)``: ValueError naming ``where`` unless ``value`` is a real
+    number (a bool or a str is not); an integer beyond float range reads as
+    the infinity of its sign, as the same number written with an exponent does."""
+    if not _is_number(value):
+        raise ValueError(f"'{where}' must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _reals(where: str, values, length: int) -> tuple[float, ...]:
+    """``values``, a list or tuple of ``length`` real numbers, as floats;
+    entry r is labelled ``where[r]``, 1-based."""
+    if not isinstance(values, (list, tuple)) or len(values) != length:
+        raise ValueError(f"'{where}' must be a list of {length} numbers")
+    if all(type(x) is float for x in values):  # the common case, and fast
+        return tuple(values)
+    return tuple(_real(f"{where}[{r}]", x) for r, x in enumerate(values, start=1))
+
+
+def _square(where: str, rows, size: int) -> tuple[tuple[float, ...], ...]:
+    """``rows`` as ``size`` rows, each read by :func:`_reals` as ``where[r]``."""
+    if not isinstance(rows, (list, tuple)) or len(rows) != size:
+        raise ValueError(f"'{where}' must be a {size}x{size} matrix")
+    return tuple(_reals(f"{where}[{r}]", row, size) for r, row in enumerate(rows, start=1))
 
 
 @dataclass(frozen=True)
@@ -52,6 +90,12 @@ class Instance:
     ``capacity`` is either a positive real or ``None`` for the unbounded
     sentinel ("unbounded" in files), which the compiled rules and the checker
     read as ``math.inf``.
+
+    Construction raises ValueError naming the field (``'flow[2][2]' must be
+    a number``) unless n and m are integers >= 1, arrival and departure hold
+    n real numbers, transfer_time and transfer_cost m x m and flow and penalty
+    n x n (lists or tuples), capacity is None or a real number, name is a str
+    and seed None or an integer. A bool or a str is refused, never coerced.
     """
 
     n: int
@@ -67,12 +111,25 @@ class Instance:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "arrival", tuple(float(x) for x in self.arrival))
-        object.__setattr__(self, "departure", tuple(float(x) for x in self.departure))
-        for attr in ("transfer_time", "transfer_cost", "flow", "penalty"):
-            object.__setattr__(self, attr, _matrix(getattr(self, attr)))
+        n, m = _integer("n", self.n, 1), _integer("m", self.m, 1)
+        fields = {
+            "n": n,
+            "m": m,
+            "arrival": _reals("arrival", self.arrival, n),
+            "departure": _reals("departure", self.departure, n),
+            "transfer_time": _square("transfer_time", self.transfer_time, m),
+            "transfer_cost": _square("transfer_cost", self.transfer_cost, m),
+            "flow": _square("flow", self.flow, n),
+            "penalty": _square("penalty", self.penalty, n),
+        }
         if self.capacity is not None:
-            object.__setattr__(self, "capacity", float(self.capacity))
+            fields["capacity"] = _real("capacity", self.capacity)
+        if not isinstance(self.name, str):
+            raise ValueError("'name' must be a string")
+        if self.seed is not None:
+            fields["seed"] = _integer("seed", self.seed)
+        for attr, value in fields.items():
+            object.__setattr__(self, attr, value)
 
     # 1-based accessors
     def a(self, i: int) -> float:
@@ -107,16 +164,6 @@ class Instance:
         return replace(self, capacity=capacity)
 
 
-def _check_count(name: str, value) -> None:
-    """ValueError unless ``value`` is an int >= 0 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _check_seconds(name: str, value) -> None:
     """ValueError unless ``value`` is a number of seconds >= 0 (not a bool):
     NaN fails, ``inf`` passes, as in the CLI's time limits."""
@@ -124,10 +171,18 @@ def _check_seconds(name: str, value) -> None:
         raise ValueError(f"{name} must be a number of seconds >= 0, got {value!r}")
 
 
+def _sequence(values) -> tuple:
+    """``values`` as a tuple: ValueError for a str, a dict or a value that is
+    not iterable, none of which is read as a sequence."""
+    if isinstance(values, (str, dict)) or not hasattr(values, "__iter__"):
+        raise ValueError(f"expected a sequence, got {values!r}")
+    return tuple(values)
+
+
 def _indices(values) -> tuple[int, ...]:
-    """``values`` as a tuple of ints: ValueError for a bool or any value that
-    is not an integer (numpy integers pass), rather than truncating it."""
-    values = tuple(values)
+    """``values`` as a tuple of ints: ValueError for a non-sequence, a bool or
+    any entry that is not an integer (numpy integers pass), never truncated."""
+    values = _sequence(values)
     if all(type(x) is int for x in values):  # the common case, and fast
         return values
     for x in values:
@@ -144,6 +199,11 @@ class Solution:
     ``transfers`` holds (i, j, k, l) tuples, 1-based, canonically sorted; at
     most one (k, l) per ordered pair (i, j). Entries with i = j only occur in
     strict-literal (diagonal-included) workflows.
+
+    Construction raises ValueError unless the docks, the transfers and each
+    transfer are sequences (a str or a dict is not) of integers (numpy's pass;
+    a bool or a float is refused, never truncated), every transfer has four
+    indices and no pair has two.
     """
 
     dock: tuple[int, ...]
@@ -151,11 +211,12 @@ class Solution:
 
     def __post_init__(self):
         object.__setattr__(self, "dock", _indices(self.dock))
-        transfers = [tuple(transfer) for transfer in self.transfers]
-        if not all(type(x) is int for transfer in transfers for x in transfer):
-            transfers = [_indices(transfer) for transfer in transfers]
+        transfers = [_indices(transfer) for transfer in _sequence(self.transfers)]
         seen: dict[tuple[int, int], tuple[int, int]] = {}
-        for (i, j, k, l) in transfers:
+        for transfer in transfers:
+            if len(transfer) != 4:
+                raise ValueError(f"transfer {transfer} must have four indices (i, j, k, l)")
+            i, j, k, l = transfer
             if (i, j) in seen and seen[(i, j)] != (k, l):
                 raise ValueError(
                     f"solution has two transfers for pair ({i},{j}): "
@@ -205,46 +266,10 @@ class ObjectiveBreakdown:
 
 
 def validation_issues(inst: Instance) -> list[ValidationIssue]:
-    """All hard-invariant violations of an instance, deterministically ordered."""
+    """All hard-invariant violations of an instance's values, deterministically
+    ordered; types and shapes are checked when the :class:`Instance` is built."""
     issues: list[ValidationIssue] = []
-    n, m = inst.n, inst.m
-
-    if n < 1 or m < 1:
-        issues.append(
-            ValidationIssue("shape_mismatch", (), f"n={n} and m={m} must be positive")
-        )
-        return issues
-
-    def shape(name, rows, nrows, ncols):
-        if len(rows) != nrows or any(len(r) != ncols for r in rows):
-            issues.append(
-                ValidationIssue(
-                    "shape_mismatch",
-                    (),
-                    f"{name} must be {nrows}x{ncols}, got "
-                    f"{len(rows)}x{[len(r) for r in rows]}",
-                )
-            )
-            return False
-        return True
-
-    ok = True
-    if len(inst.arrival) != n:
-        issues.append(
-            ValidationIssue("shape_mismatch", (), f"arrival must have length {n}")
-        )
-        ok = False
-    if len(inst.departure) != n:
-        issues.append(
-            ValidationIssue("shape_mismatch", (), f"departure must have length {n}")
-        )
-        ok = False
-    ok &= shape("transfer_time", inst.transfer_time, m, m)
-    ok &= shape("transfer_cost", inst.transfer_cost, m, m)
-    ok &= shape("flow", inst.flow, n, n)
-    ok &= shape("penalty", inst.penalty, n, n)
-    if not ok:
-        return issues
+    n = inst.n
 
     def finite(x, indices, where) -> bool:
         """True iff x is finite; otherwise a not_a_number (NaN) or

@@ -300,10 +300,11 @@ def diagonal_candidates_crossdock(
     quantifies j != i), so each truck's self-flow can ship through the
     cheapest dock pair regardless of the assignment.
     """
+    rules = compile_rules(inst, Formulation.CROSS_DOCK)
     cost, k, l = min(
-        (inst.c(k, l) * inst.t(k, l), k, l) for k in inst.docks() for l in inst.docks()
+        (rules.ct[k - 1][l - 1], k, l) for k in inst.docks() for l in inst.docks()
     )
-    return [(i, i, k, l, inst.p(i, i) * inst.f(i, i) - cost) for i in inst.trucks()]
+    return [(i, i, k, l, rules.pf[i - 1][i - 1] - cost) for i in inst.trucks()]
 
 
 def optimal_transfers_rcrossdock(

@@ -26,7 +26,7 @@ import numpy as np
 from . import subproblem
 from .exact import OptimizeResult, _Tables, _UNDOCKED, _result
 from .formulations import Formulation
-from .model import EPS, Instance, _check_count, _check_seconds, validate_instance
+from .model import EPS, Instance, _check_seconds, _integer, validate_instance
 
 RNG_ALGORITHM = "PCG64"
 
@@ -41,8 +41,8 @@ class VnsConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        _check_count("iter_max", self.iter_max)
-        _check_count("rng_seed", self.rng_seed)
+        _integer("iter_max", self.iter_max, 0)
+        _integer("rng_seed", self.rng_seed, 0)
         if self.time_budget is not None:
             _check_seconds("time_budget", self.time_budget)
 

@@ -97,6 +97,34 @@ def test_capacity_unbounded_sentinel():
     doc["capacity"] = "lots"
     with pytest.raises(SchemaError, match="capacity"):
         parse_instance(doc)
+    # null is not the file's spelling of an unbounded buffer
+    doc["capacity"] = None
+    with pytest.raises(SchemaError, match="'capacity' must be a number or 'unbounded'"):
+        parse_instance(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"dock": 5}, "solution: expected a sequence, got 5"),
+        ({"dock": "12"}, "solution: expected a sequence, got '12'"),
+        ({"dock": [1, 2.0]}, "solution: a truck or dock index must be an integer"),
+        ({"dock": [1, 2], "transfers": 5}, "solution: expected a sequence, got 5"),
+        ({"dock": [1, 2], "transfers": {}}, "solution: expected a sequence, got {}"),
+        ({"dock": [1, 2], "transfers": [7]}, "solution: expected a sequence, got 7"),
+        ({"dock": [1, 2], "transfers": [[1, 2, 1]]}, "solution: transfer (1, 2, 1) must have"),
+        ({"dock": [1, 2], "transfers": [[1, 2, 1, True]]}, "must be an integer, got True"),
+    ],
+    ids=[
+        "dock_int", "dock_str", "dock_float", "transfers_int", "transfers_dict",
+        "transfer_int", "transfer_short", "transfer_bool",
+    ],
+)
+def test_solution_schema_errors_come_from_the_constructor(doc, message):
+    # the reader checks keys only; Solution's ValueError is raised as SchemaError
+    with pytest.raises(SchemaError) as excinfo:
+        parse_solution(doc)
+    assert message in str(excinfo.value)
 
 
 def test_solution_duplicate_pair_rejected():

@@ -18,6 +18,7 @@ from crossdock.model import (
     validate_instance,
     validation_issues,
 )
+from crossdock.reproduce import reproduce_note
 
 
 def test_fixture_is_valid_and_flagged_over_constrained(nine_truck):
@@ -45,18 +46,20 @@ def test_window_equality_is_inverted():
 
 
 def test_shape_mismatch_reported():
-    inst = Instance(
-        n=2,
-        m=1,
-        arrival=(0.0, 0.0),
-        departure=(1.0, 1.0),
-        transfer_time=((0.0,),),
-        transfer_cost=((0.0,),),
-        flow=((0.0,) * 3,) * 3,  # 3x3 against n=2
-        penalty=((0.0, 0.0), (0.0, 0.0)),
-        capacity=None,
-    )
-    assert any(v.code == "shape_mismatch" for v in validation_issues(inst))
+    # a shape is the constructor's check, so no instance of the wrong shape
+    # reaches validation_issues
+    with pytest.raises(ValueError, match=r"^'flow' must be a 2x2 matrix$"):
+        Instance(
+            n=2,
+            m=1,
+            arrival=(0.0, 0.0),
+            departure=(1.0, 1.0),
+            transfer_time=((0.0,),),
+            transfer_cost=((0.0,),),
+            flow=((0.0,) * 3,) * 3,  # 3x3 against n=2
+            penalty=((0.0, 0.0), (0.0, 0.0)),
+            capacity=None,
+        )
 
 
 def test_flow_against_departed_truck_is_an_error():
@@ -130,6 +133,77 @@ def test_non_finite_numbers_are_rejected(changes, issue):
     assert [(v.code, v.indices) for v in validation_issues(inst)] == [issue]
     with pytest.raises(InvalidInstanceError):
         validate_instance(inst)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"capacity": True}, "'capacity' must be a number"),
+        ({"capacity": "5"}, "'capacity' must be a number"),
+        ({"arrival": ("16.5", 2.0)}, "'arrival[1]' must be a number"),
+        ({"arrival": (0.0, np.float64(1.0), 5)}, "'arrival' must be a list of 2 numbers"),
+        ({"flow": ((0.0, 4.0), (np.bool_(True), 0.0))}, "'flow[2][1]' must be a number"),
+        ({"flow": np.zeros((2, 2))}, "'flow' must be a 2x2 matrix"),
+        ({"penalty": ((0.0, 5.0), [0.0])}, "'penalty[2]' must be a list of 2 numbers"),
+        ({"n": 2.0}, "'n' must be an integer >= 1, got 2.0"),
+        ({"m": True}, "'m' must be an integer >= 1, got True"),
+        ({"m": 0}, "'m' must be an integer >= 1, got 0"),
+        ({"name": None}, "'name' must be a string"),
+        ({"seed": False}, "'seed' must be an integer, got False"),
+    ],
+    ids=[
+        "capacity_bool", "capacity_str", "arrival_str", "arrival_length",
+        "flow_numpy_bool", "flow_numpy_array", "penalty_row", "n_float", "m_bool",
+        "m_zero", "name", "seed_bool",
+    ],
+)
+def test_construction_refuses_what_it_cannot_read(changes, message):
+    # every field used to pass through float(), so True read as 1.0 and "5"
+    # as 5.0, and a wrong shape showed only later, in validation_issues
+    with pytest.raises(ValueError) as excinfo:
+        _two_trucks(**changes)
+    assert str(excinfo.value) == message
+
+
+def test_with_capacity_refuses_a_bool_or_a_string(nine_truck):
+    for capacity in (True, "5"):
+        with pytest.raises(ValueError, match="'capacity' must be a number"):
+            nine_truck.with_capacity(capacity)
+    # True used to read as capacity 1.0 and solve the note at that capacity
+    with pytest.raises(ValueError, match="'capacity' must be a number"):
+        reproduce_note(capacity=True)
+
+
+def test_construction_keeps_numbers_and_stores_floats():
+    inst = _two_trucks(
+        n=np.int64(2),
+        arrival=[0, np.float64(1.0)],
+        flow=((0, 4), (0, 0)),
+        capacity=10,
+        seed=np.int32(7),
+    )
+    assert inst == _two_trucks(seed=7)
+    assert type(inst.n) is int and type(inst.seed) is int
+    assert all(type(x) is float for x in inst.arrival + inst.flow[0])
+    assert type(inst.capacity) is float
+
+
+def test_an_integer_beyond_float_range_reads_as_infinite():
+    # float(10**400) raises OverflowError; the constructor reads it as the
+    # infinity of its sign, as JSON reads 1e400, so validation names it
+    inst = _two_trucks(flow=((0.0, 10**400), (-(10**400), 0.0)))
+    assert inst.flow == ((0.0, INF), (-INF, 0.0))
+    assert [(v.code, v.indices) for v in validation_issues(inst)] == [
+        ("infinite_number", (1, 2)),
+        ("infinite_number", (2, 1)),
+    ]
+
+
+def test_a_transfer_of_other_than_four_indices_is_refused():
+    with pytest.raises(ValueError, match=r"^transfer \(1, 2, 1\) must have four indices"):
+        Solution(dock=(1, 2), transfers=((1, 2, 1),))
+    with pytest.raises(ValueError, match=r"transfer \(1, 2, 1, 2, 1\)"):
+        Solution(dock=(1, 2), transfers=((1, 2, 1, 2, 1),))
 
 
 def test_xhat_on_reference_instance(nine_truck):
