@@ -173,15 +173,6 @@ def time_margin(inst: Instance, i: int, j: int, k: int, l: int) -> float:
     return inst.d(j) - inst.a(i) - inst.t(k, l)
 
 
-def _time_violated(
-    inst: Instance, form: Formulation, i: int, j: int, k: int, l: int
-) -> bool:
-    margin = time_margin(inst, i, j, k, l)
-    if form is Formulation.CROSS_DOCK:
-        return inst.f(i, j) > EPS and margin < -EPS
-    return margin <= EPS
-
-
 def occupancy_at(
     inst: Instance, sol: Solution, t_r: float, include_diagonal: bool = False
 ) -> float:
@@ -316,9 +307,12 @@ def check_solution(
     for (i, j, k, l) in sol.transfers:
         if i == j:
             continue
-        if _time_violated(inst, form, i, j, k, l):
-            margin = time_margin(inst, i, j, k, l)
-            op = "<" if form is Formulation.CROSS_DOCK else "<="
+        margin = time_margin(inst, i, j, k, l)
+        if form is Formulation.CROSS_DOCK:
+            violated, op = inst.f(i, j) > EPS and margin < -EPS, "<"
+        else:
+            violated, op = margin <= EPS, "<="
+        if violated:
             add(
                 ConstraintFamily.TIME_FEASIBILITY,
                 (i, j, k, l),

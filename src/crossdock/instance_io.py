@@ -84,22 +84,16 @@ def parse_instance(source) -> Instance:
 
 
 def serialize_instance(inst: Instance) -> str:
-    """Serialize to JSON, preserving numbers at full precision."""
+    """Serialize to JSON, preserving numbers at full precision: the fields of
+    :class:`Instance` in order, capacity None spelt "unbounded", an empty name
+    and a None seed left out."""
     doc = {
-        "n": inst.n,
-        "m": inst.m,
-        "arrival": list(inst.arrival),
-        "departure": list(inst.departure),
-        "transfer_time": [list(r) for r in inst.transfer_time],
-        "transfer_cost": [list(r) for r in inst.transfer_cost],
-        "flow": [list(r) for r in inst.flow],
-        "penalty": [list(r) for r in inst.penalty],
-        "capacity": "unbounded" if inst.capacity is None else inst.capacity,
+        field.name: getattr(inst, field.name)
+        for field in dataclasses.fields(Instance)
+        if getattr(inst, field.name) != field.default
     }
-    if inst.name:
-        doc["name"] = inst.name
-    if inst.seed is not None:
-        doc["seed"] = inst.seed
+    if inst.capacity is None:
+        doc["capacity"] = "unbounded"
     return json.dumps(doc, indent=2)
 
 

@@ -28,7 +28,6 @@ from .formulations import (
 from .instance_io import load_fixture_instance, load_fixture_solution
 from .model import (
     Instance,
-    Solution,
     compute_xhat,
     format_number,
     instance_flags,
@@ -59,8 +58,6 @@ class NoteReproduction:
     instance: Instance
     flags: tuple[str, ...]
     precedence_ones: tuple[tuple[int, int], ...]
-    s_star: Solution
-    s_prime: Solution
     checks: dict
     conflict: diagnosis.ConflictSet | None
     modes: tuple[ModeFigures, ...]
@@ -119,8 +116,6 @@ def reproduce_note(
         precedence_ones=tuple(
             (i, j) for i in inst.trucks() for j in inst.trucks() if xhat[i - 1][j - 1]
         ),
-        s_star=s_star,
-        s_prime=s_prime,
         checks=checks,
         conflict=conflict,
         modes=tuple(modes),
